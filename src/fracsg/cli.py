@@ -1,33 +1,30 @@
-"""Command-line front end.
+"""Command-line front end of the fracsg solver.
 
-Subcommands
-  run          one simulation; writes solution snapshots, the energy series,
-               and resolved-config metadata
-  convergence  refinement-ladder error tables over a set of fractional orders
-  energy       long-time energy-conservation series per fractional order
-  bench        wall-clock comparison of the dense direct solver against the
-               FFT conjugate-gradient solver
-
-All real numbers in CSV output use 16-significant-digit scientific notation,
-and every output except bench timings is byte-stable across repeated runs.
-Exit codes: 0 success, 1 configuration error, 2 numerical failure.
+Settings come from flags, then a --config file, then a --preset, then the
+subcommand's defaults.  All real numbers in CSV output use 16-significant-digit
+scientific notation, and every output except bench timings is byte-stable
+across repeated runs.  Exit codes: 0 success, 1 configuration error,
+2 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
-import statistics
+import math
 import sys
 import time
+from collections import ChainMap
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .diagnostics import EnergyRecorder, convergence_ladder
 from .operator import FracOperator, GridSpec
-from .presets import BENCH_DEFAULTS, CONVERGENCE_PRESETS, ENERGY_PRESETS, RUN_PRESETS
+from .presets import DEFAULTS, PRESETS
 from .problems import get_problem
 from .scheme import IeqState, SchemeConfig, run
 from .solvers import NumericalFailure, SolveConfig
@@ -35,65 +32,114 @@ from .solvers import NumericalFailure, SolveConfig
 _REAL = "{:.15e}".format
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors by default; the interface contract
-    # reserves 2 for numerical failures
-    def error(self, message):
-        self.exit(1, f"{self.prog}: error: {message}\n")
+def _positive(conv: Callable[[str], Any]) -> Callable[[str], Any]:
+    def convert(text: str):
+        value = conv(text)
+        if not 0 < value < math.inf:  # also rejects NaN
+            raise ValueError("must be positive and finite")
+        return value
+    return convert
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in text.replace(",", " ").split())
+def _list(conv: Callable[[str], Any], length: int | None = None) -> Callable[[str], tuple]:
+    def convert(text: str) -> tuple:
+        values = tuple(conv(p) for p in text.replace(",", " ").split())
+        if not values:
+            raise ValueError("needs a nonempty comma-separated list")
+        if length is not None and len(values) != length:
+            raise ValueError(f"needs {length} values")
+        return values
+    return convert
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.replace(",", " ").split())
+class Option(NamedTuple):
+    """An option of the subcommands in ``commands``.  ``conv`` turns its text,
+    from a flag or a config-file line, into a setting; an option without one
+    (where settings come from, where output goes) is no config-file key."""
+
+    name: str
+    commands: tuple[str, ...]
+    help: str
+    conv: Callable[[str], Any] | None = None
+    choices: tuple[str, ...] | None = None
+    extra: dict = {}  # further add_argument keywords
 
 
-def _domain(text: str) -> tuple[float, float]:
-    parts = _floats(text)
-    if len(parts) != 2:
-        raise ValueError(f"domain needs two endpoints, got {text!r}")
-    return parts
+SIM = ("run", "convergence", "energy")
+ALL = SIM + ("bench",)
+OPTIONS = (
+    Option("version", ("fracsg",), "show the version and exit",  # the top-level parser
+           extra={"action": "version", "version": __version__}),
+    Option("preset", SIM, "named experiment settings"),
+    Option("example", SIM, "benchmark problem", str, ("5.1", "5.2")),
+    Option("alpha", ("run",), "fractional order in (1, 2]", float),
+    Option("alphas", ("convergence", "energy", "bench"), "comma-separated fractional orders",
+           _list(float)),
+    Option("omega", ALL, "width parameter of benchmark 5.1", float),
+    Option("domain", SIM, "interval endpoints", _list(float, 2),
+           extra={"nargs": 2, "metavar": ("A", "B")}),
+    Option("h", ("run", "energy", "bench"), "mesh size", _positive(float)),
+    Option("tau", ("run", "energy"), "time step (must divide T)", _positive(float)),
+    Option("base_h", ("convergence",), "coarsest mesh size", _positive(float)),
+    Option("base_tau", ("convergence",), "coarsest time step", _positive(float)),
+    Option("levels", ("convergence",), "ladder depth", _positive(int)),
+    Option("T", ALL, "final time", _positive(float)),
+    Option("sizes", ("bench",), "comma-separated interior sizes M", _list(int)),
+    Option("taus", ("bench",), "comma-separated time steps", _list(_positive(float))),
+    Option("reps", ("bench",), "repetitions per timing (median reported)", _positive(int)),
+    Option("cg_tol", ALL, "CG relative residual tolerance", float),
+    Option("precond", SIM, "CG preconditioner", str, ("none", "circulant")),
+    Option("snapshot_stride", ("run",),
+           "write solution_<n>.csv every this many steps (default N/100)", _positive(int)),
+    Option("out", ALL, "output directory", extra={"required": True}),
+    Option("config", ALL, "flat key = value config file; flags take precedence"),
+)
 
 
-def _parse_config_file(path: str) -> dict[str, str]:
+def _convert(opt: Option, text: str | list[str]) -> Any:
+    text = " ".join(text) if isinstance(text, list) else text  # a flag taking several words
+    try:
+        if opt.choices and text not in opt.choices:
+            raise ValueError(f"choose from {', '.join(opt.choices)}")
+        return opt.conv(text)
+    except ValueError as exc:
+        raise ValueError(f"invalid {opt.name} {text!r}: {exc}") from None
+
+
+def _read_config(path: str) -> dict[str, str]:
     """Flat key = value lines; blank lines and # comments ignored; keys match
     long option names with dashes replaced by underscores."""
-    entries: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
+    try:
+        lines = Path(path).read_text().splitlines()
+    except OSError as exc:
+        raise ValueError(f"cannot read config file: {exc}") from None
+    entries = {}
+    for lineno, raw in enumerate(lines, start=1):
+        key, eq, value = raw.split("#", 1)[0].partition("=")
+        if eq:
+            entries[key.strip().replace("-", "_")] = value.strip()
+        elif key.strip():
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        entries[key.strip().replace("-", "_")] = value.strip()
     return entries
 
 
-def _merge(ns: argparse.Namespace, converters: dict) -> dict:
-    """Effective settings with precedence flags > config file > None.
-    Presets and builtin defaults are applied by the caller on top."""
-    from_file: dict[str, str] = {}
-    if getattr(ns, "config", None):
-        from_file = _parse_config_file(ns.config)
-        unknown = sorted(set(from_file) - set(converters))
-        if unknown:
-            raise ValueError(f"unknown config file keys: {', '.join(unknown)}")
-    merged = {}
-    for dest, conv in converters.items():
-        value = getattr(ns, dest, None)
-        if value is None and dest in from_file:
-            value = conv(from_file[dest])
-        merged[dest] = value
-    return merged
-
-
-def _require(merged: dict, *keys: str) -> None:
-    missing = [k for k in keys if merged[k] is None]
+def resolve(ns: argparse.Namespace) -> dict[str, Any]:
+    """Every setting of subcommand ``ns.command``, taken from its flags, then
+    its config file, then its preset, then the subcommand's defaults.  Raises
+    ValueError on an unknown config-file key, a bad value or a missing setting."""
+    owned = {o.name: o for o in OPTIONS if ns.command in o.commands and o.conv}
+    flags = {k: _convert(o, vars(ns)[k]) for k, o in owned.items() if vars(ns)[k] is not None}
+    entries = _read_config(ns.config) if ns.config else {}
+    unknown = sorted(set(entries) - set(owned))
+    if unknown:
+        raise ValueError(f"unknown config file keys: {', '.join(unknown)}")
+    from_file = {k: _convert(owned[k], v) for k, v in entries.items()}
+    preset = PRESETS[ns.command][ns.preset].settings() if vars(ns).get("preset") else {}
+    merged = ChainMap(flags, from_file, preset, DEFAULTS[ns.command])
+    missing = [k for k in owned if k not in merged]
     if missing:
         raise ValueError(f"missing required settings: {', '.join(missing)}")
+    return {k: merged[k] for k in owned}
 
 
 def _subdivisions(span: float, step: float, what: str) -> int:
@@ -103,19 +149,26 @@ def _subdivisions(span: float, step: float, what: str) -> int:
     return round(count)
 
 
-def _solve_config(merged: dict) -> SolveConfig:
-    return SolveConfig(
-        method=merged.get("method") or "cg",
-        cg_rel_tol=merged.get("cg_tol") if merged.get("cg_tol") is not None else 1e-12,
-        precond=merged.get("precond") or "none",
-    )
+def _solve_config(s: dict) -> SolveConfig:
+    return SolveConfig(cg_rel_tol=s["cg_tol"], precond=s["precond"])
+
+
+def _scheme_config(s: dict, alpha: float) -> SchemeConfig:
+    a, b = s["domain"]
+    return SchemeConfig(grid=GridSpec(a=a, b=b, M=_subdivisions(b - a, s["h"], "h")),
+                        alpha=alpha, T=s["T"], N=_subdivisions(s["T"], s["tau"], "tau"),
+                        solve=_solve_config(s))
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
     with path.open("w") as f:
         f.write(header + "\n")
-        for row in rows:
-            f.write(",".join(row) + "\n")
+        f.writelines(",".join(row) + "\n" for row in rows)
+
+
+def _write_energy(path: Path, recorder: EnergyRecorder) -> None:
+    _write_csv(path, "n,t,E,RE",
+               ((str(n), _REAL(t), _REAL(e), _REAL(re)) for n, t, e, re in recorder.rows))
 
 
 class SnapshotWriter:
@@ -128,202 +181,88 @@ class SnapshotWriter:
         self.last = last
 
     def __call__(self, state: IeqState, stats) -> None:
-        if state.n % self.stride != 0 and state.n != self.last:
-            return
-        rows = (
-            (_REAL(x), _REAL(u), _REAL(v), _REAL(w))
-            for x, u, v, w in zip(self.x, state.U, state.V, state.W)
-        )
-        _write_csv(self.out_dir / f"solution_{state.n}.csv", "x,U,V,W", rows)
+        if state.n % self.stride == 0 or state.n == self.last:
+            rows = (map(_REAL, xuvw) for xuvw in zip(self.x, state.U, state.V, state.W))
+            _write_csv(self.out_dir / f"solution_{state.n}.csv", "x,U,V,W", rows)
 
 
-def cmd_run(ns: argparse.Namespace) -> int:
-    merged = _merge(ns, {
-        "example": str, "alpha": float, "omega": float, "domain": _domain,
-        "h": float, "tau": float, "T": float, "method": str, "cg_tol": float,
-        "precond": str, "snapshot_stride": int,
-    })
-    if ns.preset is not None:
-        p = RUN_PRESETS[ns.preset]
-        for dest, value in (("example", p.problem_key), ("domain", (p.a, p.b)),
-                            ("h", p.h), ("tau", p.tau), ("T", p.T), ("omega", p.omega)):
-            if merged[dest] is None:
-                merged[dest] = value
-    if merged["omega"] is None:
-        merged["omega"] = 1.1
-    _require(merged, "example", "alpha", "domain", "h", "tau", "T")
-
-    a, b = merged["domain"]
-    M = _subdivisions(b - a, merged["h"], "h")
-    N = _subdivisions(merged["T"], merged["tau"], "tau")
-    grid = GridSpec(a=a, b=b, M=M)
-    problem = get_problem(merged["example"], omega=merged["omega"])
-    cfg = SchemeConfig(grid=grid, alpha=merged["alpha"], T=merged["T"], N=N,
-                       solve=_solve_config(merged))
-    stride = merged["snapshot_stride"] or max(1, N // 100)
-    if stride < 1:
-        raise ValueError("snapshot stride must be >= 1")
-
-    out_dir = Path(ns.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_run(s: dict, out_dir: Path) -> int:
+    """single simulation with snapshots and energy series"""
+    cfg = _scheme_config(s, s["alpha"])
+    grid, solve = cfg.grid, cfg.solve
+    stride = max(1, cfg.N // 100) if s["snapshot_stride"] is None else s["snapshot_stride"]
+    problem = get_problem(s["example"], omega=s["omega"])
     op = FracOperator(cfg.alpha, grid)
     recorder = EnergyRecorder(op)
-    snapshots = SnapshotWriter(out_dir, grid.interior_nodes(), stride, N)
+    snapshots = SnapshotWriter(out_dir, grid.interior_nodes(), stride, cfg.N)
     result = run(problem, cfg, observers=(recorder, snapshots), op=op)
-
-    _write_csv(out_dir / "energy.csv", "n,t,E,RE",
-               ((str(n), _REAL(t), _REAL(e), _REAL(re)) for n, t, e, re in recorder.rows))
-    meta = {
-        "example": problem.key,
-        "omega": problem.omega,
-        "alpha": cfg.alpha,
-        "domain": [a, b],
-        "h": grid.h,
-        "M": M,
-        "tau": cfg.tau,
-        "N": N,
-        "T": cfg.T,
-        "method": cfg.solve.method,
-        "cg_rel_tol": cfg.solve.cg_rel_tol,
-        "precond": cfg.solve.precond,
-        "snapshot_stride": stride,
-        "fft_embed_size": op.embed_size,
-        "startup_tol": cfg.startup_tol,
-        "startup_iterations": result.startup_iterations,
-        "cg_iterations_max": result.cg_iterations_max,
-        "cg_iterations_mean": result.cg_iterations_mean,
-        "residual_max": result.residual_max,
-        "version": __version__,
-    }
+    _write_energy(out_dir / "energy.csv", recorder)
+    meta = dict(
+        example=problem.key, omega=problem.omega, alpha=cfg.alpha, domain=[grid.a, grid.b],
+        h=grid.h, M=grid.M, tau=cfg.tau, N=cfg.N, T=cfg.T, method=solve.method,
+        cg_rel_tol=solve.cg_rel_tol, precond=solve.precond, snapshot_stride=stride,
+        fft_embed_size=op.embed_size, startup_tol=cfg.startup_tol,
+        startup_iterations=result.startup_iterations, cg_iterations_max=result.cg_iterations_max,
+        cg_iterations_mean=result.cg_iterations_mean, residual_max=result.residual_max,
+        version=__version__)
     (out_dir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return 0
 
 
-def cmd_convergence(ns: argparse.Namespace) -> int:
-    merged = _merge(ns, {
-        "example": str, "alphas": _floats, "omega": float, "domain": _domain,
-        "base_h": float, "base_tau": float, "levels": int, "T": float,
-        "method": str, "cg_tol": float, "precond": str,
-    })
-    if ns.preset is not None:
-        p = CONVERGENCE_PRESETS[ns.preset]
-        for dest, value in (("example", p.problem_key), ("alphas", p.alphas),
-                            ("domain", (p.a, p.b)), ("base_h", p.base_h),
-                            ("base_tau", p.base_tau), ("levels", p.levels),
-                            ("T", p.T), ("omega", p.omega)):
-            if merged[dest] is None:
-                merged[dest] = value
-    if merged["omega"] is None:
-        merged["omega"] = 1.1
-    if merged["levels"] is None:
-        merged["levels"] = 4
-    _require(merged, "example", "alphas", "domain", "base_h", "base_tau", "T")
-
-    a, b = merged["domain"]
-    solve_cfg = _solve_config(merged)
-    out_dir = Path(ns.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_convergence(s: dict, out_dir: Path) -> int:
+    """refinement-ladder error table"""
+    problem = get_problem(s["example"], omega=s["omega"])
     rows = []
-    for alpha in merged["alphas"]:
-        problem = get_problem(merged["example"], omega=merged["omega"])
-        report = convergence_ladder(problem, alpha, a, b, merged["base_h"],
-                                    merged["base_tau"], merged["levels"], merged["T"],
-                                    solve_cfg=solve_cfg)
-        for row in report.rows:
-            rows.append((_REAL(alpha), _REAL(row.h), _REAL(row.tau), _REAL(row.error),
-                         "" if row.order is None else _REAL(row.order)))
+    for alpha in s["alphas"]:
+        report = convergence_ladder(problem, alpha, *s["domain"], s["base_h"], s["base_tau"],
+                                    s["levels"], s["T"], solve_cfg=_solve_config(s))
+        rows.extend((_REAL(alpha), _REAL(row.h), _REAL(row.tau), _REAL(row.error),
+                     "" if row.order is None else _REAL(row.order)) for row in report.rows)
     _write_csv(out_dir / "convergence.csv", "alpha,h,tau,error,order", rows)
     return 0
 
 
-def cmd_energy(ns: argparse.Namespace) -> int:
-    merged = _merge(ns, {
-        "example": str, "alphas": _floats, "omega": float, "domain": _domain,
-        "h": float, "tau": float, "T": float,
-        "method": str, "cg_tol": float, "precond": str,
-    })
-    if ns.preset is not None:
-        p = ENERGY_PRESETS[ns.preset]
-        for dest, value in (("example", p.problem_key), ("alphas", p.alphas),
-                            ("domain", (p.a, p.b)), ("h", p.h), ("tau", p.tau),
-                            ("T", p.T), ("omega", p.omega)):
-            if merged[dest] is None:
-                merged[dest] = value
-    if merged["omega"] is None:
-        merged["omega"] = 1.1
-    _require(merged, "example", "alphas", "domain", "h", "tau", "T")
-
-    a, b = merged["domain"]
-    M = _subdivisions(b - a, merged["h"], "h")
-    N = _subdivisions(merged["T"], merged["tau"], "tau")
-    out_dir = Path(ns.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for alpha in merged["alphas"]:
-        grid = GridSpec(a=a, b=b, M=M)
-        problem = get_problem(merged["example"], omega=merged["omega"])
-        cfg = SchemeConfig(grid=grid, alpha=alpha, T=merged["T"], N=N,
-                           solve=_solve_config(merged))
-        op = FracOperator(alpha, grid)
+def cmd_energy(s: dict, out_dir: Path) -> int:
+    """energy-conservation series per fractional order"""
+    problem = get_problem(s["example"], omega=s["omega"])
+    for alpha in s["alphas"]:
+        cfg = _scheme_config(s, alpha)
+        op = FracOperator(alpha, cfg.grid)
         recorder = EnergyRecorder(op)
         run(problem, cfg, observers=(recorder,), op=op)
-        _write_csv(out_dir / f"energy_{alpha:g}.csv", "n,t,E,RE",
-                   ((str(n), _REAL(t), _REAL(e), _REAL(re)) for n, t, e, re in recorder.rows))
+        _write_energy(out_dir / f"energy_{alpha:g}.csv", recorder)
     return 0
 
 
 def _timed_run(problem, cfg: SchemeConfig, reps: int) -> tuple[float, np.ndarray]:
     times = []
-    final = None
     for _ in range(reps):
         t0 = time.perf_counter()
         final = run(problem, cfg).state.U
         times.append(time.perf_counter() - t0)
-    return statistics.median(times), final
+    return float(np.median(times)), final
 
 
-def cmd_bench(ns: argparse.Namespace) -> int:
-    merged = _merge(ns, {
-        "sizes": _ints, "alphas": _floats, "taus": _floats, "h": float,
-        "T": float, "reps": int, "cg_tol": float, "omega": float,
-    })
-    d = BENCH_DEFAULTS
-    for dest, value in (("sizes", d.sizes), ("alphas", d.alphas), ("taus", d.taus),
-                        ("h", d.h), ("T", d.T), ("reps", d.reps), ("omega", d.omega),
-                        ("cg_tol", d.cg_tol)):
-        if merged[dest] is None:
-            merged[dest] = value
-    if not merged["sizes"]:
-        raise ValueError("sizes list must be nonempty")
-    if merged["reps"] < 1:
-        raise ValueError("reps must be >= 1")
-
-    out_dir = Path(ns.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cg_tol = merged["cg_tol"]
-    rows = []
-    violations = []
-    for alpha in merged["alphas"]:
-        for M in merged["sizes"]:
-            half_span = 0.5 * M * merged["h"]
-            grid = GridSpec(a=-half_span, b=half_span, M=M)
-            problem = get_problem("5.1", omega=merged["omega"])
-            for tau in merged["taus"]:
-                N = _subdivisions(merged["T"], tau, "tau")
-                base = dict(grid=grid, alpha=alpha, T=merged["T"], N=N)
-                direct_cfg = SchemeConfig(solve=SolveConfig(method="direct"), **base)
-                fft_cfg = SchemeConfig(solve=SolveConfig(method="cg", cg_rel_tol=cg_tol), **base)
-                t_direct, u_direct = _timed_run(problem, direct_cfg, merged["reps"])
-                t_fft, u_fft = _timed_run(problem, fft_cfg, merged["reps"])
-                diff = float(np.max(np.abs(u_direct - u_fft)))
-                if diff > 1e-8:
-                    raise NumericalFailure(
-                        f"direct and FFT solution paths disagree by {diff:.3e} "
-                        f"(alpha={alpha}, M={M}, tau={tau})")
-                if M >= 400 and t_fft > t_direct:
-                    violations.append(f"alpha={alpha} M={M} tau={tau}: "
-                                      f"fft {t_fft:.3f}s > direct {t_direct:.3f}s")
-                rows.append((_REAL(alpha), str(M), _REAL(grid.h), _REAL(tau), str(N),
-                             _REAL(t_direct), _REAL(t_fft), _REAL(diff)))
+def cmd_bench(s: dict, out_dir: Path) -> int:
+    """dense-direct vs FFT-CG wall-clock comparison (default settings take a few minutes)"""
+    problem = get_problem("5.1", omega=s["omega"])
+    rows, violations = [], []
+    for alpha, M, tau in itertools.product(s["alphas"], s["sizes"], s["taus"]):
+        grid = GridSpec(a=-0.5 * M * s["h"], b=0.5 * M * s["h"], M=M)
+        base = dict(grid=grid, alpha=alpha, T=s["T"], N=_subdivisions(s["T"], tau, "tau"))
+        direct_cfg = SchemeConfig(solve=SolveConfig(method="direct"), **base)
+        fft_cfg = SchemeConfig(solve=SolveConfig(cg_rel_tol=s["cg_tol"]), **base)
+        t_direct, u_direct = _timed_run(problem, direct_cfg, s["reps"])
+        t_fft, u_fft = _timed_run(problem, fft_cfg, s["reps"])
+        diff = float(np.max(np.abs(u_direct - u_fft)))
+        if diff > 1e-8:
+            raise NumericalFailure(f"direct and FFT solution paths disagree by {diff:.3e} "
+                                   f"(alpha={alpha}, M={M}, tau={tau})")
+        if M >= 400 and t_fft > t_direct:
+            violations.append(f"alpha={alpha} M={M} tau={tau}: "
+                              f"fft {t_fft:.3f}s > direct {t_direct:.3f}s")
+        rows.append((_REAL(alpha), str(M), _REAL(grid.h), _REAL(tau), str(base["N"]),
+                     _REAL(t_direct), _REAL(t_fft), _REAL(diff)))
     _write_csv(out_dir / "bench.csv",
                "alpha,M,h,tau,steps,direct_seconds,fft_seconds,solution_diff", rows)
     if violations:
@@ -332,92 +271,39 @@ def cmd_bench(ns: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="fracsg", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--version", action="version", version=__version__)
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="fracsg", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--config", help="flat key = value config file; flags take precedence")
-
-    p_run = sub.add_parser("run", help="single simulation with snapshots and energy series")
-    p_run.add_argument("--preset", choices=sorted(RUN_PRESETS),
-                       help="wide-domain soliton evolution settings")
-    p_run.add_argument("--example", choices=("5.1", "5.2"), help="benchmark problem")
-    p_run.add_argument("--alpha", type=float, help="fractional order in (1, 2]")
-    p_run.add_argument("--omega", type=float, help="width parameter of benchmark 5.1")
-    p_run.add_argument("--domain", nargs=2, type=float, metavar=("A", "B"))
-    p_run.add_argument("--h", type=float, help="mesh size (must divide the domain)")
-    p_run.add_argument("--tau", type=float, help="time step (must divide T)")
-    p_run.add_argument("--T", type=float, help="final time")
-    p_run.add_argument("--method", choices=("cg", "direct"))
-    p_run.add_argument("--cg-tol", type=float, dest="cg_tol",
-                       help="CG relative residual tolerance (default 1e-12)")
-    p_run.add_argument("--precond", choices=("none", "circulant"))
-    p_run.add_argument("--snapshot-stride", type=int, dest="snapshot_stride",
-                       help="write solution_<n>.csv every this many steps (default N/100)")
-    add_common(p_run)
-    p_run.set_defaults(func=cmd_run)
-
-    p_conv = sub.add_parser("convergence", help="refinement-ladder error table")
-    p_conv.add_argument("--preset", choices=sorted(CONVERGENCE_PRESETS))
-    p_conv.add_argument("--example", choices=("5.1", "5.2"))
-    p_conv.add_argument("--alphas", type=_floats, help="comma-separated fractional orders")
-    p_conv.add_argument("--omega", type=float)
-    p_conv.add_argument("--domain", nargs=2, type=float, metavar=("A", "B"))
-    p_conv.add_argument("--base-h", type=float, dest="base_h", help="coarsest mesh size")
-    p_conv.add_argument("--base-tau", type=float, dest="base_tau", help="coarsest time step")
-    p_conv.add_argument("--levels", type=int, help="ladder depth (default 4)")
-    p_conv.add_argument("--T", type=float)
-    p_conv.add_argument("--method", choices=("cg", "direct"))
-    p_conv.add_argument("--cg-tol", type=float, dest="cg_tol")
-    p_conv.add_argument("--precond", choices=("none", "circulant"))
-    add_common(p_conv)
-    p_conv.set_defaults(func=cmd_convergence)
-
-    p_en = sub.add_parser("energy", help="energy-conservation series per fractional order")
-    p_en.add_argument("--preset", choices=sorted(ENERGY_PRESETS))
-    p_en.add_argument("--example", choices=("5.1", "5.2"))
-    p_en.add_argument("--alphas", type=_floats)
-    p_en.add_argument("--omega", type=float)
-    p_en.add_argument("--domain", nargs=2, type=float, metavar=("A", "B"))
-    p_en.add_argument("--h", type=float)
-    p_en.add_argument("--tau", type=float)
-    p_en.add_argument("--T", type=float)
-    p_en.add_argument("--method", choices=("cg", "direct"))
-    p_en.add_argument("--cg-tol", type=float, dest="cg_tol")
-    p_en.add_argument("--precond", choices=("none", "circulant"))
-    add_common(p_en)
-    p_en.set_defaults(func=cmd_energy)
-
-    p_bench = sub.add_parser(
-        "bench", help="dense-direct vs FFT-CG wall-clock comparison "
-                      "(default settings take a few minutes)")
-    p_bench.add_argument("--sizes", type=_ints, help="comma-separated interior sizes M")
-    p_bench.add_argument("--alphas", type=_floats)
-    p_bench.add_argument("--taus", type=_floats)
-    p_bench.add_argument("--h", type=float)
-    p_bench.add_argument("--T", type=float)
-    p_bench.add_argument("--reps", type=int, help="repetitions per timing (median reported)")
-    p_bench.add_argument("--omega", type=float)
-    p_bench.add_argument("--cg-tol", type=float, dest="cg_tol",
-                         help="CG tolerance for the FFT path (default 1e-14: keeps "
-                              "the paths within the checked 1e-8 over long sweeps)")
-    add_common(p_bench)
-    p_bench.set_defaults(func=cmd_bench)
+    parsers = {"fracsg": parser}
+    for func in (cmd_run, cmd_convergence, cmd_energy, cmd_bench):
+        name = func.__name__.removeprefix("cmd_")
+        parsers[name] = sub.add_parser(name, help=func.__doc__)
+        parsers[name].set_defaults(func=func)
+    for opt, cmd in ((o, c) for o in OPTIONS for c in o.commands):
+        kwargs = dict(opt.extra, dest=opt.name, help=opt.help)
+        default = DEFAULTS.get(cmd, {}).get(opt.name)
+        if default is not None:
+            text = ",".join(map(str, default)) if isinstance(default, tuple) else default
+            kwargs["help"] += f" (default {text})"
+        choices = sorted(PRESETS[cmd]) if opt.name == "preset" else opt.choices
+        if choices:
+            kwargs["choices"] = choices
+        parsers[cmd].add_argument("--" + opt.name.replace("_", "-"), **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(argv)
+        settings = resolve(ns)
+        out_dir = Path(ns.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        return ns.func(settings, out_dir)
     except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    try:
-        return ns.func(ns)
+        # help and --version exit 0; usage errors exit 1, not argparse's 2,
+        # because exit code 2 is reserved for numerical failures
+        return 1 if exc.code else 0
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -170,3 +170,92 @@ def test_bench_small_instance(tmp_path):
     rows = read_csv(out / "bench.csv")
     assert rows.shape == (1, 8)
     assert rows[0, 7] <= 1e-8  # direct and FFT paths agree
+
+
+RUN_ARGS = ["run", "--example", "5.1", "--alpha", "2", "--domain", "-20", "20",
+            "--h", "0.2", "--tau", "0.02", "--T", "1"]
+
+
+@pytest.mark.parametrize("argv, setting", [
+    (RUN_ARGS + ["--h", "0"], "h"),
+    (RUN_ARGS + ["--tau", "0"], "tau"),
+    (RUN_ARGS + ["--T", "-1"], "T"),
+    (RUN_ARGS + ["--h", "nan"], "h"),
+    (["energy", "--preset", "fig2", "--tau", "0"], "tau"),
+    (["convergence", "--preset", "table1", "--base-h", "0"], "base_h"),
+    (["convergence", "--preset", "table1", "--base-tau", "inf"], "base_tau"),
+    (["bench", "--taus", "0.1,0"], "taus"),
+])
+def test_nonpositive_step_exits_one(tmp_path, capsys, argv, setting):
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 1
+    assert f"invalid {setting} " in capsys.readouterr().err
+
+
+def test_nonpositive_step_in_config_file_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "settings.txt"
+    cfg.write_text("h = 0\n")
+    code = main(["run", "--example", "5.1", "--alpha", "2", "--domain", "-20", "20",
+                 "--tau", "0.02", "--T", "1", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert "invalid h " in capsys.readouterr().err
+
+
+def test_unreadable_config_file_exits_one(tmp_path, capsys):
+    code = main(["run", "--config", str(tmp_path / "missing.txt"), "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert "missing.txt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["energy", "--preset", "fig2", "--alphas", ""],
+    ["convergence", "--preset", "table1", "--alphas", " "],
+    ["bench", "--taus", ","],
+])
+def test_empty_list_exits_one(tmp_path, capsys, argv):
+    out = tmp_path / "x"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert "nonempty" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_zero_snapshot_stride_exits_one(tmp_path, capsys, source):
+    cfg = tmp_path / "settings.txt"
+    cfg.write_text("snapshot_stride = 0\n")
+    extra = ["--snapshot-stride", "0"] if source == "flag" else ["--config", str(cfg)]
+    code = main(RUN_ARGS + extra + ["--out", str(tmp_path / "x")])
+    assert code == 1
+    assert "invalid snapshot_stride " in capsys.readouterr().err
+
+
+def test_removed_method_flag_is_rejected(tmp_path):
+    assert main(RUN_ARGS + ["--method", "direct", "--out", str(tmp_path / "x")]) == 1
+
+
+def test_energy_config_file_beats_preset(tmp_path):
+    from fracsg import FracOperator, GridSpec, discrete_energy, get_problem, initial_state
+
+    cfg = tmp_path / "settings.txt"
+    cfg.write_text("T = 0.1\nh = 0.5\nalphas = 1.5\n")
+    out = tmp_path / "en"
+    assert main(["energy", "--preset", "fig2", "--config", str(cfg), "--out", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == ["energy_1.5.csv"]
+    series = read_csv(out / "energy_1.5.csv")
+    assert series.shape == (3, 4)  # T = 0.1 at the preset's tau = 0.05
+    # the preset's domain (-40, 40) at the file's h = 0.5
+    grid = GridSpec(a=-40.0, b=40.0, M=160)
+    e0 = discrete_energy(initial_state(get_problem("5.1", omega=1.1), grid),
+                         FracOperator(1.5, grid))
+    assert series[0, 2] == pytest.approx(e0, rel=1e-15)
+
+
+def test_convergence_config_file_beats_preset(tmp_path):
+    cfg = tmp_path / "settings.txt"
+    cfg.write_text("T = 0.5\nbase_h = 2\nbase_tau = 0.25\nlevels = 2\nalphas = 1.5\n")
+    out = tmp_path / "conv"
+    code = main(["convergence", "--preset", "table1", "--config", str(cfg),
+                 "--out", str(out)])
+    assert code == 0
+    rows = [line.split(",") for line in (out / "convergence.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 2  # one order, two levels
+    assert [(float(r[1]), float(r[2])) for r in rows] == [(2.0, 0.25), (1.0, 0.125)]
