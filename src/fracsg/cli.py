@@ -23,11 +23,11 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import EnergyRecorder, convergence_ladder
-from .operator import FracOperator, GridSpec
+from .operator import FracOperator, GridSpec, subdivisions
 from .presets import DEFAULTS, PRESETS
 from .problems import get_problem
 from .scheme import IeqState, SchemeConfig, run
-from .solvers import NumericalFailure, SolveConfig
+from .solvers import NumericalFailure, SolveConfig, choose_preconditioner, condition_bound
 
 _REAL = "{:.15e}".format
 
@@ -88,7 +88,6 @@ OPTIONS = (
     Option("taus", ("bench",), "comma-separated time steps", _list(_positive(float))),
     Option("reps", ("bench",), "repetitions per timing (median reported)", _positive(int)),
     Option("cg_tol", ALL, "CG relative residual tolerance", float),
-    Option("precond", SIM, "CG preconditioner", str, ("none", "circulant")),
     Option("snapshot_stride", ("run",),
            "write solution_<n>.csv every this many steps (default N/100)", _positive(int)),
     Option("out", ALL, "output directory", extra={"required": True}),
@@ -142,21 +141,14 @@ def resolve(ns: argparse.Namespace) -> dict[str, Any]:
     return {k: merged[k] for k in owned}
 
 
-def _subdivisions(span: float, step: float, what: str) -> int:
-    count = span / step
-    if abs(count - round(count)) > 1e-9 * max(1.0, abs(count)):
-        raise ValueError(f"{what}={step} does not divide {span} into whole steps")
-    return round(count)
-
-
 def _solve_config(s: dict) -> SolveConfig:
-    return SolveConfig(cg_rel_tol=s["cg_tol"], precond=s["precond"])
+    return SolveConfig(cg_rel_tol=s["cg_tol"])
 
 
 def _scheme_config(s: dict, alpha: float) -> SchemeConfig:
     a, b = s["domain"]
-    return SchemeConfig(grid=GridSpec(a=a, b=b, M=_subdivisions(b - a, s["h"], "h")),
-                        alpha=alpha, T=s["T"], N=_subdivisions(s["T"], s["tau"], "tau"),
+    return SchemeConfig(grid=GridSpec(a=a, b=b, M=subdivisions(b - a, s["h"], "h")),
+                        alpha=alpha, T=s["T"], N=subdivisions(s["T"], s["tau"], "tau"),
                         solve=_solve_config(s))
 
 
@@ -200,7 +192,8 @@ def cmd_run(s: dict, out_dir: Path) -> int:
     meta = dict(
         example=problem.key, omega=problem.omega, alpha=cfg.alpha, domain=[grid.a, grid.b],
         h=grid.h, M=grid.M, tau=cfg.tau, N=cfg.N, T=cfg.T, method=solve.method,
-        cg_rel_tol=solve.cg_rel_tol, precond=solve.precond, snapshot_stride=stride,
+        cg_rel_tol=solve.cg_rel_tol, precond=choose_preconditioner(op, cfg.tau),
+        condition_bound=condition_bound(op, cfg.tau), snapshot_stride=stride,
         fft_embed_size=op.embed_size, startup_tol=cfg.startup_tol,
         startup_iterations=result.startup_iterations, cg_iterations_max=result.cg_iterations_max,
         cg_iterations_mean=result.cg_iterations_mean, residual_max=result.residual_max,
@@ -249,7 +242,7 @@ def cmd_bench(s: dict, out_dir: Path) -> int:
     rows, violations = [], []
     for alpha, M, tau in itertools.product(s["alphas"], s["sizes"], s["taus"]):
         grid = GridSpec(a=-0.5 * M * s["h"], b=0.5 * M * s["h"], M=M)
-        base = dict(grid=grid, alpha=alpha, T=s["T"], N=_subdivisions(s["T"], tau, "tau"))
+        base = dict(grid=grid, alpha=alpha, T=s["T"], N=subdivisions(s["T"], tau, "tau"))
         direct_cfg = SchemeConfig(solve=SolveConfig(method="direct"), **base)
         fft_cfg = SchemeConfig(solve=SolveConfig(cg_rel_tol=s["cg_tol"]), **base)
         t_direct, u_direct = _timed_run(problem, direct_cfg, s["reps"])

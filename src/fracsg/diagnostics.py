@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .operator import FracOperator, GridSpec
+from .operator import FracOperator, GridSpec, subdivisions
 from .problems import Problem, exact_breather
 from .scheme import IeqState, SchemeConfig, run
 from .solvers import SolveConfig
@@ -133,13 +133,8 @@ def convergence_ladder(problem: Problem, alpha: float, a: float, b: float,
     """
     if levels < 1:
         raise ValueError(f"need at least one ladder level, got {levels}")
-    base_M = (b - a) / base_h
-    if abs(base_M - round(base_M)) > 1e-9 * max(1.0, abs(base_M)):
-        raise ValueError(f"h={base_h} does not divide the domain ({a}, {b}) evenly")
-    base_N = T / base_tau
-    if abs(base_N - round(base_N)) > 1e-9 * max(1.0, abs(base_N)):
-        raise ValueError(f"tau={base_tau} does not divide T={T} evenly")
-    base_M, base_N = round(base_M), round(base_N)
+    base_M = subdivisions(b - a, base_h, "h")
+    base_N = subdivisions(T, base_tau, "tau")
     solve_cfg = solve_cfg if solve_cfg is not None else SolveConfig()
 
     exact_mode = alpha == 2.0 and problem.has_exact

@@ -63,6 +63,15 @@ class GridSpec:
         return self.a + self.h * np.arange(1, self.M)
 
 
+def subdivisions(span: float, step: float, what: str) -> int:
+    """The whole number of steps of size ``step`` in ``span``; ValueError
+    naming the setting ``what`` when there is none (up to rounding)."""
+    count = span / step
+    if abs(count - round(count)) > 1e-9 * max(1.0, abs(count)):
+        raise ValueError(f"{what}={step} does not divide {span} into whole steps")
+    return round(count)
+
+
 class FracOperator:
     """Discrete fractional Laplacian h^{-alpha} * C on the interior of a grid.
 

@@ -68,7 +68,7 @@ PRESETS: dict[str, dict[str, Preset]] = {
 
 # what a subcommand falls back on when no flag, config file or preset sets a
 # value; every other setting the subcommand owns is required
-_SOLVE_DEFAULTS = {"omega": 1.1, "cg_tol": 1e-12, "precond": "none"}
+_SOLVE_DEFAULTS = {"omega": 1.1, "cg_tol": 1e-12}
 DEFAULTS: dict[str, dict] = {
     "run": {**_SOLVE_DEFAULTS, "snapshot_stride": None},  # None: N // 100
     "convergence": {**_SOLVE_DEFAULTS, "levels": 4},

@@ -2,14 +2,15 @@
 
 Each time step requires one solve with I + (tau^2/4) * Dh^alpha + diag(d),
 d >= 0: identity plus SPD plus nonnegative diagonal, hence SPD for every
-tau > 0.  The fast path runs conjugate gradients with FFT mat-vecs and an
-optional circulant preconditioner; the direct path factorizes the dense
-matrix (refactored per step since d changes with the extrapolated midpoint).
+tau > 0.  The fast path runs conjugate gradients with FFT mat-vecs, with a
+circulant preconditioner when the system's a-priori condition bound is large;
+the direct path factorizes the dense matrix (refactored per step since d
+changes with the extrapolated midpoint).
 """
 
 from __future__ import annotations
 
-import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,14 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .operator import FracOperator
 
-log = logging.getLogger(__name__)
+# Condition bound above which CG runs with the circulant preconditioner.  Where
+# the bound is small plain CG needs few iterations, and the preconditioner's
+# setup and extra FFT pair per iteration cost more than they save.  At
+# alpha = 1.8, N = 10 the preconditioned run was slower up to a bound of 40-60
+# at M = 16000, whose transform length 15999 = 3 * 5333 is slow, and faster
+# at every bound above 100 measured; no preset's bound exceeds about 2.
+# CHANGES.md records the sweep.
+CIRCULANT_MIN_BOUND = 100.0
 
 
 class NumericalFailure(RuntimeError):
@@ -56,13 +64,10 @@ class SolveConfig:
     method: str = "cg"  # "cg" | "direct"
     cg_rel_tol: float = 1e-12
     cg_max_iter: int | None = None  # None -> 10 * M
-    precond: str = "none"  # "none" | "circulant"
 
     def __post_init__(self) -> None:
         if self.method not in ("cg", "direct"):
             raise ValueError(f"unknown solve method {self.method!r}")
-        if self.precond not in ("none", "circulant"):
-            raise ValueError(f"unknown preconditioner {self.precond!r}")
         if self.cg_rel_tol <= 0:
             raise ValueError("cg_rel_tol must be positive")
         if self.cg_max_iter is not None and self.cg_max_iter < 1:
@@ -75,13 +80,32 @@ class SolveStats:
     residual: float  # true relative residual, recomputed a posteriori
 
 
-def build_circulant_preconditioner(mat: StepMatrix):
-    """Approximate inverse of M_sys from the symmetric circulant wrap of its
-    Toeplitz part plus the mean of the diagonal term.
+def condition_bound(op: FracOperator, tau: float) -> float:
+    """Upper bound 1 + (tau^2/2) h^{-alpha} c_0 + tau^2/8 on the condition
+    number of every step matrix of a run with this operator and time step.
 
-    Returns a callable r -> approx M_sys^{-1} r, or None when any circulant
-    eigenvalue is nonpositive (identity fallback, logged).  When the Toeplitz
-    part is itself circulant the approximation is exact.
+    The eigenvalues of C lie in (0, 2 c_0) and the diagonal term
+    (tau^2/8) b^2 in [0, tau^2/8) since |b| < 1, so the spectrum of M_sys lies
+    in [1, bound].
+    """
+    return 1.0 + 0.5 * tau * tau * op.scale * float(op.kernel[0]) + 0.125 * tau * tau
+
+
+def choose_preconditioner(op: FracOperator, tau: float) -> str:
+    """The preconditioner solve uses: "circulant" when the condition bound
+    exceeds CIRCULANT_MIN_BOUND, otherwise "none".  Depends only on alpha, h
+    and tau, so it is the same for every solve of a run."""
+    return "circulant" if condition_bound(op, tau) > CIRCULANT_MIN_BOUND else "none"
+
+
+def build_circulant_preconditioner(mat: StepMatrix):
+    """Approximate inverse of M_sys from the symmetric (Strang) circulant wrap
+    of its Toeplitz part plus the mean of the diagonal term.
+
+    Returns a callable r -> approx M_sys^{-1} r.  The kernel's partial sums
+    c_0 + 2 sum_{k<=K} c_k are nonnegative, so every eigenvalue of the wrap is
+    too, and the preconditioner's eigenvalues are at least 1 + mean(d).  When
+    the Toeplitz part is itself circulant the approximation is exact.
     """
     col = mat.toeplitz_column()
     m = len(col)
@@ -90,11 +114,7 @@ def build_circulant_preconditioner(mat: StepMatrix):
     if half + 1 < m:
         ks = np.arange(half + 1, m)
         wrap[ks] = col[m - ks]
-    base = 1.0 + float(np.mean(mat.diag))
-    eigs = np.fft.rfft(wrap).real + base
-    if np.any(eigs <= 0.0):
-        log.warning("circulant preconditioner has nonpositive eigenvalues; falling back to identity")
-        return None
+    eigs = np.fft.rfft(wrap).real + (1.0 + float(np.mean(mat.diag)))
 
     def apply(r: np.ndarray) -> np.ndarray:
         return np.fft.irfft(np.fft.rfft(r, n=m) / eigs, n=m)
@@ -107,14 +127,15 @@ def solve(mat: StepMatrix, rhs: np.ndarray, cfg: SolveConfig,
     """Solve M_sys x = rhs to the configured tolerance contract.
 
     CG terminates when the recursive residual satisfies ||r||_2 <=
-    cg_rel_tol * ||rhs||_2; the returned stats carry the recomputed true
-    residual.  Non-convergence raises SolveFailure.
+    cg_rel_tol * ||rhs||_2, preconditioned as choose_preconditioner decides;
+    the returned stats carry the recomputed true residual.  Non-convergence
+    and non-finite data raise SolveFailure.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     m = len(mat.diag)
     if rhs.shape != (m,):
         raise ValueError(f"rhs length {rhs.shape} does not match system size {m}")
-    bnorm = float(np.linalg.norm(rhs))
+    bnorm = _finite(float(np.linalg.norm(rhs)), "right-hand side")
     if bnorm == 0.0:
         return np.zeros(m), SolveStats(iterations=0, residual=0.0)
 
@@ -124,7 +145,7 @@ def solve(mat: StepMatrix, rhs: np.ndarray, cfg: SolveConfig,
         return x, SolveStats(iterations=0, residual=res)
 
     pre = None
-    if cfg.precond == "circulant":
+    if choose_preconditioner(mat.op, mat.tau) == "circulant":
         pre = build_circulant_preconditioner(mat)
 
     max_iter = cfg.cg_max_iter if cfg.cg_max_iter is not None else 10 * (m + 1)
@@ -135,7 +156,7 @@ def solve(mat: StepMatrix, rhs: np.ndarray, cfg: SolveConfig,
     rz = float(np.dot(r, z))
     iterations = 0
     tol = cfg.cg_rel_tol * bnorm
-    while float(np.linalg.norm(r)) > tol:
+    while _finite(float(np.linalg.norm(r)), "residual") > tol:
         if iterations >= max_iter:
             res = float(np.linalg.norm(r)) / bnorm
             raise SolveFailure(
@@ -152,6 +173,14 @@ def solve(mat: StepMatrix, rhs: np.ndarray, cfg: SolveConfig,
         iterations += 1
     res = float(np.linalg.norm(rhs - mat.matvec(x))) / bnorm
     return x, SolveStats(iterations=iterations, residual=res)
+
+
+def _finite(norm: float, what: str) -> float:
+    """``norm`` unchanged; SolveFailure naming ``what`` if it is NaN or Inf,
+    which would otherwise pass every tolerance comparison."""
+    if not math.isfinite(norm):
+        raise SolveFailure(f"non-finite {what} (norm {norm})")
+    return norm
 
 
 def assemble_block_system(op: FracOperator, tau: float, bvec: np.ndarray,

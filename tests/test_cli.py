@@ -23,6 +23,8 @@ def test_run_benchmark_produces_artifacts(tmp_path, capsys):
     assert meta["example"] == "5.1"
     assert meta["M"] == 200 and meta["N"] == 50
     assert meta["fft_embed_size"] == 512
+    assert meta["precond"] == "none"
+    assert 1.0 < meta["condition_bound"] < 2.0
     assert (out / "solution_0.csv").exists()
     assert (out / "solution_50.csv").exists()
 
@@ -229,7 +231,20 @@ def test_zero_snapshot_stride_exits_one(tmp_path, capsys, source):
 
 
 def test_removed_method_flag_is_rejected(tmp_path):
-    assert main(RUN_ARGS + ["--method", "direct", "--out", str(tmp_path / "x")]) == 1
+    for flag in (["--method", "direct"], ["--precond", "none"]):
+        assert main(RUN_ARGS + flag + ["--out", str(tmp_path / "x")]) == 1, flag
+
+
+def test_stiff_run_records_circulant_preconditioner(tmp_path):
+    from fracsg.solvers import CIRCULANT_MIN_BOUND
+
+    out = tmp_path / "stiff"
+    code = main(["run", "--example", "5.1", "--alpha", "1.8", "--domain", "-5", "5",
+                 "--h", "0.01", "--tau", "0.5", "--T", "1", "--out", str(out)])
+    assert code == 0
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["precond"] == "circulant"
+    assert meta["condition_bound"] > CIRCULANT_MIN_BOUND
 
 
 def test_energy_config_file_beats_preset(tmp_path):

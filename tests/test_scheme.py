@@ -120,6 +120,26 @@ def test_startup_iteration_cap():
         startup_step(initial_state(get_problem("5.1"), grid), op, cfg)
 
 
+def test_nan_initial_datum_fails_on_first_startup_solve(monkeypatch):
+    import fracsg.scheme
+    from fracsg import SolveFailure
+
+    calls = []
+
+    def counting_solve(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    solve = fracsg.scheme.solve
+    monkeypatch.setattr(fracsg.scheme, "solve", counting_solve)
+    problem = Problem(key="nan", phi=lambda x: np.where(x == x[7], np.nan, 0.0),
+                      psi=lambda x: np.zeros_like(x))
+    cfg = SchemeConfig(grid=GridSpec(a=-20.0, b=20.0, M=50), alpha=1.5, T=0.1, N=2)
+    with pytest.raises(SolveFailure, match="non-finite right-hand side"):
+        run(problem, cfg)
+    assert len(calls) == 1
+
+
 def test_cn_step_matches_dense_block_solve(rng):
     grid = GridSpec(a=-20.0, b=20.0, M=8)
     cfg = SchemeConfig(grid=grid, alpha=1.5, T=1.0, N=10,

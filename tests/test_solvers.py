@@ -1,10 +1,12 @@
 """Per-step solver tests: CG vs dense factorization, preconditioning,
 failure modes, and the dense block-system oracle."""
 
-import logging
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fracsg import (
     FracOperator,
@@ -17,6 +19,8 @@ from fracsg import (
     build_circulant_preconditioner,
     solve,
 )
+from fracsg import solvers
+from fracsg.solvers import condition_bound
 
 
 def make_step_matrix(M=64, alpha=1.5, tau=0.05, diag_scale=0.1, seed=3):
@@ -41,18 +45,6 @@ class CirculantFixture:
     def matvec(self, v):
         conv = np.fft.irfft(np.fft.rfft(v) * np.fft.rfft(self.col), n=len(v))
         return conv + (1.0 + self.diag[0]) * v
-
-
-class NegativeWrapFixture:
-    """Toeplitz column whose circulant wrap has nonpositive eigenvalues."""
-
-    def __init__(self, m=8):
-        self.col = np.zeros(m)
-        self.col[0] = -5.0
-        self.diag = np.zeros(m)
-
-    def toeplitz_column(self):
-        return self.col
 
 
 def test_step_matrix_action_matches_dense(rng):
@@ -105,7 +97,6 @@ def test_rhs_length_mismatch():
     "kwargs",
     [
         {"method": "lu"},
-        {"precond": "jacobi"},
         {"cg_rel_tol": 0.0},
         {"cg_max_iter": 0},
     ],
@@ -124,25 +115,46 @@ def test_circulant_preconditioner_exists_for_step_matrix():
 
 def test_preconditioner_exact_on_circulant_fixture():
     mat = CirculantFixture(m=16)
-    rhs = np.sin(np.arange(16.0))
-    x, stats = solve(mat, rhs, SolveConfig(precond="circulant"))
-    assert stats.iterations <= 2
-    np.testing.assert_allclose(mat.matvec(x), rhs, rtol=1e-10, atol=1e-12)
+    x = np.sin(np.arange(16.0))
+    pre = build_circulant_preconditioner(mat)
+    np.testing.assert_allclose(pre(mat.matvec(x)), x, rtol=1e-10, atol=1e-12)
 
 
-def test_preconditioner_never_increases_iterations(rng):
+def test_preconditioner_never_increases_iterations(rng, monkeypatch):
     mat = make_step_matrix(M=256, tau=0.2)
     rhs = rng.standard_normal(len(mat.diag))
-    _, plain = solve(mat, rhs, SolveConfig(precond="none"))
-    _, pre = solve(mat, rhs, SolveConfig(precond="circulant"))
+    monkeypatch.setattr(solvers, "CIRCULANT_MIN_BOUND", math.inf)
+    _, plain = solve(mat, rhs, SolveConfig())
+    monkeypatch.setattr(solvers, "CIRCULANT_MIN_BOUND", 0.0)
+    _, pre = solve(mat, rhs, SolveConfig())
     assert pre.iterations <= plain.iterations
 
 
-def test_identity_fallback_logged(caplog):
-    with caplog.at_level(logging.WARNING, logger="fracsg.solvers"):
-        pre = build_circulant_preconditioner(NegativeWrapFixture())
-    assert pre is None
-    assert any("identity" in rec.message for rec in caplog.records)
+@given(alpha=st.floats(1.0, 2.0, exclude_min=True), M=st.integers(3, 64),
+       h=st.floats(1e-3, 1.0), tau=st.floats(1e-3, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_condition_bound_and_preconditioner_spectrum(alpha, M, h, tau, seed):
+    op = FracOperator(alpha, GridSpec(a=0.0, b=M * h, M=M))
+    rng = np.random.default_rng(seed)
+    mat = StepMatrix(op=op, tau=tau, diag=rng.uniform(0.0, tau * tau / 8.0, op.size))
+    eigs = np.linalg.eigvalsh(mat.dense())
+    assert eigs[-1] / eigs[0] <= condition_bound(op, tau)
+    r = rng.standard_normal(op.size)
+    z = build_circulant_preconditioner(mat)(r)
+    assert float(np.dot(r, z)) > 0.0
+    assert np.linalg.norm(z) <= np.linalg.norm(r) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("where, bad, named", [
+    ("rhs", np.nan, "right-hand side"),
+    ("rhs", np.inf, "right-hand side"),
+    ("x0", np.nan, "residual"),
+])
+def test_non_finite_data_raises(where, bad, named):
+    mat = make_step_matrix(M=16)
+    data = {"rhs": np.ones(len(mat.diag)), "x0": np.zeros(len(mat.diag))}
+    data[where][3] = bad
+    with pytest.raises(SolveFailure, match=f"non-finite {named}"):
+        solve(mat, data["rhs"], SolveConfig(), x0=data["x0"])
 
 
 class TestBlockSystem:
