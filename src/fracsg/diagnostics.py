@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .operator import FracOperator, GridSpec, subdivisions
 from .problems import Problem, exact_breather
@@ -43,6 +42,8 @@ def continuous_energy(problem: Problem, a: float, b: float, alpha: float) -> flo
     2(1 - cos phi)) for the cases with a closed seminorm term: identically
     zero initial displacement (any alpha), or alpha = 2 with an analytic
     derivative of the displacement."""
+    from scipy.integrate import quad  # here, so that importing fracsg does not load it
+
     probe = np.linspace(a, b, 1001)
     kinetic = 0.5 * quad(lambda x: float(problem.psi(x)) ** 2, a, b, limit=200)[0]
     if not np.any(problem.phi(probe)):

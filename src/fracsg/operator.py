@@ -95,6 +95,9 @@ class FracOperator:
             circ[-(m - 1):] = self.kernel[1:][::-1]
         self._symbol = np.fft.rfft(circ)
         self._dense: np.ndarray | None = None
+        # eigenvalues of the circulant preconditioner's wrap of each step
+        # matrix, by tau; filled by solvers.build_circulant_preconditioner
+        self.wrap_eigenvalues: dict[float, np.ndarray] = {}
 
     @property
     def size(self) -> int:

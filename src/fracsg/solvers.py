@@ -27,6 +27,11 @@ from .operator import FracOperator
 # CHANGES.md records the sweep.
 CIRCULANT_MIN_BOUND = 100.0
 
+# Largest system the dense direct path factorizes.  It forms several dense
+# copies of the matrix, 128 MiB each at this size; the test oracle and the
+# bench defaults stay below 800 unknowns.
+DIRECT_MAX_SIZE = 4096
+
 
 class NumericalFailure(RuntimeError):
     """Base for runtime numerical breakdowns (mapped to CLI exit code 2)."""
@@ -98,7 +103,7 @@ def choose_preconditioner(op: FracOperator, tau: float) -> str:
     return "circulant" if condition_bound(op, tau) > CIRCULANT_MIN_BOUND else "none"
 
 
-def build_circulant_preconditioner(mat: StepMatrix):
+def build_circulant_preconditioner(mat: StepMatrix, cache: dict | None = None):
     """Approximate inverse of M_sys from the symmetric (Strang) circulant wrap
     of its Toeplitz part plus the mean of the diagonal term.
 
@@ -106,15 +111,24 @@ def build_circulant_preconditioner(mat: StepMatrix):
     c_0 + 2 sum_{k<=K} c_k are nonnegative, so every eigenvalue of the wrap is
     too, and the preconditioner's eigenvalues are at least 1 + mean(d).  When
     the Toeplitz part is itself circulant the approximation is exact.
+
+    The wrap's eigenvalues depend only on the operator and tau; between the
+    steps of a run only the mean(d) shift changes.  ``cache``, a dict keyed
+    by tau, keeps them from one call to the next.
     """
-    col = mat.toeplitz_column()
-    m = len(col)
-    wrap = col.copy()
-    half = m // 2
-    if half + 1 < m:
-        ks = np.arange(half + 1, m)
-        wrap[ks] = col[m - ks]
-    eigs = np.fft.rfft(wrap).real + (1.0 + float(np.mean(mat.diag)))
+    m = len(mat.diag)
+    wrap_eigs = None if cache is None else cache.get(mat.tau)
+    if wrap_eigs is None:
+        col = mat.toeplitz_column()
+        wrap = col.copy()
+        half = m // 2
+        if half + 1 < m:
+            ks = np.arange(half + 1, m)
+            wrap[ks] = col[m - ks]
+        wrap_eigs = np.fft.rfft(wrap).real
+        if cache is not None:
+            cache[mat.tau] = wrap_eigs
+    eigs = wrap_eigs + (1.0 + float(np.mean(mat.diag)))
 
     def apply(r: np.ndarray) -> np.ndarray:
         return np.fft.irfft(np.fft.rfft(r, n=m) / eigs, n=m)
@@ -135,6 +149,8 @@ def solve(mat: StepMatrix, rhs: np.ndarray, cfg: SolveConfig,
     m = len(mat.diag)
     if rhs.shape != (m,):
         raise ValueError(f"rhs length {rhs.shape} does not match system size {m}")
+    if cfg.method == "direct" and m > DIRECT_MAX_SIZE:
+        raise ValueError(f"dense direct solve limited to {DIRECT_MAX_SIZE} unknowns, got {m}")
     bnorm = _finite(float(np.linalg.norm(rhs)), "right-hand side")
     if bnorm == 0.0:
         return np.zeros(m), SolveStats(iterations=0, residual=0.0)
@@ -146,7 +162,7 @@ def solve(mat: StepMatrix, rhs: np.ndarray, cfg: SolveConfig,
 
     pre = None
     if choose_preconditioner(mat.op, mat.tau) == "circulant":
-        pre = build_circulant_preconditioner(mat)
+        pre = build_circulant_preconditioner(mat, mat.op.wrap_eigenvalues)
 
     max_iter = cfg.cg_max_iter if cfg.cg_max_iter is not None else 10 * (m + 1)
     x = np.zeros(m) if x0 is None else np.array(x0, dtype=np.float64)

@@ -2,11 +2,19 @@
 precedence, and byte-stable output."""
 
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from fracsg.cli import main
+from fracsg import FracOperator, IeqState, solvers
+from fracsg.cli import SnapshotWriter, main
 
 
 def read_csv(path):
@@ -274,3 +282,49 @@ def test_convergence_config_file_beats_preset(tmp_path):
     rows = [line.split(",") for line in (out / "convergence.csv").read_text().splitlines()[1:]]
     assert len(rows) == 2  # one order, two levels
     assert [(float(r[1]), float(r[2])) for r in rows] == [(2.0, 0.25), (1.0, 0.125)]
+
+
+def test_import_does_not_load_scipy_integrate():
+    code = "import sys, fracsg.cli; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+def test_bench_beyond_direct_size_limit_exits_one(tmp_path, capsys, monkeypatch):
+    def never(self):
+        raise AssertionError("dense matrix allocated")
+
+    monkeypatch.setattr(solvers.StepMatrix, "dense", never)
+    monkeypatch.setattr(FracOperator, "dense_matrix", never)
+    code = main(["bench", "--sizes", "20000", "--alphas", "1.5", "--taus", "0.1",
+                 "--T", "0.2", "--reps", "1", "--out", str(tmp_path / "b")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"limited to {solvers.DIRECT_MAX_SIZE} unknowns, got 19999" in err
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+extreme = st.one_of(  # magnitudes near 1e+-300, and zeros and subnormals
+    st.floats(1e299, 1e301), st.floats(1e-301, 1e-299), st.floats(0.0, 2.2250738585072014e-308),
+).flatmap(lambda v: st.sampled_from([v, -v]))
+columns = finite | extreme
+
+
+@given(rows=st.lists(st.tuples(finite, columns, columns, columns), min_size=1, max_size=40),
+       stride=st.integers(1, 7), last=st.integers(0, 20))
+def test_snapshot_bytes_match_row_by_row_format(rows, stride, last):
+    x, U, V, W = (np.array(col) for col in zip(*rows))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        writer = SnapshotWriter(out, x, stride, last)
+        for n in range(last + 1):
+            writer(IeqState(U=U, V=V, W=W, t=0.0, n=n), None)
+        expected = {f"solution_{n}.csv" for n in range(last + 1)
+                    if n % stride == 0 or n == last}
+        assert {p.name for p in out.iterdir()} == expected
+        reference = "x,U,V,W\n" + "".join(
+            ",".join("{:.15e}".format(v) for v in row) + "\n" for row in rows)
+        for name in expected:
+            assert (out / name).read_bytes() == reference.encode()

@@ -120,6 +120,18 @@ def test_preconditioner_exact_on_circulant_fixture():
     np.testing.assert_allclose(pre(mat.matvec(x)), x, rtol=1e-10, atol=1e-12)
 
 
+def test_cached_preconditioner_equals_uncached(rng):
+    cached = make_step_matrix(M=257, tau=0.7)
+    for _ in range(2):
+        cached.diag = rng.uniform(0.0, 0.06, cached.op.size)
+        fresh = StepMatrix(op=FracOperator(cached.op.alpha, cached.op.grid),
+                           tau=cached.tau, diag=cached.diag)
+        r = rng.standard_normal(cached.op.size)
+        z = build_circulant_preconditioner(cached, cached.op.wrap_eigenvalues)(r)
+        assert np.array_equal(z, build_circulant_preconditioner(fresh)(r))
+    assert list(cached.op.wrap_eigenvalues) == [0.7]
+
+
 def test_preconditioner_never_increases_iterations(rng, monkeypatch):
     mat = make_step_matrix(M=256, tau=0.2)
     rhs = rng.standard_normal(len(mat.diag))
