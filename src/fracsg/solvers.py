@@ -21,10 +21,10 @@ from .operator import FracOperator
 # Condition bound above which CG runs with the circulant preconditioner.  Where
 # the bound is small plain CG needs few iterations, and the preconditioner's
 # setup and extra FFT pair per iteration cost more than they save.  At
-# alpha = 1.8, N = 10 the preconditioned run was slower up to a bound of 40-60
-# at M = 16000, whose transform length 15999 = 3 * 5333 is slow, and faster
-# at every bound above 100 measured; no preset's bound exceeds about 2.
-# CHANGES.md records the sweep.
+# alpha = 1.8, N = 10, M = 4000 and 16000, the preconditioned run was slower
+# up to a bound of about 5, level near 7, and faster from 10 on (0.7x plain
+# time at 10-20, 0.3x near 100).  100 is conservative; no preset's bound
+# exceeds about 2.  CHANGES.md records the sweep.
 CIRCULANT_MIN_BOUND = 100.0
 
 # Largest system the dense direct path factorizes.  It forms several dense
@@ -115,6 +115,11 @@ def build_circulant_preconditioner(mat: StepMatrix, cache: dict | None = None):
     The wrap's eigenvalues depend only on the operator and tau; between the
     steps of a run only the mean(d) shift changes.  ``cache``, a dict keyed
     by tau, keeps them from one call to the next.
+
+    The inverse is applied as a circular convolution with its first column,
+    through a zero-padded FFT of the operator's power-of-two length
+    n >= 2m - 1, since a length-m transform is slow when m has a large prime
+    factor.  The linear convolution is folded back onto the circle.
     """
     m = len(mat.diag)
     wrap_eigs = None if cache is None else cache.get(mat.tau)
@@ -129,9 +134,14 @@ def build_circulant_preconditioner(mat: StepMatrix, cache: dict | None = None):
         if cache is not None:
             cache[mat.tau] = wrap_eigs
     eigs = wrap_eigs + (1.0 + float(np.mean(mat.diag)))
+    n = 1 << (2 * m - 1).bit_length()  # FracOperator.embed_size
+    inverse_spec = np.fft.rfft(np.fft.irfft(1.0 / eigs, n=m), n=n)
 
     def apply(r: np.ndarray) -> np.ndarray:
-        return np.fft.irfft(np.fft.rfft(r, n=m) / eigs, n=m)
+        lin = np.fft.irfft(np.fft.rfft(r, n=n) * inverse_spec, n=n)
+        out = lin[:m]
+        out[:m - 1] += lin[m:2 * m - 1]
+        return out
 
     return apply
 

@@ -2,6 +2,7 @@
 failure modes, and the dense block-system oracle."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,15 +12,18 @@ from hypothesis import strategies as st
 from fracsg import (
     FracOperator,
     GridSpec,
+    SchemeConfig,
     SolveConfig,
     SolveFailure,
     StepMatrix,
     assemble_block_system,
     b_func,
     build_circulant_preconditioner,
+    get_problem,
+    run,
     solve,
 )
-from fracsg import solvers
+from fracsg import scheme, solvers
 from fracsg.solvers import condition_bound
 
 
@@ -45,6 +49,24 @@ class CirculantFixture:
     def matvec(self, v):
         conv = np.fft.irfft(np.fft.rfft(v) * np.fft.rfft(self.col), n=len(v))
         return conv + (1.0 + self.diag[0]) * v
+
+
+def length_m_apply(eigs, m):
+    """Oracle: the circulant inverse with eigenvalues ``eigs`` applied by
+    length-m real DFTs."""
+    return lambda r: np.fft.irfft(np.fft.rfft(r, n=m) / eigs, n=m)
+
+
+def length_m_preconditioner(mat, cache=None):
+    """Oracle for build_circulant_preconditioner: the Strang wrap of the
+    Toeplitz column plus 1 + mean(diag), applied by length-m DFTs.  Takes
+    the eigenvalue cache only to match the signature."""
+    col = mat.toeplitz_column()
+    m = len(col)
+    wrap = col.copy()
+    ks = np.arange(m // 2 + 1, m)
+    wrap[ks] = col[m - ks]
+    return length_m_apply(np.fft.rfft(wrap).real + (1.0 + float(np.mean(mat.diag))), m)
 
 
 def test_step_matrix_action_matches_dense(rng):
@@ -130,6 +152,64 @@ def test_cached_preconditioner_equals_uncached(rng):
         z = build_circulant_preconditioner(cached, cached.op.wrap_eigenvalues)(r)
         assert np.array_equal(z, build_circulant_preconditioner(fresh)(r))
     assert list(cached.op.wrap_eigenvalues) == [0.7]
+
+
+@given(m=st.one_of(st.sampled_from([1, 2, 3, 5, 251, 389, 397]), st.integers(1, 400)),
+       seed=st.integers(0, 2**32 - 1))
+def test_padded_preconditioner_matches_length_m_dft(m, seed):
+    rng = np.random.default_rng(seed)
+    eigs = rng.uniform(1.0, 1e3, m // 2 + 1)
+    # with diag = 0 the cached wrap eigenvalues give the spectrum eigs exactly
+    mat = SimpleNamespace(tau=1.0, diag=np.zeros(m))
+    pre = build_circulant_preconditioner(mat, cache={1.0: eigs - 1.0})
+    r = rng.standard_normal(m)
+    z = pre(r)
+    assert z.shape == (m,)
+    assert np.max(np.abs(z - length_m_apply(eigs, m)(r))) <= 1e-12 * np.linalg.norm(r)
+
+
+def test_preconditioned_solve_transforms_at_embedding_length(rng, monkeypatch):
+    mat = make_step_matrix(M=390, tau=0.7)  # m = 389 is prime
+    m, embed = mat.op.size, mat.op.embed_size
+    lengths = []
+
+    def recording(transform):
+        def wrapper(a, n=None, *args, **kwargs):
+            lengths.append(len(a) if n is None else n)
+            return transform(a, n, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.fft, "rfft", recording(np.fft.rfft))
+    monkeypatch.setattr(np.fft, "irfft", recording(np.fft.irfft))
+    monkeypatch.setattr(solvers, "CIRCULANT_MIN_BOUND", 0.0)
+    _, stats = solve(mat, rng.standard_normal(m), SolveConfig())
+    assert stats.iterations > 0
+    # length m only for the cached wrap eigenvalues and the inverse's column
+    assert lengths.count(m) <= 2
+    assert lengths.count(embed) >= 2 * (stats.iterations + 1)
+    assert set(lengths) <= {m, embed}
+
+
+def test_stiff_run_matches_length_m_preconditioner(monkeypatch):
+    cfg = SchemeConfig(grid=GridSpec(a=-20.0, b=20.0, M=4000), alpha=1.8, T=1.0, N=5)
+    op = FracOperator(cfg.alpha, cfg.grid)
+    assert solvers.choose_preconditioner(op, cfg.T / cfg.N) == "circulant"
+    iterations = []
+
+    def recording_solve(*args, **kwargs):
+        x, stats = solve(*args, **kwargs)
+        iterations.append(stats.iterations)
+        return x, stats
+
+    monkeypatch.setattr(scheme, "solve", recording_solve)
+    padded = run(get_problem("5.1"), cfg).state
+    padded_iterations = iterations.copy()
+    iterations.clear()
+    monkeypatch.setattr(solvers, "build_circulant_preconditioner", length_m_preconditioner)
+    oracle = run(get_problem("5.1"), cfg).state
+    assert padded_iterations == iterations
+    for name in ("U", "V", "W"):
+        assert np.max(np.abs(getattr(padded, name) - getattr(oracle, name))) <= 1e-10
 
 
 def test_preconditioner_never_increases_iterations(rng, monkeypatch):
