@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 from scipy.special import gammaln
 
 
@@ -95,9 +94,9 @@ class FracOperator:
             circ[-(m - 1):] = self.kernel[1:][::-1]
         self._symbol = np.fft.rfft(circ)
         self._dense: np.ndarray | None = None
-        # eigenvalues of the circulant preconditioner's wrap of each step
-        # matrix, by tau; filled by solvers.build_circulant_preconditioner
-        self.wrap_eigenvalues: dict[float, np.ndarray] = {}
+        # spectrum at embed_size of the circulant preconditioner's inverse,
+        # by tau; filled by solvers.build_circulant_preconditioner
+        self.preconditioner_spectra: dict[float, np.ndarray] = {}
 
     @property
     def size(self) -> int:
@@ -111,6 +110,7 @@ class FracOperator:
         """Materialized h^{-alpha} C; cached, only for factorization and
         small-size eigenvalue checks."""
         if self._dense is None:
+            from scipy.linalg import toeplitz  # here, so importing fracsg does not load it
             self._dense = self.scale * toeplitz(self.kernel)
         return self._dense
 

@@ -2,10 +2,10 @@
 
 Each time step requires one solve with I + (tau^2/4) * Dh^alpha + diag(d),
 d >= 0: identity plus SPD plus nonnegative diagonal, hence SPD for every
-tau > 0.  The fast path runs conjugate gradients with FFT mat-vecs, with a
-circulant preconditioner when the system's a-priori condition bound is large;
-the direct path factorizes the dense matrix (refactored per step since d
-changes with the extrapolated midpoint).
+tau > 0.  The fast path runs conjugate gradients with FFT mat-vecs, capped by
+the system's a-priori condition bound and, where that bound is large, with a
+circulant preconditioner built once per operator and tau.  The direct path
+refactorizes the dense matrix every step, since d changes with the midpoint.
 """
 
 from __future__ import annotations
@@ -14,18 +14,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .operator import FracOperator
 
-# Condition bound above which CG runs with the circulant preconditioner.  Where
-# the bound is small plain CG needs few iterations, and the preconditioner's
-# setup and extra FFT pair per iteration cost more than they save.  At
-# alpha = 1.8, N = 10, M = 4000 and 16000, the preconditioned run was slower
-# up to a bound of about 5, level near 7, and faster from 10 on (0.7x plain
-# time at 10-20, 0.3x near 100).  100 is conservative; no preset's bound
-# exceeds about 2.  CHANGES.md records the sweep.
-CIRCULANT_MIN_BOUND = 100.0
+# Condition bound above which CG runs with the circulant preconditioner; below
+# it the preconditioner's extra FFT pair per iteration costs more than it saves.
+# At alpha = 1.8, N = 10 and M = 800, 4000, 16000 the preconditioned run took
+# 0.9-1.4x the plain time at bounds 2-4 and 0.6-0.95x from 5 on (0.35x at 40).
+# No preset's bound exceeds about 2.  CHANGES.md records the sweep.
+CIRCULANT_MIN_BOUND = 5.0
+
+# Default CG cap: this factor times ceil(sqrt(bound)/2 ln(2/cg_rel_tol)), the
+# exact-arithmetic CG bound (Saad 2003, sec. 6.11.3).  Runs at alpha 1.3-2,
+# bounds 1-400 and tolerances 1e-12 and 1e-14 took at most 0.87 of the bound.
+CG_CAP_FACTOR = 2
 
 # Largest system the dense direct path factorizes.  It forms several dense
 # copies of the matrix, 128 MiB each at this size; the test oracle and the
@@ -68,13 +70,13 @@ class StepMatrix:
 class SolveConfig:
     method: str = "cg"  # "cg" | "direct"
     cg_rel_tol: float = 1e-12
-    cg_max_iter: int | None = None  # None -> 10 * M
+    cg_max_iter: int | None = None  # None -> CG_CAP_FACTOR times the CG bound
 
     def __post_init__(self) -> None:
         if self.method not in ("cg", "direct"):
             raise ValueError(f"unknown solve method {self.method!r}")
-        if self.cg_rel_tol <= 0:
-            raise ValueError("cg_rel_tol must be positive")
+        if not 0.0 < self.cg_rel_tol < 1.0:
+            raise ValueError("cg_rel_tol must lie in (0, 1)")
         if self.cg_max_iter is not None and self.cg_max_iter < 1:
             raise ValueError("cg_max_iter must be >= 1")
 
@@ -104,38 +106,34 @@ def choose_preconditioner(op: FracOperator, tau: float) -> str:
 
 
 def build_circulant_preconditioner(mat: StepMatrix, cache: dict | None = None):
-    """Approximate inverse of M_sys from the symmetric (Strang) circulant wrap
-    of its Toeplitz part plus the mean of the diagonal term.
+    """Approximate inverse of M_sys: the inverse of I plus the symmetric
+    (Strang) circulant wrap of its Toeplitz part.
 
     Returns a callable r -> approx M_sys^{-1} r.  The kernel's partial sums
     c_0 + 2 sum_{k<=K} c_k are nonnegative, so every eigenvalue of the wrap is
-    too, and the preconditioner's eigenvalues are at least 1 + mean(d).  When
-    the Toeplitz part is itself circulant the approximation is exact.
+    too and the preconditioner's are at least 1.  It is exact when the
+    Toeplitz part is circulant and d = 0; d = (tau^2/8) b^2 < tau^2/8 is left
+    out, as shifting by its mean did not change CG iteration counts.
 
-    The wrap's eigenvalues depend only on the operator and tau; between the
-    steps of a run only the mean(d) shift changes.  ``cache``, a dict keyed
-    by tau, keeps them from one call to the next.
-
-    The inverse is applied as a circular convolution with its first column,
+    The inverse is a circular convolution with its first column, applied
     through a zero-padded FFT of the operator's power-of-two length
-    n >= 2m - 1, since a length-m transform is slow when m has a large prime
-    factor.  The linear convolution is folded back onto the circle.
+    n >= 2m - 1 (a length-m transform is slow when m has a large prime
+    factor) and folded back onto the circle.  Its spectrum at length n depends
+    only on the operator and tau; ``cache``, a dict keyed by tau, keeps it
+    between calls, so a run does the two length-m transforms once.
     """
     m = len(mat.diag)
-    wrap_eigs = None if cache is None else cache.get(mat.tau)
-    if wrap_eigs is None:
+    n = 1 << (2 * m - 1).bit_length()  # FracOperator.embed_size
+    inverse_spec = None if cache is None else cache.get(mat.tau)
+    if inverse_spec is None:
         col = mat.toeplitz_column()
         wrap = col.copy()
-        half = m // 2
-        if half + 1 < m:
-            ks = np.arange(half + 1, m)
-            wrap[ks] = col[m - ks]
-        wrap_eigs = np.fft.rfft(wrap).real
+        ks = np.arange(m // 2 + 1, m)
+        wrap[ks] = col[m - ks]
+        inverse_col = np.fft.irfft(1.0 / (np.fft.rfft(wrap).real + 1.0), n=m)
+        inverse_spec = np.fft.rfft(inverse_col, n=n)
         if cache is not None:
-            cache[mat.tau] = wrap_eigs
-    eigs = wrap_eigs + (1.0 + float(np.mean(mat.diag)))
-    n = 1 << (2 * m - 1).bit_length()  # FracOperator.embed_size
-    inverse_spec = np.fft.rfft(np.fft.irfft(1.0 / eigs, n=m), n=n)
+            cache[mat.tau] = inverse_spec
 
     def apply(r: np.ndarray) -> np.ndarray:
         lin = np.fft.irfft(np.fft.rfft(r, n=n) * inverse_spec, n=n)
@@ -166,15 +164,17 @@ def solve(mat: StepMatrix, rhs: np.ndarray, cfg: SolveConfig,
         return np.zeros(m), SolveStats(iterations=0, residual=0.0)
 
     if cfg.method == "direct":
+        from scipy.linalg import cho_factor, cho_solve  # here, so importing fracsg does not load it
         x = cho_solve(cho_factor(mat.dense()), rhs)
         res = float(np.linalg.norm(rhs - mat.matvec(x))) / bnorm
         return x, SolveStats(iterations=0, residual=res)
 
     pre = None
     if choose_preconditioner(mat.op, mat.tau) == "circulant":
-        pre = build_circulant_preconditioner(mat, mat.op.wrap_eigenvalues)
-
-    max_iter = cfg.cg_max_iter if cfg.cg_max_iter is not None else 10 * (m + 1)
+        pre = build_circulant_preconditioner(mat, mat.op.preconditioner_spectra)
+    bound = condition_bound(mat.op, mat.tau)  # the plain bound caps both paths
+    max_iter = cfg.cg_max_iter or CG_CAP_FACTOR * math.ceil(
+        0.5 * math.sqrt(bound) * math.log(2.0 / cfg.cg_rel_tol))
     x = np.zeros(m) if x0 is None else np.array(x0, dtype=np.float64)
     r = rhs - mat.matvec(x)
     z = pre(r) if pre is not None else r
@@ -186,8 +186,8 @@ def solve(mat: StepMatrix, rhs: np.ndarray, cfg: SolveConfig,
         if iterations >= max_iter:
             res = float(np.linalg.norm(r)) / bnorm
             raise SolveFailure(
-                f"CG failed to reach rel tol {cfg.cg_rel_tol:g} within "
-                f"{max_iter} iterations (residual {res:.3e})")
+                f"CG failed to reach rel tol {cfg.cg_rel_tol:g} within the cap of "
+                f"{max_iter} iterations at condition bound {bound:.4g} (residual {res:.3e})")
         Ap = mat.matvec(p)
         alpha = rz / float(np.dot(p, Ap))
         x = x + alpha * p

@@ -285,7 +285,8 @@ def test_convergence_config_file_beats_preset(tmp_path):
 
 
 def test_import_does_not_load_scipy_integrate():
-    code = "import sys, fracsg.cli; print('scipy.integrate' in sys.modules)"
+    code = ("import sys, fracsg.cli; "
+            "print('scipy.integrate' in sys.modules or 'scipy.linalg' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout

@@ -36,7 +36,7 @@ def make_step_matrix(M=64, alpha=1.5, tau=0.05, diag_scale=0.1, seed=3):
 class CirculantFixture:
     """Duck-typed stand-in whose Toeplitz part is exactly symmetric-circulant
     and whose diagonal is constant, so the circulant preconditioner inverts
-    it exactly."""
+    it exactly when the diagonal is zero."""
 
     def __init__(self, m=16, d=0.3):
         spectrum = np.linspace(1.0, 2.0, m // 2 + 1)
@@ -59,14 +59,31 @@ def length_m_apply(eigs, m):
 
 def length_m_preconditioner(mat, cache=None):
     """Oracle for build_circulant_preconditioner: the Strang wrap of the
-    Toeplitz column plus 1 + mean(diag), applied by length-m DFTs.  Takes
-    the eigenvalue cache only to match the signature."""
+    Toeplitz column plus 1 + mean(diag), applied by length-m DFTs.  The
+    built one leaves the mean(diag) shift out, so comparing runs also checks
+    that this changes no CG count.  Takes the cache only to match the
+    signature."""
     col = mat.toeplitz_column()
     m = len(col)
     wrap = col.copy()
     ks = np.arange(m // 2 + 1, m)
     wrap[ks] = col[m - ks]
     return length_m_apply(np.fft.rfft(wrap).real + (1.0 + float(np.mean(mat.diag))), m)
+
+
+def record_transform_lengths(monkeypatch):
+    """A list that receives the length of every numpy rfft/irfft call."""
+    lengths = []
+
+    def recording(transform):
+        def wrapper(a, n=None, *args, **kwargs):
+            lengths.append(len(a) if n is None else n)
+            return transform(a, n, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.fft, "rfft", recording(np.fft.rfft))
+    monkeypatch.setattr(np.fft, "irfft", recording(np.fft.irfft))
+    return lengths
 
 
 def test_step_matrix_action_matches_dense(rng):
@@ -109,6 +126,28 @@ def test_iteration_cap_raises(rng):
         solve(mat, rhs, SolveConfig(cg_max_iter=1))
 
 
+def test_unconvergeable_solve_fails_within_derived_cap(rng, monkeypatch):
+    mat = make_step_matrix(M=64)
+    cfg = SolveConfig(cg_rel_tol=1e-30)
+    bound = condition_bound(mat.op, mat.tau)
+    cap = solvers.CG_CAP_FACTOR * math.ceil(0.5 * math.sqrt(bound) * math.log(2.0 / 1e-30))
+    rhs = rng.standard_normal(len(mat.diag))
+    # on the SPD matrix the recursive residual reaches even 1e-30
+    assert solve(mat, rhs, cfg)[1].iterations <= cap
+    # a skew part, which CG cannot handle, makes the solve diverge
+    matvecs = []
+    spd = StepMatrix.matvec
+
+    def skewed(self, v):
+        matvecs.append(1)
+        return spd(self, v) + 0.5 * (np.roll(v, 1) - np.roll(v, -1))
+
+    monkeypatch.setattr(StepMatrix, "matvec", skewed)
+    with pytest.raises(SolveFailure, match=f"cap of {cap} iterations at condition bound 1.01"):
+        solve(mat, rhs, cfg)
+    assert len(matvecs) == cap + 1  # the initial residual, then one per iteration
+
+
 def test_rhs_length_mismatch():
     mat = make_step_matrix(M=16)
     with pytest.raises(ValueError):
@@ -121,6 +160,8 @@ def test_rhs_length_mismatch():
         {"method": "lu"},
         {"cg_rel_tol": 0.0},
         {"cg_max_iter": 0},
+        {"cg_rel_tol": 1.0},
+        {"cg_rel_tol": math.nan},
     ],
 )
 def test_config_validation(kwargs):
@@ -136,10 +177,14 @@ def test_circulant_preconditioner_exists_for_step_matrix():
 
 
 def test_preconditioner_exact_on_circulant_fixture():
-    mat = CirculantFixture(m=16)
     x = np.sin(np.arange(16.0))
-    pre = build_circulant_preconditioner(mat)
-    np.testing.assert_allclose(pre(mat.matvec(x)), x, rtol=1e-10, atol=1e-12)
+    exact = CirculantFixture(m=16, d=0.0)
+    pre = build_circulant_preconditioner(exact)
+    np.testing.assert_allclose(pre(exact.matvec(x)), x, rtol=1e-10, atol=1e-12)
+    # with a constant diagonal d, pre(M x) - x = d P^{-1} x and P >= I
+    shifted = CirculantFixture(m=16, d=0.3)
+    error = build_circulant_preconditioner(shifted)(shifted.matvec(x)) - x
+    assert np.linalg.norm(error) <= 0.3 * np.linalg.norm(x)
 
 
 def test_cached_preconditioner_equals_uncached(rng):
@@ -149,9 +194,9 @@ def test_cached_preconditioner_equals_uncached(rng):
         fresh = StepMatrix(op=FracOperator(cached.op.alpha, cached.op.grid),
                            tau=cached.tau, diag=cached.diag)
         r = rng.standard_normal(cached.op.size)
-        z = build_circulant_preconditioner(cached, cached.op.wrap_eigenvalues)(r)
+        z = build_circulant_preconditioner(cached, cached.op.preconditioner_spectra)(r)
         assert np.array_equal(z, build_circulant_preconditioner(fresh)(r))
-    assert list(cached.op.wrap_eigenvalues) == [0.7]
+    assert list(cached.op.preconditioner_spectra) == [0.7]
 
 
 @given(m=st.one_of(st.sampled_from([1, 2, 3, 5, 251, 389, 397]), st.integers(1, 400)),
@@ -159,9 +204,11 @@ def test_cached_preconditioner_equals_uncached(rng):
 def test_padded_preconditioner_matches_length_m_dft(m, seed):
     rng = np.random.default_rng(seed)
     eigs = rng.uniform(1.0, 1e3, m // 2 + 1)
-    # with diag = 0 the cached wrap eigenvalues give the spectrum eigs exactly
-    mat = SimpleNamespace(tau=1.0, diag=np.zeros(m))
-    pre = build_circulant_preconditioner(mat, cache={1.0: eigs - 1.0})
+    # a symmetric circulant column is its own Strang wrap, so the
+    # preconditioner's spectrum is 1 plus the column's: eigs
+    col = np.fft.irfft(eigs - 1.0, n=m)
+    mat = SimpleNamespace(tau=1.0, diag=np.zeros(m), toeplitz_column=lambda: col)
+    pre = build_circulant_preconditioner(mat)
     r = rng.standard_normal(m)
     z = pre(r)
     assert z.shape == (m,)
@@ -171,16 +218,7 @@ def test_padded_preconditioner_matches_length_m_dft(m, seed):
 def test_preconditioned_solve_transforms_at_embedding_length(rng, monkeypatch):
     mat = make_step_matrix(M=390, tau=0.7)  # m = 389 is prime
     m, embed = mat.op.size, mat.op.embed_size
-    lengths = []
-
-    def recording(transform):
-        def wrapper(a, n=None, *args, **kwargs):
-            lengths.append(len(a) if n is None else n)
-            return transform(a, n, *args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(np.fft, "rfft", recording(np.fft.rfft))
-    monkeypatch.setattr(np.fft, "irfft", recording(np.fft.irfft))
+    lengths = record_transform_lengths(monkeypatch)
     monkeypatch.setattr(solvers, "CIRCULANT_MIN_BOUND", 0.0)
     _, stats = solve(mat, rng.standard_normal(m), SolveConfig())
     assert stats.iterations > 0
@@ -188,6 +226,17 @@ def test_preconditioned_solve_transforms_at_embedding_length(rng, monkeypatch):
     assert lengths.count(m) <= 2
     assert lengths.count(embed) >= 2 * (stats.iterations + 1)
     assert set(lengths) <= {m, embed}
+
+
+@pytest.mark.parametrize("N", [2, 10])
+def test_stiff_run_transforms_at_length_m_at_most_twice(N, monkeypatch):
+    cfg = SchemeConfig(grid=GridSpec(a=-20.0, b=20.0, M=4000), alpha=1.8, T=0.2 * N, N=N)
+    assert solvers.choose_preconditioner(FracOperator(cfg.alpha, cfg.grid), 0.2) == "circulant"
+    lengths = record_transform_lengths(monkeypatch)
+    result = run(get_problem("5.1"), cfg)
+    assert result.steps == N
+    # the preconditioner's wrap eigenvalues and inverse column, once per run
+    assert lengths.count(cfg.grid.M - 1) <= 2
 
 
 def test_stiff_run_matches_length_m_preconditioner(monkeypatch):
