@@ -78,7 +78,8 @@ class FracOperator:
     kernel; its eigenvalues lie in (0, 2 c_0), so the operator is SPD.  The
     FFT path multiplies by a circulant extension of C whose size is the
     smallest power of two >= 2(M-1); the embedding size is exposed as
-    ``embed_size`` for run metadata.
+    ``embed_size`` for run metadata.  The extension's rfft ``symbol`` has
+    real part c_0 + 2 sum_{0<k<M-1} c_k cos(k theta) >= 0, as c_k < 0 for k > 0.
     """
 
     def __init__(self, alpha: float, grid: GridSpec):
@@ -90,21 +91,13 @@ class FracOperator:
         self.embed_size = 1 << (2 * m - 1).bit_length()
         circ = np.zeros(self.embed_size)
         circ[:m] = self.kernel
-        if m > 1:
-            circ[-(m - 1):] = self.kernel[1:][::-1]
-        self._symbol = np.fft.rfft(circ)
+        circ[self.embed_size - m + 1:] = self.kernel[1:][::-1]
+        self.symbol = np.fft.rfft(circ)
         self._dense: np.ndarray | None = None
-        # spectrum at embed_size of the circulant preconditioner's inverse,
-        # by tau; filled by solvers.build_circulant_preconditioner
-        self.preconditioner_spectra: dict[float, np.ndarray] = {}
 
     @property
     def size(self) -> int:
         return self.grid.M - 1
-
-    def toeplitz_column(self) -> np.ndarray:
-        """First column of the scaled Toeplitz matrix h^{-alpha} C."""
-        return self.scale * self.kernel
 
     def dense_matrix(self) -> np.ndarray:
         """Materialized h^{-alpha} C; cached, only for factorization and
@@ -127,11 +120,14 @@ class FracOperator:
         sym = np.concatenate((self.kernel[:0:-1], self.kernel))
         return self.scale * np.convolve(u, sym)[m - 1:2 * m - 1]
 
+    def circulant_product(self, spectrum: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """First M-1 entries of the embed_size circulant with rfft spectrum
+        ``spectrum`` applied to u padded with zeros."""
+        conv = np.fft.irfft(np.fft.rfft(u, n=self.embed_size) * spectrum, n=self.embed_size)
+        return conv[:self.size]
+
     def apply_fft(self, u: np.ndarray) -> np.ndarray:
-        u = self._check(u)
-        spec = np.fft.rfft(u, n=self.embed_size)
-        conv = np.fft.irfft(spec * self._symbol, n=self.embed_size)
-        return self.scale * conv[:self.size]
+        return self.scale * self.circulant_product(self.symbol, self._check(u))
 
     # the scheme always goes through the fast path
     apply = apply_fft

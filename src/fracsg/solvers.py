@@ -3,9 +3,9 @@
 Each time step requires one solve with I + (tau^2/4) * Dh^alpha + diag(d),
 d >= 0: identity plus SPD plus nonnegative diagonal, hence SPD for every
 tau > 0.  The fast path runs conjugate gradients with FFT mat-vecs, capped by
-the system's a-priori condition bound and, where that bound is large, with a
-circulant preconditioner built once per operator and tau.  The direct path
-refactorizes the dense matrix every step, since d changes with the midpoint.
+the system's a-priori condition bound and, where that bound is large,
+preconditioned through the operator's own circulant embedding.  The direct
+path refactorizes the dense matrix every step, since d changes with the midpoint.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .operator import FracOperator
 # No preset's bound exceeds about 2.  CHANGES.md records the sweep.
 CIRCULANT_MIN_BOUND = 5.0
 
-# Default CG cap: this factor times ceil(sqrt(bound)/2 ln(2/cg_rel_tol)), the
+# CG cap: this factor times ceil(sqrt(bound)/2 ln(2/cg_rel_tol)), the
 # exact-arithmetic CG bound (Saad 2003, sec. 6.11.3).  Runs at alpha 1.3-2,
 # bounds 1-400 and tolerances 1e-12 and 1e-14 took at most 0.87 of the bound.
 CG_CAP_FACTOR = 2
@@ -55,10 +55,6 @@ class StepMatrix:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return v + (0.25 * self.tau * self.tau) * self.op.apply(v) + self.diag * v
 
-    def toeplitz_column(self) -> np.ndarray:
-        """First column of the Toeplitz part (tau^2/4) h^{-alpha} C."""
-        return (0.25 * self.tau * self.tau) * self.op.toeplitz_column()
-
     def dense(self) -> np.ndarray:
         m = (0.25 * self.tau * self.tau) * self.op.dense_matrix()
         m = m + np.eye(len(self.diag))
@@ -70,15 +66,12 @@ class StepMatrix:
 class SolveConfig:
     method: str = "cg"  # "cg" | "direct"
     cg_rel_tol: float = 1e-12
-    cg_max_iter: int | None = None  # None -> CG_CAP_FACTOR times the CG bound
 
     def __post_init__(self) -> None:
         if self.method not in ("cg", "direct"):
             raise ValueError(f"unknown solve method {self.method!r}")
         if not 0.0 < self.cg_rel_tol < 1.0:
             raise ValueError("cg_rel_tol must lie in (0, 1)")
-        if self.cg_max_iter is not None and self.cg_max_iter < 1:
-            raise ValueError("cg_max_iter must be >= 1")
 
 
 @dataclass
@@ -105,43 +98,17 @@ def choose_preconditioner(op: FracOperator, tau: float) -> str:
     return "circulant" if condition_bound(op, tau) > CIRCULANT_MIN_BOUND else "none"
 
 
-def build_circulant_preconditioner(mat: StepMatrix, cache: dict | None = None):
-    """Approximate inverse of M_sys: the inverse of I plus the symmetric
-    (Strang) circulant wrap of its Toeplitz part.
-
-    Returns a callable r -> approx M_sys^{-1} r.  The kernel's partial sums
-    c_0 + 2 sum_{k<=K} c_k are nonnegative, so every eigenvalue of the wrap is
-    too and the preconditioner's are at least 1.  It is exact when the
-    Toeplitz part is circulant and d = 0; d = (tau^2/8) b^2 < tau^2/8 is left
-    out, as shifting by its mean did not change CG iteration counts.
-
-    The inverse is a circular convolution with its first column, applied
-    through a zero-padded FFT of the operator's power-of-two length
-    n >= 2m - 1 (a length-m transform is slow when m has a large prime
-    factor) and folded back onto the circle.  Its spectrum at length n depends
-    only on the operator and tau; ``cache``, a dict keyed by tau, keeps it
-    between calls, so a run does the two length-m transforms once.
+def build_circulant_preconditioner(mat: StepMatrix):
+    """Approximate inverse of M_sys: the leading (M-1) x (M-1) block of
+    (I + (tau^2/4) h^{-alpha} E)^{-1}, with E the operator's circulant
+    embedding of C.  E's eigenvalues are nonnegative, so the block is SPD
+    with eigenvalues in (0, 1]; d = (tau^2/8) b^2 < tau^2/8 is left out.
+    Returns a callable r -> approx M_sys^{-1} r, one FFT pair at the
+    embedding length.
     """
-    m = len(mat.diag)
-    n = 1 << (2 * m - 1).bit_length()  # FracOperator.embed_size
-    inverse_spec = None if cache is None else cache.get(mat.tau)
-    if inverse_spec is None:
-        col = mat.toeplitz_column()
-        wrap = col.copy()
-        ks = np.arange(m // 2 + 1, m)
-        wrap[ks] = col[m - ks]
-        inverse_col = np.fft.irfft(1.0 / (np.fft.rfft(wrap).real + 1.0), n=m)
-        inverse_spec = np.fft.rfft(inverse_col, n=n)
-        if cache is not None:
-            cache[mat.tau] = inverse_spec
-
-    def apply(r: np.ndarray) -> np.ndarray:
-        lin = np.fft.irfft(np.fft.rfft(r, n=n) * inverse_spec, n=n)
-        out = lin[:m]
-        out[:m - 1] += lin[m:2 * m - 1]
-        return out
-
-    return apply
+    op = mat.op
+    spectrum = 1.0 / (1.0 + (0.25 * mat.tau * mat.tau * op.scale) * op.symbol.real)
+    return lambda r: op.circulant_product(spectrum, r)
 
 
 def solve(mat: StepMatrix, rhs: np.ndarray, cfg: SolveConfig,
@@ -150,8 +117,8 @@ def solve(mat: StepMatrix, rhs: np.ndarray, cfg: SolveConfig,
 
     CG terminates when the recursive residual satisfies ||r||_2 <=
     cg_rel_tol * ||rhs||_2, preconditioned as choose_preconditioner decides;
-    the returned stats carry the recomputed true residual.  Non-convergence
-    and non-finite data raise SolveFailure.
+    the returned stats carry the recomputed true residual.  Non-convergence,
+    non-finite data and a tolerance below eps * bound raise SolveFailure.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     m = len(mat.diag)
@@ -169,11 +136,17 @@ def solve(mat: StepMatrix, rhs: np.ndarray, cfg: SolveConfig,
         res = float(np.linalg.norm(rhs - mat.matvec(x))) / bnorm
         return x, SolveStats(iterations=0, residual=res)
 
+    bound = condition_bound(mat.op, mat.tau)  # the plain bound caps both paths
+    # below about eps * bound the true residual no longer follows the recursive one
+    floor = np.finfo(np.float64).eps * bound
+    if cfg.cg_rel_tol < floor:
+        raise SolveFailure(
+            f"CG rel tol {cfg.cg_rel_tol:g} lies below the attainable floor {floor:.3g} "
+            f"(machine epsilon times condition bound {bound:.4g})")
     pre = None
     if choose_preconditioner(mat.op, mat.tau) == "circulant":
-        pre = build_circulant_preconditioner(mat, mat.op.preconditioner_spectra)
-    bound = condition_bound(mat.op, mat.tau)  # the plain bound caps both paths
-    max_iter = cfg.cg_max_iter or CG_CAP_FACTOR * math.ceil(
+        pre = build_circulant_preconditioner(mat)
+    max_iter = CG_CAP_FACTOR * math.ceil(
         0.5 * math.sqrt(bound) * math.log(2.0 / cfg.cg_rel_tol))
     x = np.zeros(m) if x0 is None else np.array(x0, dtype=np.float64)
     r = rhs - mat.matvec(x)

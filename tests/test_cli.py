@@ -243,6 +243,14 @@ def test_removed_method_flag_is_rejected(tmp_path):
         assert main(RUN_ARGS + flag + ["--out", str(tmp_path / "x")]) == 1, flag
 
 
+def test_unattainable_cg_tolerance_exits_two(tmp_path, capsys):
+    code = main(RUN_ARGS + ["--cg-tol", "1e-30", "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "1e-30 lies below the attainable floor" in err
+    assert "condition bound" in err
+
+
 def test_stiff_run_records_circulant_preconditioner(tmp_path):
     from fracsg.solvers import CIRCULANT_MIN_BOUND
 

@@ -2,12 +2,12 @@
 failure modes, and the dense block-system oracle."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import circulant
 
 from fracsg import (
     FracOperator,
@@ -33,42 +33,17 @@ def make_step_matrix(M=64, alpha=1.5, tau=0.05, diag_scale=0.1, seed=3):
     return StepMatrix(op=op, tau=tau, diag=diag)
 
 
-class CirculantFixture:
-    """Duck-typed stand-in whose Toeplitz part is exactly symmetric-circulant
-    and whose diagonal is constant, so the circulant preconditioner inverts
-    it exactly when the diagonal is zero."""
-
-    def __init__(self, m=16, d=0.3):
-        spectrum = np.linspace(1.0, 2.0, m // 2 + 1)
-        self.col = np.fft.irfft(spectrum, n=m)
-        self.diag = np.full(m, d)
-
-    def toeplitz_column(self):
-        return self.col
-
-    def matvec(self, v):
-        conv = np.fft.irfft(np.fft.rfft(v) * np.fft.rfft(self.col), n=len(v))
-        return conv + (1.0 + self.diag[0]) * v
-
-
-def length_m_apply(eigs, m):
-    """Oracle: the circulant inverse with eigenvalues ``eigs`` applied by
-    length-m real DFTs."""
-    return lambda r: np.fft.irfft(np.fft.rfft(r, n=m) / eigs, n=m)
-
-
-def length_m_preconditioner(mat, cache=None):
-    """Oracle for build_circulant_preconditioner: the Strang wrap of the
-    Toeplitz column plus 1 + mean(diag), applied by length-m DFTs.  The
-    built one leaves the mean(diag) shift out, so comparing runs also checks
-    that this changes no CG count.  Takes the cache only to match the
-    signature."""
-    col = mat.toeplitz_column()
+def length_m_preconditioner(mat):
+    """Reference preconditioner: the inverse of I plus the Strang circulant
+    wrap of the Toeplitz part (tau^2/4) h^{-alpha} C, applied by length-m
+    real DFTs."""
+    col = (0.25 * mat.tau * mat.tau * mat.op.scale) * mat.op.kernel
     m = len(col)
     wrap = col.copy()
     ks = np.arange(m // 2 + 1, m)
     wrap[ks] = col[m - ks]
-    return length_m_apply(np.fft.rfft(wrap).real + (1.0 + float(np.mean(mat.diag))), m)
+    eigs = np.fft.rfft(wrap).real + 1.0
+    return lambda r: np.fft.irfft(np.fft.rfft(r, n=m) / eigs, n=m)
 
 
 def record_transform_lengths(monkeypatch):
@@ -119,21 +94,12 @@ def test_warm_start_converges_immediately():
     assert stats.iterations == 0
 
 
-def test_iteration_cap_raises(rng):
-    mat = make_step_matrix(M=64)
-    rhs = rng.standard_normal(len(mat.diag))
-    with pytest.raises(SolveFailure, match="residual"):
-        solve(mat, rhs, SolveConfig(cg_max_iter=1))
-
-
 def test_unconvergeable_solve_fails_within_derived_cap(rng, monkeypatch):
     mat = make_step_matrix(M=64)
-    cfg = SolveConfig(cg_rel_tol=1e-30)
+    cfg = SolveConfig(cg_rel_tol=1e-12)
     bound = condition_bound(mat.op, mat.tau)
-    cap = solvers.CG_CAP_FACTOR * math.ceil(0.5 * math.sqrt(bound) * math.log(2.0 / 1e-30))
+    cap = solvers.CG_CAP_FACTOR * math.ceil(0.5 * math.sqrt(bound) * math.log(2.0 / 1e-12))
     rhs = rng.standard_normal(len(mat.diag))
-    # on the SPD matrix the recursive residual reaches even 1e-30
-    assert solve(mat, rhs, cfg)[1].iterations <= cap
     # a skew part, which CG cannot handle, makes the solve diverge
     matvecs = []
     spd = StepMatrix.matvec
@@ -143,7 +109,13 @@ def test_unconvergeable_solve_fails_within_derived_cap(rng, monkeypatch):
         return spd(self, v) + 0.5 * (np.roll(v, 1) - np.roll(v, -1))
 
     monkeypatch.setattr(StepMatrix, "matvec", skewed)
-    with pytest.raises(SolveFailure, match=f"cap of {cap} iterations at condition bound 1.01"):
+    # a tolerance below eps times the bound is refused before any matvec
+    with pytest.raises(SolveFailure, match=r"1e-30 lies below the attainable floor 2\.2\de-16"):
+        solve(mat, rhs, SolveConfig(cg_rel_tol=1e-30))
+    assert matvecs == []
+    assert cap == 30
+    with pytest.raises(SolveFailure,
+                       match=rf"cap of {cap} iterations at condition bound 1\.01\d* \(residual"):
         solve(mat, rhs, cfg)
     assert len(matvecs) == cap + 1  # the initial residual, then one per iteration
 
@@ -159,7 +131,6 @@ def test_rhs_length_mismatch():
     [
         {"method": "lu"},
         {"cg_rel_tol": 0.0},
-        {"cg_max_iter": 0},
         {"cg_rel_tol": 1.0},
         {"cg_rel_tol": math.nan},
     ],
@@ -176,43 +147,23 @@ def test_circulant_preconditioner_exists_for_step_matrix():
     assert pre(r).shape == (7,)
 
 
-def test_preconditioner_exact_on_circulant_fixture():
-    x = np.sin(np.arange(16.0))
-    exact = CirculantFixture(m=16, d=0.0)
-    pre = build_circulant_preconditioner(exact)
-    np.testing.assert_allclose(pre(exact.matvec(x)), x, rtol=1e-10, atol=1e-12)
-    # with a constant diagonal d, pre(M x) - x = d P^{-1} x and P >= I
-    shifted = CirculantFixture(m=16, d=0.3)
-    error = build_circulant_preconditioner(shifted)(shifted.matvec(x)) - x
-    assert np.linalg.norm(error) <= 0.3 * np.linalg.norm(x)
-
-
-def test_cached_preconditioner_equals_uncached(rng):
-    cached = make_step_matrix(M=257, tau=0.7)
-    for _ in range(2):
-        cached.diag = rng.uniform(0.0, 0.06, cached.op.size)
-        fresh = StepMatrix(op=FracOperator(cached.op.alpha, cached.op.grid),
-                           tau=cached.tau, diag=cached.diag)
-        r = rng.standard_normal(cached.op.size)
-        z = build_circulant_preconditioner(cached, cached.op.preconditioner_spectra)(r)
-        assert np.array_equal(z, build_circulant_preconditioner(fresh)(r))
-    assert list(cached.op.preconditioner_spectra) == [0.7]
-
-
-@given(m=st.one_of(st.sampled_from([1, 2, 3, 5, 251, 389, 397]), st.integers(1, 400)),
-       seed=st.integers(0, 2**32 - 1))
-def test_padded_preconditioner_matches_length_m_dft(m, seed):
+@given(alpha=st.floats(1.0, 2.0, exclude_min=True), M=st.integers(2, 64),
+       h=st.floats(1e-3, 1.0), tau=st.floats(1e-3, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_preconditioner_is_leading_block_of_embedding_inverse(alpha, M, h, tau, seed):
+    op = FracOperator(alpha, GridSpec(a=0.0, b=M * h, M=M))
     rng = np.random.default_rng(seed)
-    eigs = rng.uniform(1.0, 1e3, m // 2 + 1)
-    # a symmetric circulant column is its own Strang wrap, so the
-    # preconditioner's spectrum is 1 plus the column's: eigs
-    col = np.fft.irfft(eigs - 1.0, n=m)
-    mat = SimpleNamespace(tau=1.0, diag=np.zeros(m), toeplitz_column=lambda: col)
-    pre = build_circulant_preconditioner(mat)
+    mat = StepMatrix(op=op, tau=tau, diag=rng.uniform(0.0, tau * tau / 8.0, op.size))
+    m, n = op.size, op.embed_size
+    # the circulant embedding of C, built from the kernel: c_0..c_{m-1},
+    # zeros, then c_{m-1}..c_1
+    col = np.zeros(n)
+    col[:m] = op.kernel
+    col[n - m + 1:] = op.kernel[1:][::-1]
+    inverse = np.linalg.inv(np.eye(n) + (0.25 * tau * tau * op.scale) * circulant(col))
     r = rng.standard_normal(m)
-    z = pre(r)
+    z = build_circulant_preconditioner(mat)(r)
     assert z.shape == (m,)
-    assert np.max(np.abs(z - length_m_apply(eigs, m)(r))) <= 1e-12 * np.linalg.norm(r)
+    assert np.max(np.abs(z - inverse[:m, :m] @ r)) <= 1e-12 * np.linalg.norm(r)
 
 
 def test_preconditioned_solve_transforms_at_embedding_length(rng, monkeypatch):
@@ -222,8 +173,8 @@ def test_preconditioned_solve_transforms_at_embedding_length(rng, monkeypatch):
     monkeypatch.setattr(solvers, "CIRCULANT_MIN_BOUND", 0.0)
     _, stats = solve(mat, rng.standard_normal(m), SolveConfig())
     assert stats.iterations > 0
-    # length m only for the cached wrap eigenvalues and the inverse's column
-    assert lengths.count(m) <= 2
+    # every transform runs at the embedding length, none at length m
+    assert lengths.count(m) == 0
     assert lengths.count(embed) >= 2 * (stats.iterations + 1)
     assert set(lengths) <= {m, embed}
 
@@ -235,8 +186,8 @@ def test_stiff_run_transforms_at_length_m_at_most_twice(N, monkeypatch):
     lengths = record_transform_lengths(monkeypatch)
     result = run(get_problem("5.1"), cfg)
     assert result.steps == N
-    # the preconditioner's wrap eigenvalues and inverse column, once per run
-    assert lengths.count(cfg.grid.M - 1) <= 2
+    # every transform runs at the embedding length, none at length m
+    assert lengths.count(cfg.grid.M - 1) == 0
 
 
 def test_stiff_run_matches_length_m_preconditioner(monkeypatch):
@@ -251,14 +202,18 @@ def test_stiff_run_matches_length_m_preconditioner(monkeypatch):
         return x, stats
 
     monkeypatch.setattr(scheme, "solve", recording_solve)
-    padded = run(get_problem("5.1"), cfg).state
-    padded_iterations = iterations.copy()
+    embedded = run(get_problem("5.1"), cfg)
+    embedded_iterations = iterations.copy()
     iterations.clear()
     monkeypatch.setattr(solvers, "build_circulant_preconditioner", length_m_preconditioner)
-    oracle = run(get_problem("5.1"), cfg).state
-    assert padded_iterations == iterations
+    strang = run(get_problem("5.1"), cfg)
+    assert embedded.startup_iterations == strang.startup_iterations
+    assert len(embedded_iterations) == len(iterations)
+    # the cn_step solves come after the startup solves
+    steps = slice(strang.startup_iterations, None)
+    assert all(a <= b for a, b in zip(embedded_iterations[steps], iterations[steps]))
     for name in ("U", "V", "W"):
-        assert np.max(np.abs(getattr(padded, name) - getattr(oracle, name))) <= 1e-10
+        assert np.max(np.abs(getattr(embedded.state, name) - getattr(strang.state, name))) <= 1e-10
 
 
 def test_preconditioner_never_increases_iterations(rng, monkeypatch):
