@@ -7,78 +7,10 @@ conjugate-gradient iteration, and conserves a discrete quadratic energy to
 solver precision.
 """
 
-from .diagnostics import (
-    EnergyRecorder,
-    ErrorReport,
-    LadderRow,
-    continuous_energy,
-    convergence_ladder,
-    discrete_energy,
-    max_norm_error_exact,
-    max_norm_error_self,
-    orders_from_errors,
-    quadratization_offset,
-)
+from .diagnostics import EnergyRecorder, convergence_ladder, discrete_energy
 from .operator import FracOperator, GridSpec, generate_kernel
-from .problems import Problem, breather_amplitude, exact_breather, get_problem, sech
-from .scheme import (
-    IeqState,
-    RunResult,
-    SchemeConfig,
-    StartupFailure,
-    b_func,
-    cn_step,
-    initial_state,
-    run,
-    startup_step,
-)
-from .solvers import (
-    NumericalFailure,
-    SolveConfig,
-    SolveFailure,
-    SolveStats,
-    StepMatrix,
-    assemble_block_system,
-    build_circulant_preconditioner,
-    solve,
-)
+from .problems import get_problem
+from .scheme import SchemeConfig, StartupFailure, cn_step, initial_state, run, startup_step
+from .solvers import NumericalFailure, SolveConfig, SolveFailure
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "EnergyRecorder",
-    "ErrorReport",
-    "FracOperator",
-    "GridSpec",
-    "IeqState",
-    "LadderRow",
-    "NumericalFailure",
-    "Problem",
-    "RunResult",
-    "SchemeConfig",
-    "SolveConfig",
-    "SolveFailure",
-    "SolveStats",
-    "StartupFailure",
-    "StepMatrix",
-    "assemble_block_system",
-    "b_func",
-    "breather_amplitude",
-    "build_circulant_preconditioner",
-    "cn_step",
-    "continuous_energy",
-    "convergence_ladder",
-    "discrete_energy",
-    "exact_breather",
-    "generate_kernel",
-    "get_problem",
-    "initial_state",
-    "max_norm_error_exact",
-    "max_norm_error_self",
-    "orders_from_errors",
-    "quadratization_offset",
-    "run",
-    "sech",
-    "startup_step",
-    "solve",
-]

@@ -26,8 +26,9 @@ from .diagnostics import EnergyRecorder, convergence_ladder
 from .operator import FracOperator, GridSpec, subdivisions
 from .presets import DEFAULTS, PRESETS
 from .problems import get_problem
-from .scheme import IeqState, SchemeConfig, run
-from .solvers import NumericalFailure, SolveConfig, choose_preconditioner, condition_bound
+from .scheme import STARTUP_TOL, IeqState, SchemeConfig, run
+from .solvers import (NumericalFailure, SolveConfig, cg_tolerance, choose_preconditioner,
+                      condition_bound)
 
 _REAL = "{:.15e}".format
 
@@ -39,6 +40,13 @@ def _positive(conv: Callable[[str], Any]) -> Callable[[str], Any]:
             raise ValueError("must be positive and finite")
         return value
     return convert
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
 
 
 def _list(conv: Callable[[str], Any], length: int | None = None) -> Callable[[str], tuple]:
@@ -75,8 +83,8 @@ OPTIONS = (
     Option("alpha", ("run",), "fractional order in (1, 2]", float),
     Option("alphas", ("convergence", "energy", "bench"), "comma-separated fractional orders",
            _list(float)),
-    Option("omega", ALL, "width parameter of benchmark 5.1", float),
-    Option("domain", SIM, "interval endpoints", _list(float, 2),
+    Option("omega", ALL, "width parameter of benchmark 5.1", _positive(float)),
+    Option("domain", SIM, "interval endpoints", _list(_finite, 2),
            extra={"nargs": 2, "metavar": ("A", "B")}),
     Option("h", ("run", "energy", "bench"), "mesh size", _positive(float)),
     Option("tau", ("run", "energy"), "time step (must divide T)", _positive(float)),
@@ -87,7 +95,8 @@ OPTIONS = (
     Option("sizes", ("bench",), "comma-separated interior sizes M", _list(int)),
     Option("taus", ("bench",), "comma-separated time steps", _list(_positive(float))),
     Option("reps", ("bench",), "repetitions per timing (median reported)", _positive(int)),
-    Option("cg_tol", ALL, "CG relative residual tolerance", float),
+    Option("cg_tol", ALL, "CG relative residual tolerance (default max(1e-12, 10 eps "
+           "times the condition bound))", _positive(float)),
     Option("snapshot_stride", ("run",),
            "write solution_<n>.csv every this many steps (default N/100)", _positive(int)),
     Option("out", ALL, "output directory", extra={"required": True}),
@@ -198,12 +207,13 @@ def cmd_run(s: dict, out_dir: Path) -> int:
     snapshots = SnapshotWriter(out_dir, grid.interior_nodes(), stride, cfg.N)
     result = run(problem, cfg, observers=(recorder, snapshots), op=op)
     _write_energy(out_dir / "energy.csv", recorder)
+    bound = condition_bound(op, cfg.tau)
     meta = dict(
         example=problem.key, omega=problem.omega, alpha=cfg.alpha, domain=[grid.a, grid.b],
         h=grid.h, M=grid.M, tau=cfg.tau, N=cfg.N, T=cfg.T, method=solve.method,
-        cg_rel_tol=solve.cg_rel_tol, precond=choose_preconditioner(op, cfg.tau),
-        condition_bound=condition_bound(op, cfg.tau), snapshot_stride=stride,
-        fft_embed_size=op.embed_size, startup_tol=cfg.startup_tol,
+        cg_rel_tol=cg_tolerance(solve, bound), precond=choose_preconditioner(op, cfg.tau),
+        condition_bound=bound, snapshot_stride=stride,
+        fft_embed_size=op.embed_size, startup_tol=STARTUP_TOL,
         startup_iterations=result.startup_iterations, cg_iterations_max=result.cg_iterations_max,
         cg_iterations_mean=result.cg_iterations_mean, residual_max=result.residual_max,
         version=__version__)

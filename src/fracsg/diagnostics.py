@@ -30,33 +30,6 @@ def discrete_energy(state: IeqState, op: FracOperator) -> float:
     )
 
 
-def quadratization_offset(grid: GridSpec) -> float:
-    """Constant shift between the discrete quadratized energy and the
-    continuous physical energy: w^2 = 1 + (1 - cos u) contributes h per
-    interior node."""
-    return grid.h * (grid.M - 1)
-
-
-def continuous_energy(problem: Problem, a: float, b: float, alpha: float) -> float:
-    """Quadrature of the continuous energy 1/2 int (psi^2 + seminorm term +
-    2(1 - cos phi)) for the cases with a closed seminorm term: identically
-    zero initial displacement (any alpha), or alpha = 2 with an analytic
-    derivative of the displacement."""
-    from scipy.integrate import quad  # here, so that importing fracsg does not load it
-
-    probe = np.linspace(a, b, 1001)
-    kinetic = 0.5 * quad(lambda x: float(problem.psi(x)) ** 2, a, b, limit=200)[0]
-    if not np.any(problem.phi(probe)):
-        return kinetic
-    if alpha == 2.0 and problem.phi_prime is not None:
-        grad = 0.5 * quad(lambda x: float(problem.phi_prime(x)) ** 2, a, b, limit=200)[0]
-        pot = quad(lambda x: 1.0 - np.cos(float(problem.phi(x))), a, b, limit=200)[0]
-        return kinetic + grad + pot
-    raise ValueError(
-        "continuous energy quadrature needs either zero initial displacement "
-        "or alpha = 2 with an analytic displacement derivative")
-
-
 def w_projection_drift(state: IeqState) -> float:
     """Max-norm distance of the evolved W from sqrt(2 - cos U).  Recorded as
     a diagnostic only; the scheme never re-projects W."""

@@ -2,9 +2,9 @@
 
 The discrete fractional Laplacian of order ``alpha`` in (1, 2] acts on the
 interior values of a homogeneous-Dirichlet grid function as a scaled symmetric
-positive-definite Toeplitz matrix.  The matrix action is evaluated either by
-direct summation (the oracle path) or through a circulant embedding and real
-FFTs in O(M log M).
+positive-definite Toeplitz matrix.  The matrix action is evaluated through a
+power-of-two circulant embedding and real FFTs in O(M log M); the dense matrix
+is formed only for the direct solver.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ class GridSpec:
     M: int
 
     def __post_init__(self) -> None:
-        if not self.b > self.a:
-            raise ValueError(f"need b > a, got ({self.a}, {self.b})")
+        if not (np.isfinite(self.a) and np.isfinite(self.b) and self.b > self.a):
+            raise ValueError(f"need finite domain endpoints a < b, got ({self.a}, {self.b})")
         if self.M < 2:
             raise ValueError(f"need M >= 2 subintervals, got {self.M}")
 
@@ -66,7 +66,7 @@ def subdivisions(span: float, step: float, what: str) -> int:
     """The whole number of steps of size ``step`` in ``span``; ValueError
     naming the setting ``what`` when there is none (up to rounding)."""
     count = span / step
-    if abs(count - round(count)) > 1e-9 * max(1.0, abs(count)):
+    if not np.isfinite(count) or abs(count - round(count)) > 1e-9 * max(1.0, abs(count)):
         raise ValueError(f"{what}={step} does not divide {span} into whole steps")
     return round(count)
 
@@ -112,13 +112,6 @@ class FracOperator:
         if u.shape != (self.size,):
             raise ValueError(f"expected interior vector of length {self.size}, got shape {u.shape}")
         return u
-
-    def apply_dense(self, u: np.ndarray) -> np.ndarray:
-        """O(M^2) direct-summation evaluation; FFT-free oracle for apply_fft."""
-        u = self._check(u)
-        m = self.size
-        sym = np.concatenate((self.kernel[:0:-1], self.kernel))
-        return self.scale * np.convolve(u, sym)[m - 1:2 * m - 1]
 
     def circulant_product(self, spectrum: np.ndarray, u: np.ndarray) -> np.ndarray:
         """First M-1 entries of the embed_size circulant with rfft spectrum

@@ -34,22 +34,18 @@ class Problem:
     psi: Callable[[np.ndarray], np.ndarray]
     omega: float | None = None
     has_exact: bool = False
-    # analytic d(phi)/dx where available; used by the continuous-energy
-    # quadrature in the classical case alpha = 2
-    phi_prime: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def sech_velocity_kick(omega: float = 1.1) -> Problem:
     """Benchmark 5.1: u(x,0) = 0, u_t(x,0) = (4/omega) sech(x/omega)."""
-    if omega <= 0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    if not 0 < omega < np.inf:  # also rejects NaN
+        raise ValueError(f"omega must be positive and finite, got {omega}")
     return Problem(
         key="5.1",
         phi=lambda x: np.zeros_like(np.asarray(x, dtype=np.float64)),
         psi=lambda x: (4.0 / omega) * sech(x / omega),
         omega=omega,
         has_exact=True,
-        phi_prime=lambda x: np.zeros_like(np.asarray(x, dtype=np.float64)),
     )
 
 
@@ -59,7 +55,6 @@ def sech_hump_at_rest() -> Problem:
         key="5.2",
         phi=lambda x: 3.2 * sech(x),
         psi=lambda x: np.zeros_like(np.asarray(x, dtype=np.float64)),
-        phi_prime=lambda x: -3.2 * sech(x) * np.tanh(x),
     )
 
 
@@ -74,8 +69,8 @@ def get_problem(key: str, omega: float = 1.1) -> Problem:
 def breather_amplitude(t: float, omega: float) -> float:
     """Time factor phi(t; omega) of the breather, continuous across the three
     omega branches."""
-    if omega <= 0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    if not 0 < omega < np.inf:  # also rejects NaN
+        raise ValueError(f"omega must be positive and finite, got {omega}")
     if omega > 1.0:
         s = np.sqrt(omega * omega - 1.0)
         return float(np.sin(s * t / omega) / s)

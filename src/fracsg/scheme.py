@@ -22,6 +22,9 @@ import numpy as np
 from .operator import FracOperator, GridSpec, generate_kernel
 from .solvers import NumericalFailure, SolveConfig, SolveStats, StepMatrix, solve
 
+STARTUP_TOL = 1e-14  # max-norm move of the midpoint iterate that ends startup
+STARTUP_MAX_ITER = 200  # startup solves before StartupFailure
+
 
 class StartupFailure(NumericalFailure):
     pass
@@ -51,8 +54,6 @@ class SchemeConfig:
     T: float
     N: int
     solve: SolveConfig = field(default_factory=SolveConfig)
-    startup_tol: float = 1e-14
-    startup_max_iter: int = 200
 
     def __post_init__(self) -> None:
         # alpha range check is shared with kernel generation
@@ -61,8 +62,6 @@ class SchemeConfig:
             raise ValueError(f"final time must be positive, got T={self.T}")
         if self.N < 1:
             raise ValueError(f"need at least one timestep, got N={self.N}")
-        if self.startup_tol <= 0 or self.startup_max_iter < 1:
-            raise ValueError("invalid startup iteration parameters")
 
     @property
     def tau(self) -> float:
@@ -116,14 +115,14 @@ def startup_step(state0: IeqState, op: FracOperator, cfg: SchemeConfig) -> tuple
     itself, resolved by fixed-point iteration on the midpoint displacement.
 
     Starts from the explicit predictor U^0 + (tau/2) V^0 and stops when the
-    iterate moves less than startup_tol in the max norm.  Returns the state
+    iterate moves less than STARTUP_TOL in the max norm.  Returns the state
     at level 1 and the number of iterations used.
     """
     U_mid = state0.U + (0.5 * cfg.tau) * state0.V
-    for iteration in range(1, cfg.startup_max_iter + 1):
+    for iteration in range(1, STARTUP_MAX_ITER + 1):
         bvec = b_func(U_mid)
         U_next, _ = _solve_midpoint(op, cfg, bvec, state0, x0=U_mid)
-        converged = float(np.max(np.abs(U_next - U_mid))) <= cfg.startup_tol
+        converged = float(np.max(np.abs(U_next - U_mid))) <= STARTUP_TOL
         U_mid = U_next
         if converged:
             # advance with the coefficient vector the final solve used, so the
@@ -131,8 +130,8 @@ def startup_step(state0: IeqState, op: FracOperator, cfg: SchemeConfig) -> tuple
             # discrete energy is conserved to solver tolerance
             return _advance(state0, U_mid, bvec, cfg.tau), iteration
     raise StartupFailure(
-        f"startup fixed point did not reach {cfg.startup_tol:g} within "
-        f"{cfg.startup_max_iter} iterations")
+        f"startup fixed point did not reach {STARTUP_TOL:g} within "
+        f"{STARTUP_MAX_ITER} iterations")
 
 
 def cn_step(state_nm1: IeqState, state_n: IeqState, op: FracOperator, cfg: SchemeConfig,

@@ -2,10 +2,11 @@
 
 Each time step requires one solve with I + (tau^2/4) * Dh^alpha + diag(d),
 d >= 0: identity plus SPD plus nonnegative diagonal, hence SPD for every
-tau > 0.  The fast path runs conjugate gradients with FFT mat-vecs, capped by
-the system's a-priori condition bound and, where that bound is large,
-preconditioned through the operator's own circulant embedding.  The direct
-path refactorizes the dense matrix every step, since d changes with the midpoint.
+tau > 0.  The fast path runs conjugate gradients with FFT mat-vecs, its
+default tolerance and cap set by the system's a-priori condition bound and,
+where that bound is large, preconditioned through the operator's own circulant
+embedding.  The direct path refactorizes the dense matrix every step, since d
+changes with the midpoint.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ CIRCULANT_MIN_BOUND = 5.0
 CG_CAP_FACTOR = 2
 
 # Largest system the dense direct path factorizes.  It forms several dense
-# copies of the matrix, 128 MiB each at this size; the test oracle and the
-# bench defaults stay below 800 unknowns.
+# copies of the matrix, 128 MiB each at this size.
 DIRECT_MAX_SIZE = 4096
 
 
@@ -65,12 +65,12 @@ class StepMatrix:
 @dataclass
 class SolveConfig:
     method: str = "cg"  # "cg" | "direct"
-    cg_rel_tol: float = 1e-12
+    cg_rel_tol: float | None = None  # None: the default of cg_tolerance
 
     def __post_init__(self) -> None:
         if self.method not in ("cg", "direct"):
             raise ValueError(f"unknown solve method {self.method!r}")
-        if not 0.0 < self.cg_rel_tol < 1.0:
+        if self.cg_rel_tol is not None and not 0.0 < self.cg_rel_tol < 1.0:
             raise ValueError("cg_rel_tol must lie in (0, 1)")
 
 
@@ -89,6 +89,21 @@ def condition_bound(op: FracOperator, tau: float) -> float:
     in [1, bound].
     """
     return 1.0 + 0.5 * tau * tau * op.scale * float(op.kernel[0]) + 0.125 * tau * tau
+
+
+def cg_tolerance(cfg: SolveConfig, bound: float) -> float:
+    """CG's relative tolerance at condition bound ``bound``: cfg.cg_rel_tol,
+    by default max(1e-12, 10 eps bound) (1e-12 up to bounds of about 450).
+    Below eps * bound the true residual no longer follows the recursive one,
+    so a tolerance set there raises SolveFailure."""
+    floor = np.finfo(np.float64).eps * bound
+    if cfg.cg_rel_tol is None:
+        return max(1e-12, 10.0 * floor)
+    if cfg.cg_rel_tol < floor:
+        raise SolveFailure(
+            f"CG rel tol {cfg.cg_rel_tol:g} lies below the attainable floor {floor:.3g} "
+            f"(machine epsilon times condition bound {bound:.4g})")
+    return cfg.cg_rel_tol
 
 
 def choose_preconditioner(op: FracOperator, tau: float) -> str:
@@ -116,7 +131,7 @@ def solve(mat: StepMatrix, rhs: np.ndarray, cfg: SolveConfig,
     """Solve M_sys x = rhs to the configured tolerance contract.
 
     CG terminates when the recursive residual satisfies ||r||_2 <=
-    cg_rel_tol * ||rhs||_2, preconditioned as choose_preconditioner decides;
+    cg_tolerance * ||rhs||_2, preconditioned as choose_preconditioner decides;
     the returned stats carry the recomputed true residual.  Non-convergence,
     non-finite data and a tolerance below eps * bound raise SolveFailure.
     """
@@ -137,29 +152,24 @@ def solve(mat: StepMatrix, rhs: np.ndarray, cfg: SolveConfig,
         return x, SolveStats(iterations=0, residual=res)
 
     bound = condition_bound(mat.op, mat.tau)  # the plain bound caps both paths
-    # below about eps * bound the true residual no longer follows the recursive one
-    floor = np.finfo(np.float64).eps * bound
-    if cfg.cg_rel_tol < floor:
-        raise SolveFailure(
-            f"CG rel tol {cfg.cg_rel_tol:g} lies below the attainable floor {floor:.3g} "
-            f"(machine epsilon times condition bound {bound:.4g})")
+    rel_tol = cg_tolerance(cfg, bound)
     pre = None
     if choose_preconditioner(mat.op, mat.tau) == "circulant":
         pre = build_circulant_preconditioner(mat)
     max_iter = CG_CAP_FACTOR * math.ceil(
-        0.5 * math.sqrt(bound) * math.log(2.0 / cfg.cg_rel_tol))
+        0.5 * math.sqrt(bound) * math.log(2.0 / rel_tol))
     x = np.zeros(m) if x0 is None else np.array(x0, dtype=np.float64)
     r = rhs - mat.matvec(x)
     z = pre(r) if pre is not None else r
     p = z.copy()
     rz = float(np.dot(r, z))
     iterations = 0
-    tol = cfg.cg_rel_tol * bnorm
+    tol = rel_tol * bnorm
     while _finite(float(np.linalg.norm(r)), "residual") > tol:
         if iterations >= max_iter:
             res = float(np.linalg.norm(r)) / bnorm
             raise SolveFailure(
-                f"CG failed to reach rel tol {cfg.cg_rel_tol:g} within the cap of "
+                f"CG failed to reach rel tol {rel_tol:g} within the cap of "
                 f"{max_iter} iterations at condition bound {bound:.4g} (residual {res:.3e})")
         Ap = mat.matvec(p)
         alpha = rz / float(np.dot(p, Ap))
@@ -180,32 +190,3 @@ def _finite(norm: float, what: str) -> float:
     if not math.isfinite(norm):
         raise SolveFailure(f"non-finite {what} (norm {norm})")
     return norm
-
-
-def assemble_block_system(op: FracOperator, tau: float, bvec: np.ndarray,
-                          U_n: np.ndarray, V_n: np.ndarray, W_n: np.ndarray,
-                          size_guard: int = 128) -> tuple[np.ndarray, np.ndarray]:
-    """Dense 3(M-1) block system for the midpoint unknowns (U, V, W)^{n+1/2}.
-
-    Built directly from the three stepping equations, so solving it is an
-    independent oracle for the Schur-reduced step:
-
-        U_mid - (tau/2) V_mid                          = U^n
-        (tau/2) A U_mid + V_mid + (tau/2) diag(b) W_mid = V^n
-        -(tau/2) diag(b) V_mid + 2 W_mid                = 2 W^n
-
-    with A the dense fractional operator.  Small sizes only (dense O(M^2)).
-    """
-    m = op.size
-    if m > size_guard:
-        raise ValueError(f"block assembly limited to {size_guard} interior nodes, got {m}")
-    I = np.eye(m)
-    A = op.dense_matrix()
-    B = np.diag(bvec)
-    half = 0.5 * tau
-    top = np.hstack((I, -half * I, np.zeros((m, m))))
-    mid = np.hstack((half * A, I, half * B))
-    bot = np.hstack((np.zeros((m, m)), -half * B, 2.0 * I))
-    block = np.vstack((top, mid, bot))
-    rhs = np.concatenate((U_n, V_n, 2.0 * W_n))
-    return block, rhs

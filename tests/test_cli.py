@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fracsg import FracOperator, IeqState, solvers
+from fracsg import FracOperator, solvers
 from fracsg.cli import SnapshotWriter, main
+from fracsg.scheme import IeqState
 
 
 def read_csv(path):
@@ -249,6 +250,48 @@ def test_unattainable_cg_tolerance_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "1e-30 lies below the attainable floor" in err
     assert "condition bound" in err
+
+
+def test_default_cg_tolerance_follows_condition_bound(tmp_path, capsys):
+    # kappa = 40001, whose floor eps * kappa = 8.9e-12 lies above 1e-12
+    stiff_args = ["run", "--example", "5.1", "--alpha", "2", "--domain", "-5", "5",
+                  "--h", "0.0025", "--tau", "0.5", "--T", "1"]
+    meta = {}
+    for name, argv in (("plain", RUN_ARGS), ("stiff", stiff_args)):
+        out = tmp_path / name
+        assert main(argv + ["--snapshot-stride", "100", "--out", str(out)]) == 0, name
+        meta[name] = json.loads((out / "meta.json").read_text())
+    assert meta["plain"]["cg_rel_tol"] == 1e-12
+    stiff = meta["stiff"]
+    assert stiff["condition_bound"] > 4e4
+    assert stiff["cg_rel_tol"] == 10.0 * np.finfo(np.float64).eps * stiff["condition_bound"]
+    assert stiff["residual_max"] <= stiff["cg_rel_tol"]
+    # a tolerance set below the floor is still refused
+    assert main(stiff_args + ["--cg-tol", "1e-12", "--out", str(tmp_path / "x")]) == 2
+    assert "lies below the attainable floor" in capsys.readouterr().err
+
+
+RUN_WITHOUT_DOMAIN = ["run", "--example", "5.1", "--alpha", "2", "--h", "0.2", "--tau", "0.02",
+                      "--T", "1"]
+
+
+@pytest.mark.parametrize("argv, config, setting", [
+    (RUN_ARGS + ["--omega", "inf"], "", "omega"),
+    (RUN_ARGS + ["--omega", "nan"], "", "omega"),
+    (["convergence", "--preset", "table1", "--omega", "inf"], "", "omega"),
+    (RUN_ARGS + ["--cg-tol", "inf"], "", "cg_tol"),
+    (RUN_ARGS + ["--cg-tol", "nan"], "", "cg_tol"),
+    (RUN_WITHOUT_DOMAIN, "domain = -inf, 20\n", "domain"),
+    (RUN_WITHOUT_DOMAIN, "domain = -20, nan\n", "domain"),
+], ids=["omega-inf", "omega-nan", "convergence-omega-inf", "cg_tol-inf", "cg_tol-nan",
+        "domain-inf", "domain-nan"])
+def test_non_finite_setting_exits_one(tmp_path, capsys, argv, config, setting):
+    cfg = tmp_path / "settings.txt"
+    cfg.write_text(config)
+    out = tmp_path / "x"
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+    assert f"invalid {setting} " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_stiff_run_records_circulant_preconditioner(tmp_path):

@@ -7,20 +7,22 @@ from fracsg import (
     EnergyRecorder,
     FracOperator,
     GridSpec,
-    IeqState,
     SchemeConfig,
-    continuous_energy,
     convergence_ladder,
     discrete_energy,
     get_problem,
     initial_state,
+    run,
+)
+from fracsg.diagnostics import (
     max_norm_error_exact,
     max_norm_error_self,
     orders_from_errors,
-    quadratization_offset,
-    run,
+    w_projection_drift,
 )
-from fracsg.diagnostics import w_projection_drift
+from fracsg.scheme import IeqState
+
+from oracles import continuous_energy, hump_slope, quadratization_offset
 
 
 def rest_state(grid):
@@ -51,7 +53,7 @@ def test_discrete_energy_approaches_continuous_energy():
 def test_discrete_energy_classical_case_with_displacement():
     a, b = -20.0, 20.0
     p = get_problem("5.2")
-    target = continuous_energy(p, a, b, alpha=2.0)
+    target = continuous_energy(p, a, b, alpha=2.0, phi_prime=hump_slope)
     grid = GridSpec(a=a, b=b, M=2000)
     op = FracOperator(2.0, grid)
     e0 = discrete_energy(initial_state(p, grid), op) - quadratization_offset(grid)
@@ -126,6 +128,12 @@ class TestLadder:
         with pytest.raises(ValueError):
             convergence_ladder(get_problem("5.1"), 2.0, -20.0, 20.0,
                                base_h=0.5, base_tau=0.5, levels=0, T=1.0)
+
+    @pytest.mark.parametrize("a, b", [(-np.inf, 20.0), (-20.0, np.nan)])
+    def test_rejects_non_finite_domain(self, a, b):
+        with pytest.raises(ValueError):
+            convergence_ladder(get_problem("5.1"), 2.0, a, b,
+                               base_h=0.5, base_tau=0.5, levels=1, T=1.0)
 
     def test_row_structure_and_second_order(self):
         report = convergence_ladder(get_problem("5.1", 1.1), 2.0, -20.0, 20.0,

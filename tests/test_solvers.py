@@ -15,16 +15,14 @@ from fracsg import (
     SchemeConfig,
     SolveConfig,
     SolveFailure,
-    StepMatrix,
-    assemble_block_system,
-    b_func,
-    build_circulant_preconditioner,
     get_problem,
     run,
-    solve,
 )
 from fracsg import scheme, solvers
-from fracsg.solvers import condition_bound
+from fracsg.scheme import b_func
+from fracsg.solvers import StepMatrix, build_circulant_preconditioner, condition_bound, solve
+
+from oracles import assemble_block_system
 
 
 def make_step_matrix(M=64, alpha=1.5, tau=0.05, diag_scale=0.1, seed=3):
