@@ -10,7 +10,7 @@ solver precision.
 from .diagnostics import EnergyRecorder, convergence_ladder, discrete_energy
 from .operator import FracOperator, GridSpec, generate_kernel
 from .problems import get_problem
-from .scheme import SchemeConfig, StartupFailure, cn_step, initial_state, run, startup_step
+from .scheme import SchemeConfig, cn_step, initial_state, run, startup_step
 from .solvers import NumericalFailure, SolveConfig, SolveFailure
 
 __version__ = "0.1.0"

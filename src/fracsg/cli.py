@@ -26,7 +26,7 @@ from .diagnostics import EnergyRecorder, convergence_ladder
 from .operator import FracOperator, GridSpec, subdivisions
 from .presets import DEFAULTS, PRESETS
 from .problems import get_problem
-from .scheme import STARTUP_TOL, IeqState, SchemeConfig, run
+from .scheme import IeqState, SchemeConfig, run
 from .solvers import (NumericalFailure, SolveConfig, cg_tolerance, choose_preconditioner,
                       condition_bound)
 
@@ -213,8 +213,7 @@ def cmd_run(s: dict, out_dir: Path) -> int:
         h=grid.h, M=grid.M, tau=cfg.tau, N=cfg.N, T=cfg.T, method=solve.method,
         cg_rel_tol=cg_tolerance(solve, bound), precond=choose_preconditioner(op, cfg.tau),
         condition_bound=bound, snapshot_stride=stride,
-        fft_embed_size=op.embed_size, startup_tol=STARTUP_TOL,
-        startup_iterations=result.startup_iterations, cg_iterations_max=result.cg_iterations_max,
+        fft_embed_size=op.embed_size, cg_iterations_max=result.cg_iterations_max,
         cg_iterations_mean=result.cg_iterations_mean, residual_max=result.residual_max,
         version=__version__)
     (out_dir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")

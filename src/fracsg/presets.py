@@ -27,7 +27,7 @@ class Preset:
     base_h: float | None = None
     base_tau: float | None = None
     levels: int | None = None
-    omega: float = 1.1
+    omega: float | None = None
 
     def settings(self) -> dict:
         """The set fields under the CLI's setting names."""

@@ -9,8 +9,9 @@ and conserves the discrete energy
 
 exactly in exact arithmetic.  Each step reduces to one SPD solve for the
 midpoint displacement; velocity and auxiliary midpoints are recovered
-algebraically.  The first step solves the same structure with b evaluated at
-the unknown midpoint itself, by fixed-point iteration.
+algebraically.  The first step has no U^{-1} to extrapolate from, so it
+evaluates b at the explicit predictor U^0 + (tau/2) V^0 of the midpoint; the
+energy is conserved for any frozen b, so it too is one linear solve.
 """
 
 from __future__ import annotations
@@ -20,14 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operator import FracOperator, GridSpec, generate_kernel
-from .solvers import NumericalFailure, SolveConfig, SolveStats, StepMatrix, solve
-
-STARTUP_TOL = 1e-14  # max-norm move of the midpoint iterate that ends startup
-STARTUP_MAX_ITER = 200  # startup solves before StartupFailure
-
-
-class StartupFailure(NumericalFailure):
-    pass
+from .solvers import SolveConfig, SolveStats, StepMatrix, solve
 
 
 def b_func(x):
@@ -71,7 +65,6 @@ class SchemeConfig:
 @dataclass
 class RunResult:
     state: IeqState
-    startup_iterations: int
     steps: int
     cg_iterations_max: int
     cg_iterations_mean: float
@@ -96,61 +89,49 @@ def _solve_midpoint(op: FracOperator, cfg: SchemeConfig, bvec: np.ndarray,
     return solve(mat, rhs, cfg.solve, x0=x0)
 
 
-def _advance(state: IeqState, U_mid: np.ndarray, bvec: np.ndarray, tau: float) -> IeqState:
+def _advance(state: IeqState, U_mid: np.ndarray, bvec: np.ndarray,
+             cfg: SchemeConfig) -> IeqState:
     """Recover the remaining midpoints and reflect to the next level."""
     dU = U_mid - state.U
-    V_mid = 2.0 * dU / tau
+    V_mid = 2.0 * dU / cfg.tau
     W_mid = state.W + 0.5 * bvec * dU
+    n = state.n + 1
     return IeqState(
         U=2.0 * U_mid - state.U,
         V=2.0 * V_mid - state.V,
         W=2.0 * W_mid - state.W,
-        t=state.t + tau,
-        n=state.n + 1,
+        t=cfg.T * (n / cfg.N),  # from the level index, so level N is at T exactly
+        n=n,
     )
 
 
-def startup_step(state0: IeqState, op: FracOperator, cfg: SchemeConfig) -> tuple[IeqState, int]:
-    """Nonlinear conservative first step: b is evaluated at the midpoint
-    itself, resolved by fixed-point iteration on the midpoint displacement.
-
-    Starts from the explicit predictor U^0 + (tau/2) V^0 and stops when the
-    iterate moves less than STARTUP_TOL in the max norm.  Returns the state
-    at level 1 and the number of iterations used.
-    """
-    U_mid = state0.U + (0.5 * cfg.tau) * state0.V
-    for iteration in range(1, STARTUP_MAX_ITER + 1):
-        bvec = b_func(U_mid)
-        U_next, _ = _solve_midpoint(op, cfg, bvec, state0, x0=U_mid)
-        converged = float(np.max(np.abs(U_next - U_mid))) <= STARTUP_TOL
-        U_mid = U_next
-        if converged:
-            # advance with the coefficient vector the final solve used, so the
-            # midpoint triple satisfies the linear system exactly and the
-            # discrete energy is conserved to solver tolerance
-            return _advance(state0, U_mid, bvec, cfg.tau), iteration
-    raise StartupFailure(
-        f"startup fixed point did not reach {STARTUP_TOL:g} within "
-        f"{STARTUP_MAX_ITER} iterations")
+def startup_step(state0: IeqState, op: FracOperator,
+                 cfg: SchemeConfig) -> tuple[IeqState, SolveStats]:
+    """First step, with b frozen at the explicit midpoint predictor
+    U^0 + (tau/2) V^0, which also warm-starts the solve."""
+    predictor = state0.U + (0.5 * cfg.tau) * state0.V
+    bvec = b_func(predictor)
+    U_mid, stats = _solve_midpoint(op, cfg, bvec, state0, x0=predictor)
+    return _advance(state0, U_mid, bvec, cfg), stats
 
 
-def cn_step(state_nm1: IeqState, state_n: IeqState, op: FracOperator, cfg: SchemeConfig,
-            warm: np.ndarray | None = None) -> tuple[IeqState, SolveStats]:
+def cn_step(state_nm1: IeqState, state_n: IeqState, op: FracOperator,
+            cfg: SchemeConfig) -> tuple[IeqState, SolveStats]:
     """One linearly-implicit step using the extrapolated midpoint
-    (3 U^n - U^{n-1})/2 inside the coefficient b."""
+    (3 U^n - U^{n-1})/2 inside the coefficient b, warm-started from the
+    previous step's midpoint (U^n + U^{n-1})/2."""
     bvec = b_func(1.5 * state_n.U - 0.5 * state_nm1.U)
-    x0 = warm if warm is not None else state_n.U
+    x0 = 0.5 * (state_n.U + state_nm1.U)
     U_mid, stats = _solve_midpoint(op, cfg, bvec, state_n, x0=x0)
-    return _advance(state_n, U_mid, bvec, cfg.tau), stats
+    return _advance(state_n, U_mid, bvec, cfg), stats
 
 
 def run(problem, cfg: SchemeConfig, observers=(), op: FracOperator | None = None) -> RunResult:
     """Integrate from t=0 to t=T; deterministic for a fixed config.
 
     Observers are callables ``observer(state, stats)`` invoked at every
-    level, with stats None at level 0 and at the startup level.  An already
-    constructed operator for the same (alpha, grid) may be passed to share
-    it with observers.
+    level, with stats None at level 0 only.  An already constructed operator
+    for the same (alpha, grid) may be passed to share it with observers.
     """
     if op is None:
         op = FracOperator(cfg.alpha, cfg.grid)
@@ -158,17 +139,14 @@ def run(problem, cfg: SchemeConfig, observers=(), op: FracOperator | None = None
     for obs in observers:
         obs(state, None)
 
-    nxt, startup_iters = startup_step(state, op, cfg)
-    prev, state = state, nxt
-    for obs in observers:
-        obs(state, None)
-
+    prev = None
     iters: list[int] = []
     res_max = 0.0
-    for _ in range(1, cfg.N):
-        # warm start: midpoint displacement of the previous step
-        warm = 0.5 * (state.U + prev.U)
-        nxt, stats = cn_step(prev, state, op, cfg, warm=warm)
+    for _ in range(cfg.N):
+        if prev is None:
+            nxt, stats = startup_step(state, op, cfg)
+        else:
+            nxt, stats = cn_step(prev, state, op, cfg)
         prev, state = state, nxt
         iters.append(stats.iterations)
         res_max = max(res_max, stats.residual)
@@ -177,9 +155,8 @@ def run(problem, cfg: SchemeConfig, observers=(), op: FracOperator | None = None
 
     return RunResult(
         state=state,
-        startup_iterations=startup_iters,
         steps=cfg.N,
-        cg_iterations_max=max(iters) if iters else 0,
-        cg_iterations_mean=float(np.mean(iters)) if iters else 0.0,
+        cg_iterations_max=max(iters),
+        cg_iterations_mean=float(np.mean(iters)),
         residual_max=res_max,
     )

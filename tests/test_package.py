@@ -14,7 +14,7 @@ def test_top_level_names():
              if not name.startswith("_") and not inspect.ismodule(value)}
     assert names == {
         "EnergyRecorder", "FracOperator", "GridSpec", "NumericalFailure", "SchemeConfig",
-        "SolveConfig", "SolveFailure", "StartupFailure", "cn_step", "convergence_ladder",
+        "SolveConfig", "SolveFailure", "cn_step", "convergence_ladder",
         "discrete_energy", "generate_kernel", "get_problem", "initial_state", "run",
         "startup_step",
     }

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fracsg import (
+    EnergyRecorder,
     FracOperator,
     GridSpec,
     SchemeConfig,
@@ -85,8 +86,8 @@ def test_startup_conserves_energy():
     cfg = SchemeConfig(grid=grid, alpha=1.6, T=0.05, N=1)
     op = FracOperator(cfg.alpha, grid)
     state0 = initial_state(get_problem("5.2"), grid)
-    state1, iterations = startup_step(state0, op, cfg)
-    assert iterations >= 1
+    state1, stats = startup_step(state0, op, cfg)
+    assert stats.iterations >= 1
     e0 = discrete_energy(state0, op)
     e1 = discrete_energy(state1, op)
     assert abs(e1 - e0) <= 1e-10 * abs(e0)
@@ -106,31 +107,48 @@ def test_startup_accuracy_against_exact_solution():
     assert np.max(np.abs(state1.U - exact)) <= 1e-5
 
 
-def test_startup_iteration_cap(monkeypatch):
+def count_solves(monkeypatch) -> list:
+    """Record one entry per call of the scheme's linear solve."""
     import fracsg.scheme
-    from fracsg import StartupFailure
-
-    monkeypatch.setattr(fracsg.scheme, "STARTUP_MAX_ITER", 1)
-    grid = GridSpec(a=-20.0, b=20.0, M=50)
-    cfg = SchemeConfig(grid=grid, alpha=1.5, T=0.1, N=1)
-    op = FracOperator(cfg.alpha, grid)
-
-    with pytest.raises(StartupFailure):
-        startup_step(initial_state(get_problem("5.1"), grid), op, cfg)
-
-
-def test_nan_initial_datum_fails_on_first_startup_solve(monkeypatch):
-    import fracsg.scheme
-    from fracsg import SolveFailure
 
     calls = []
+    solve = fracsg.scheme.solve
 
     def counting_solve(*args, **kwargs):
         calls.append(1)
         return solve(*args, **kwargs)
 
-    solve = fracsg.scheme.solve
     monkeypatch.setattr(fracsg.scheme, "solve", counting_solve)
+    return calls
+
+
+def test_startup_is_one_solve_and_run_is_n(monkeypatch):
+    calls = count_solves(monkeypatch)
+    grid = GridSpec(a=-20.0, b=20.0, M=100)
+    cfg = SchemeConfig(grid=grid, alpha=1.6, T=0.5, N=10)
+    startup_step(initial_state(get_problem("5.1"), grid), FracOperator(cfg.alpha, grid), cfg)
+    assert len(calls) == 1
+    calls.clear()
+    run(get_problem("5.1"), cfg)
+    assert len(calls) == cfg.N
+
+
+@pytest.mark.parametrize("key", ["5.1", "5.2"])
+def test_large_time_step_conserves_energy(key):
+    # tau = 2: the first step is linear like every other, so no step limits tau
+    grid = GridSpec(a=-20.0, b=20.0, M=400)
+    cfg = SchemeConfig(grid=grid, alpha=1.8, T=20.0, N=10)
+    op = FracOperator(cfg.alpha, grid)
+    recorder = EnergyRecorder(op)
+    result = run(get_problem(key), cfg, observers=(recorder,), op=op)
+    assert result.steps == cfg.N
+    assert recorder.max_relative_drift() <= 1e-10
+
+
+def test_nan_initial_datum_fails_on_first_startup_solve(monkeypatch):
+    from fracsg import SolveFailure
+
+    calls = count_solves(monkeypatch)
     problem = Problem(key="nan", phi=lambda x: np.where(x == x[7], np.nan, 0.0),
                       psi=lambda x: np.zeros_like(x))
     cfg = SchemeConfig(grid=GridSpec(a=-20.0, b=20.0, M=50), alpha=1.5, T=0.1, N=2)
@@ -176,7 +194,6 @@ def test_run_reports_solver_statistics():
     cfg = SchemeConfig(grid=grid, alpha=1.7, T=0.5, N=10)
     result = run(get_problem("5.1"), cfg)
     assert result.steps == 10
-    assert result.startup_iterations >= 1
     assert result.cg_iterations_max >= 1
     assert 0.0 < result.cg_iterations_mean <= result.cg_iterations_max
     assert result.residual_max <= 1e-11
@@ -188,5 +205,16 @@ def test_observers_see_every_level():
     seen = []
     run(get_problem("5.2"), cfg, observers=(lambda s, st_: seen.append((s.n, st_ is None)),))
     assert [n for n, _ in seen] == list(range(6))
-    # no per-step solver stats at the initial level or the startup level
-    assert [missing for _, missing in seen] == [True, True, False, False, False, False]
+    # solver stats at every level but the initial one
+    assert [missing for _, missing in seen] == [True, False, False, False, False, False]
+
+
+def test_time_column_is_computed_from_the_level_index():
+    # summing tau = T/N two hundred times would drift off n T/N and off T
+    grid = GridSpec(a=-20.0, b=20.0, M=40)
+    cfg = SchemeConfig(grid=grid, alpha=1.5, T=10.0, N=200)
+    op = FracOperator(cfg.alpha, grid)
+    recorder = EnergyRecorder(op)
+    run(get_problem("5.1"), cfg, observers=(recorder,), op=op)
+    assert [t for _, t, _, _ in recorder.rows] == [cfg.T * (n / cfg.N) for n in range(cfg.N + 1)]
+    assert recorder.rows[-1][1] == cfg.T
