@@ -215,7 +215,7 @@ def cmd_run(s: dict, out_dir: Path) -> int:
         condition_bound=bound, snapshot_stride=stride,
         fft_embed_size=op.embed_size, cg_iterations_max=result.cg_iterations_max,
         cg_iterations_mean=result.cg_iterations_mean, residual_max=result.residual_max,
-        version=__version__)
+        energy_drift_max=recorder.max_relative_drift(), version=__version__)
     (out_dir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return 0
 
@@ -235,13 +235,20 @@ def cmd_convergence(s: dict, out_dir: Path) -> int:
 
 def cmd_energy(s: dict, out_dir: Path) -> int:
     """energy-conservation series per fractional order"""
-    problem = get_problem(s["example"], omega=s["omega"])
+    alphas_of: dict[str, list[float]] = {}
     for alpha in s["alphas"]:
+        alphas_of.setdefault(f"energy_{alpha:g}.csv", []).append(alpha)
+    clashes = [f"{', '.join(map(str, alphas))} would all write {name}"
+               for name, alphas in alphas_of.items() if len(alphas) > 1]
+    if clashes:
+        raise ValueError(f"invalid alphas: {'; '.join(clashes)}")
+    problem = get_problem(s["example"], omega=s["omega"])
+    for name, (alpha,) in alphas_of.items():
         cfg = _scheme_config(s, alpha)
         op = FracOperator(alpha, cfg.grid)
         recorder = EnergyRecorder(op)
         run(problem, cfg, observers=(recorder,), op=op)
-        _write_energy(out_dir / f"energy_{alpha:g}.csv", recorder)
+        _write_energy(out_dir / name, recorder)
     return 0
 
 

@@ -15,17 +15,20 @@ import numpy as np
 
 from .operator import FracOperator, GridSpec, subdivisions
 from .problems import Problem, exact_breather
-from .scheme import IeqState, SchemeConfig, run
+from .scheme import IeqState, SchemeConfig, level_product, run
 from .solvers import SolveConfig
 
 
 def discrete_energy(state: IeqState, op: FracOperator) -> float:
     """E^n = 1/2 (||V||^2 + ||Lambda^alpha U||^2 + 2 ||W||^2) with the
-    discrete inner product h * sum over interior nodes."""
+    discrete inner product h * sum over interior nodes.  The seminorm term
+    reads the level's stored operator product, so it costs no FFT where the
+    stepper has already applied the operator to U, and equals
+    op.energy_seminorm_sq(state.U) to the bit."""
     h = op.grid.h
     return 0.5 * (
         h * float(np.dot(state.V, state.V))
-        + op.energy_seminorm_sq(state.U)
+        + h * float(np.dot(level_product(state, op), state.U))
         + 2.0 * h * float(np.dot(state.W, state.W))
     )
 

@@ -53,7 +53,11 @@ class StepMatrix:
     diag: np.ndarray  # nonnegative, length M-1
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        return v + (0.25 * self.tau * self.tau) * self.op.apply(v) + self.diag * v
+        return self.matvec_from_product(v, self.op.apply(v))
+
+    def matvec_from_product(self, v: np.ndarray, op_v: np.ndarray) -> np.ndarray:
+        """M_sys v from v and its operator product op_v = op.apply(v)."""
+        return v + (0.25 * self.tau * self.tau) * op_v + self.diag * v
 
     def dense(self) -> np.ndarray:
         m = (0.25 * self.tau * self.tau) * self.op.dense_matrix()
@@ -127,13 +131,17 @@ def build_circulant_preconditioner(mat: StepMatrix):
 
 
 def solve(mat: StepMatrix, rhs: np.ndarray, cfg: SolveConfig,
-          x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveStats]:
+          x0: np.ndarray | None = None,
+          x0_product: np.ndarray | None = None) -> tuple[np.ndarray, SolveStats]:
     """Solve M_sys x = rhs to the configured tolerance contract.
 
-    CG terminates when the recursive residual satisfies ||r||_2 <=
-    cg_tolerance * ||rhs||_2, preconditioned as choose_preconditioner decides;
-    the returned stats carry the recomputed true residual.  Non-convergence,
-    non-finite data and a tolerance below eps * bound raise SolveFailure.
+    CG starts from x0 (zero if None) and terminates when the recursive
+    residual satisfies ||r||_2 <= cg_tolerance * ||rhs||_2, preconditioned as
+    choose_preconditioner decides.  Given x0_product = op.apply(x0), the
+    initial residual needs no operator application, so the solve costs its
+    CG iterations plus one matvec: the true residual the returned stats carry,
+    recomputed from x and never from x0_product.  Non-convergence, non-finite
+    data and a tolerance below eps * bound raise SolveFailure.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     m = len(mat.diag)
@@ -159,13 +167,15 @@ def solve(mat: StepMatrix, rhs: np.ndarray, cfg: SolveConfig,
     max_iter = CG_CAP_FACTOR * math.ceil(
         0.5 * math.sqrt(bound) * math.log(2.0 / rel_tol))
     x = np.zeros(m) if x0 is None else np.array(x0, dtype=np.float64)
-    r = rhs - mat.matvec(x)
+    r = rhs - (mat.matvec(x) if x0_product is None else mat.matvec_from_product(x, x0_product))
     z = pre(r) if pre is not None else r
     p = z.copy()
     rz = float(np.dot(r, z))
     iterations = 0
     tol = rel_tol * bnorm
-    while _finite(float(np.linalg.norm(r)), "residual") > tol:
+    # unpreconditioned, z is r, so sqrt(r.z) is ||r||_2 to the bit
+    while _finite(math.sqrt(rz) if pre is None else float(np.linalg.norm(r)),
+                  "residual") > tol:
         if iterations >= max_iter:
             res = float(np.linalg.norm(r)) / bnorm
             raise SolveFailure(
@@ -173,11 +183,12 @@ def solve(mat: StepMatrix, rhs: np.ndarray, cfg: SolveConfig,
                 f"{max_iter} iterations at condition bound {bound:.4g} (residual {res:.3e})")
         Ap = mat.matvec(p)
         alpha = rz / float(np.dot(p, Ap))
-        x = x + alpha * p
-        r = r - alpha * Ap
+        x += alpha * p
+        r -= alpha * Ap
         z = pre(r) if pre is not None else r
         rz_new = float(np.dot(r, z))
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
         iterations += 1
     res = float(np.linalg.norm(rhs - mat.matvec(x))) / bnorm

@@ -167,6 +167,29 @@ def test_energy_writes_per_alpha_series(tmp_path):
         assert series[0, 2] == pytest.approx(e0, rel=1e-15)
 
 
+@pytest.mark.parametrize("alphas, named", [
+    ("1.3,1.3000001", "1.3, 1.3000001 would all write energy_1.3.csv"),
+    ("1.5,2,1.5", "1.5, 1.5 would all write energy_1.5.csv"),
+])
+def test_energy_alphas_sharing_a_file_name_exit_one(tmp_path, capsys, alphas, named):
+    out = tmp_path / "en"
+    code = main(["energy", "--example", "5.2", "--alphas", alphas, "--domain", "-10", "10",
+                 "--h", "0.5", "--tau", "0.1", "--T", "1", "--out", str(out)])
+    assert code == 1
+    assert named in capsys.readouterr().err
+    assert list(out.iterdir()) == []  # refused before the first run
+
+
+def test_run_meta_records_energy_drift(tmp_path):
+    out = tmp_path / "run"
+    assert main(["run", "--example", "5.2", "--alpha", "1.5", "--domain", "-20", "20",
+                 "--h", "0.5", "--tau", "0.1", "--T", "2", "--out", str(out)]) == 0
+    drift = json.loads((out / "meta.json").read_text())["energy_drift_max"]
+    assert drift > 0.0
+    # energy.csv holds RE to 16 significant digits
+    assert float(f"{drift:.15e}") == np.max(read_csv(out / "energy.csv")[:, 3])
+
+
 def test_bench_rejects_empty_sizes(tmp_path, capsys):
     code = main(["bench", "--sizes", "", "--out", str(tmp_path / "b")])
     assert code == 1

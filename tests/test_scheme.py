@@ -20,7 +20,7 @@ from fracsg import (
     startup_step,
 )
 from fracsg.problems import Problem, exact_breather
-from fracsg.scheme import IeqState, b_func
+from fracsg.scheme import IeqState, b_func, level_product
 
 from oracles import assemble_block_system
 
@@ -120,6 +120,53 @@ def count_solves(monkeypatch) -> list:
 
     monkeypatch.setattr(fracsg.scheme, "solve", counting_solve)
     return calls
+
+
+@pytest.mark.parametrize("with_recorder", [True, False])
+def test_each_level_applies_the_operator_once(monkeypatch, with_recorder):
+    import fracsg.scheme
+
+    grid = GridSpec(a=-20.0, b=20.0, M=100)
+    cfg = SchemeConfig(grid=grid, alpha=1.6, T=1.0, N=10)
+    op = FracOperator(cfg.alpha, grid)
+    iterations, applies, states = [], [], []
+    solve, apply = fracsg.scheme.solve, FracOperator.apply
+
+    def recording_solve(*args, **kwargs):
+        x, stats = solve(*args, **kwargs)
+        iterations.append(stats.iterations)
+        return x, stats
+
+    def counting_apply(self, u):
+        applies.append(1)
+        return apply(self, u)
+
+    monkeypatch.setattr(fracsg.scheme, "solve", recording_solve)
+    monkeypatch.setattr(FracOperator, "apply", counting_apply)
+    recorder = EnergyRecorder(op)
+    observers = (recorder,) if with_recorder else ()
+    run(get_problem("5.2"), cfg, observers=observers + (lambda s, _: states.append(s),), op=op)
+    # CG iterations, the first step's initial residual, one true residual per
+    # step, and one product per level
+    assert len(applies) == sum(iterations) + (cfg.N + 1) + (cfg.N + 1)
+    monkeypatch.undo()
+    assert len(states) == cfg.N + 1
+    for state in states:
+        assert state.product[0] is op
+        assert np.array_equal(state.product[1], op.apply(state.U))
+    h = grid.h
+    for state, row in zip(states, recorder.rows):
+        assert row[2] == 0.5 * (h * float(np.dot(state.V, state.V)) + op.energy_seminorm_sq(state.U)
+                                + 2.0 * h * float(np.dot(state.W, state.W)))
+
+
+def test_level_product_is_computed_for_the_operator_asked():
+    grid = GridSpec(a=-20.0, b=20.0, M=40)
+    state = initial_state(get_problem("5.2"), grid)
+    ops = [FracOperator(alpha, grid) for alpha in (1.5, 1.9)]
+    for op in ops + ops[:1]:
+        assert np.array_equal(level_product(state, op), op.apply(state.U))
+        assert state.product[0] is op
 
 
 def test_startup_is_one_solve_and_run_is_n(monkeypatch):

@@ -92,6 +92,47 @@ def test_warm_start_converges_immediately():
     assert stats.iterations == 0
 
 
+def count_applies(monkeypatch):
+    """A list that receives one entry per FracOperator.apply call."""
+    calls = []
+    apply = FracOperator.apply
+
+    def counting(self, u):
+        calls.append(1)
+        return apply(self, u)
+
+    monkeypatch.setattr(FracOperator, "apply", counting)
+    return calls
+
+
+@pytest.mark.parametrize("min_bound", [math.inf, 0.0], ids=["plain", "circulant"])
+def test_start_product_replaces_the_initial_matvec(rng, monkeypatch, min_bound):
+    monkeypatch.setattr(solvers, "CIRCULANT_MIN_BOUND", min_bound)
+    mat = make_step_matrix(M=128, tau=0.3)
+    rhs = rng.standard_normal(len(mat.diag))
+    x0 = rng.standard_normal(len(mat.diag))
+    x0_product = mat.op.apply(x0)
+    calls = count_applies(monkeypatch)
+    x_matvec, by_matvec = solve(mat, rhs, SolveConfig(), x0=x0)
+    matvec_calls = len(calls)
+    calls.clear()
+    x_product, by_product = solve(mat, rhs, SolveConfig(), x0=x0, x0_product=x0_product)
+    assert by_product.iterations == by_matvec.iterations > 0
+    assert np.max(np.abs(x_product - x_matvec)) <= 1e-13
+    assert len(calls) == matvec_calls - 1
+    assert by_product.residual <= 1e-12
+
+
+def test_true_residual_does_not_trust_the_start_product(rng):
+    mat = make_step_matrix(M=128, tau=0.3)
+    rhs = rng.standard_normal(len(mat.diag))
+    x0 = rng.standard_normal(len(mat.diag))
+    # CG converges for the residual it was given, so only the true residual
+    # shows that the supplied product was wrong
+    _, stats = solve(mat, rhs, SolveConfig(), x0=x0, x0_product=1.01 * mat.op.apply(x0))
+    assert stats.residual > 1e-6
+
+
 def test_unconvergeable_solve_fails_within_derived_cap(rng, monkeypatch):
     mat = make_step_matrix(M=64)
     cfg = SolveConfig(cg_rel_tol=1e-12)
