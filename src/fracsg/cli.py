@@ -211,7 +211,7 @@ def cmd_run(s: dict, out_dir: Path) -> int:
     meta = dict(
         example=problem.key, omega=problem.omega, alpha=cfg.alpha, domain=[grid.a, grid.b],
         h=grid.h, M=grid.M, tau=cfg.tau, N=cfg.N, T=cfg.T, method=solve.method,
-        cg_rel_tol=cg_tolerance(solve, bound), precond=choose_preconditioner(op, cfg.tau),
+        cg_rel_tol=cg_tolerance(solve, op, cfg.tau), precond=choose_preconditioner(op, cfg.tau),
         condition_bound=bound, snapshot_stride=stride,
         fft_embed_size=op.embed_size, cg_iterations_max=result.cg_iterations_max,
         cg_iterations_mean=result.cg_iterations_mean, residual_max=result.residual_max,

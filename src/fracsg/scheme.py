@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operator import FracOperator, GridSpec, generate_kernel
-from .solvers import SolveConfig, SolveStats, StepMatrix, solve
+from .solvers import SolveConfig, SolveStats, StepMatrix, cg_tolerance, solve
 
 
 def b_func(x):
@@ -158,6 +158,8 @@ def run(problem, cfg: SchemeConfig, observers=(), op: FracOperator | None = None
     """
     if op is None:
         op = FracOperator(cfg.alpha, cfg.grid)
+    if cfg.solve.method == "cg":
+        cg_tolerance(cfg.solve, op, cfg.tau)  # refuses an unusable tolerance before any step
     state = initial_state(problem, cfg.grid)
     for obs in observers:
         obs(state, None)

@@ -30,6 +30,9 @@ CIRCULANT_MIN_BOUND = 5.0
 # bounds 1-400 and tolerances 1e-12 and 1e-14 took at most 0.87 of the bound.
 CG_CAP_FACTOR = 2
 
+# Ceiling of the default CG tolerance: the direct/FFT agreement contract.
+CG_DEFAULT_TOL_CEILING = 1e-8
+
 # Largest system the dense direct path factorizes.  It forms several dense
 # copies of the matrix, 128 MiB each at this size.
 DIRECT_MAX_SIZE = 4096
@@ -95,13 +98,21 @@ def condition_bound(op: FracOperator, tau: float) -> float:
     return 1.0 + 0.5 * tau * tau * op.scale * float(op.kernel[0]) + 0.125 * tau * tau
 
 
-def cg_tolerance(cfg: SolveConfig, bound: float) -> float:
-    """CG's relative tolerance at condition bound ``bound``: cfg.cg_rel_tol,
-    by default max(1e-12, 10 eps bound) (1e-12 up to bounds of about 450).
-    Below eps * bound the true residual no longer follows the recursive one,
-    so a tolerance set there raises SolveFailure."""
+def cg_tolerance(cfg: SolveConfig, op: FracOperator, tau: float) -> float:
+    """CG's relative tolerance for the step matrices of ``op`` and ``tau``:
+    cfg.cg_rel_tol, by default max(1e-12, 10 eps bound) with the condition
+    bound (1e-12 up to bounds of about 450).  Below eps * bound the true
+    residual no longer follows the recursive one, so a tolerance set there
+    raises SolveFailure, as does a default above CG_DEFAULT_TOL_CEILING
+    (bounds above about 4.5e6), which would accept a visibly wrong step."""
+    bound = condition_bound(op, tau)
     floor = np.finfo(np.float64).eps * bound
     if cfg.cg_rel_tol is None:
+        if 10.0 * floor > CG_DEFAULT_TOL_CEILING:
+            raise SolveFailure(
+                f"default CG rel tol {10.0 * floor:.3g} (10 eps times condition bound "
+                f"{bound:.4g} at h={op.grid.h:g}, tau={tau:g}) exceeds its ceiling "
+                f"{CG_DEFAULT_TOL_CEILING:g}; a smaller tau lowers the bound")
         return max(1e-12, 10.0 * floor)
     if cfg.cg_rel_tol < floor:
         raise SolveFailure(
@@ -160,7 +171,7 @@ def solve(mat: StepMatrix, rhs: np.ndarray, cfg: SolveConfig,
         return x, SolveStats(iterations=0, residual=res)
 
     bound = condition_bound(mat.op, mat.tau)  # the plain bound caps both paths
-    rel_tol = cg_tolerance(cfg, bound)
+    rel_tol = cg_tolerance(cfg, mat.op, mat.tau)
     pre = None
     if choose_preconditioner(mat.op, mat.tau) == "circulant":
         pre = build_circulant_preconditioner(mat)

@@ -20,6 +20,12 @@ def apply_dense(op, u):
     return op.scale * np.convolve(np.asarray(u, dtype=np.float64), sym)[m - 1:2 * m - 1]
 
 
+def energy_seminorm_sq(op, u):
+    """h^{1-alpha} u^T C u, the squared discrete fractional seminorm, as
+    h (op.apply(u), u); the form of the energy's seminorm term."""
+    return op.grid.h * float(np.dot(op.apply(u), u))
+
+
 def assemble_block_system(op, tau, bvec, U_n, V_n, W_n, size_guard=128):
     """Dense 3(M-1) block system for the midpoint unknowns (U, V, W)^{n+1/2}.
 

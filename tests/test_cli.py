@@ -294,6 +294,22 @@ def test_default_cg_tolerance_follows_condition_bound(tmp_path, capsys):
     assert "lies below the attainable floor" in capsys.readouterr().err
 
 
+def test_default_cg_tolerance_above_its_ceiling_exits_two(tmp_path, capsys):
+    # M = 1,000 and tau = 3 give a condition bound of 2.25e14, where the
+    # default 10 eps kappa would be 0.5 and a step could end 5 % off
+    probe = ["run", "--example", "5.2", "--alpha", "2", "--domain", "-0.0001", "0.0001",
+             "--h", "2e-7", "--tau", "3", "--T", "6"]
+    assert main(probe + ["--out", str(tmp_path / "default")]) == 2
+    err = capsys.readouterr().err
+    assert "condition bound 2.25e+14 at h=2e-07, tau=3" in err
+    assert f"exceeds its ceiling {solvers.CG_DEFAULT_TOL_CEILING:g}" in err
+    assert not (tmp_path / "default" / "meta.json").exists()
+    # an explicit tolerance keeps its own rules: at or above eps kappa it runs
+    out = tmp_path / "explicit"
+    assert main(probe + ["--cg-tol", "0.6", "--out", str(out)]) == 0
+    assert json.loads((out / "meta.json").read_text())["cg_rel_tol"] == 0.6
+
+
 RUN_WITHOUT_DOMAIN = ["run", "--example", "5.1", "--alpha", "2", "--h", "0.2", "--tau", "0.02",
                       "--T", "1"]
 
@@ -365,6 +381,14 @@ def test_import_does_not_load_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, fracsg.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_bench_beyond_direct_size_limit_exits_one(tmp_path, capsys, monkeypatch):

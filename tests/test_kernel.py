@@ -26,6 +26,20 @@ def reference_kernel(alpha: float, length: int, dps: int = 50) -> np.ndarray:
         return np.array([float(v) for v in vals])
 
 
+def reference_recurrence(alpha: float, length: int, dps: int = 50) -> np.ndarray:
+    """The kernel's own route, c_0 from the Gamma closed form and then the
+    ratio recurrence c_{k+1} = c_k (k - a/2) / (k + a/2 + 1), carried at
+    ``dps`` digits."""
+    with mp.workdps(dps):
+        half = mp.mpf(alpha) / 2
+        c = mp.gamma(2 * half + 1) / mp.gamma(half + 1) ** 2
+        vals = [c]
+        for k in range(length - 1):
+            c = c * (k - half) / (k + half + 1)
+            vals.append(c)
+        return np.array([float(v) for v in vals])
+
+
 def ulp_distance(x: float, ref: float) -> float:
     if ref == 0.0:
         return 0.0 if x == 0.0 else math.inf
@@ -54,6 +68,27 @@ def test_matches_closed_form_to_a_few_ulps(alpha):
     ref = reference_kernel(alpha, length)
     worst = max(ulp_distance(x, r) for x, r in zip(c, ref))
     assert worst <= 4.0, f"alpha={alpha}: worst distance {worst} ulps"
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.5, 1.8, 1.99])
+def test_long_kernel_stays_within_a_few_ulps(alpha):
+    length = 4000
+    c = generate_kernel(alpha, length)
+    ref = reference_recurrence(alpha, length)
+    worst = max(ulp_distance(x, r) for x, r in zip(c, ref))
+    assert worst <= 4.0, f"alpha={alpha}: worst distance {worst} ulps"
+
+
+@given(alpha=st.floats(min_value=1.0, max_value=2.0, exclude_min=True))
+def test_leading_coefficient_within_one_ulp(alpha):
+    with mp.workdps(50):
+        a = mp.mpf(alpha)
+        ref = float(mp.gamma(a + 1) / mp.gamma(a / 2 + 1) ** 2)
+    assert ulp_distance(generate_kernel(alpha, 1)[0], ref) <= 1.0
+
+
+def test_leading_coefficient_is_exact_at_classical_order():
+    assert generate_kernel(2.0, 1)[0] == 2.0
 
 
 @given(

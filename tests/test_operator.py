@@ -1,5 +1,11 @@
 """Discrete fractional Laplacian tests: grid bookkeeping, dense vs FFT
-agreement, spectral bounds, and the energy seminorm."""
+agreement, spectral bounds, the energy seminorm, and the allocator settings
+the module makes at import."""
+
+import ctypes
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +15,7 @@ from scipy.linalg import toeplitz
 
 from fracsg import FracOperator, GridSpec, generate_kernel
 
-from oracles import apply_dense
+from oracles import apply_dense, energy_seminorm_sq
 
 
 def make_op(alpha=1.7, a=-10.0, b=10.0, M=32):
@@ -91,19 +97,19 @@ def test_energy_seminorm_matches_quadratic_form(rng):
     u = rng.standard_normal(op.size)
     C = toeplitz(op.kernel)
     expected = op.grid.h ** (1.0 - op.alpha) * float(u @ C @ u)
-    assert op.energy_seminorm_sq(u) == pytest.approx(expected, rel=1e-12)
+    assert energy_seminorm_sq(op, u) == pytest.approx(expected, rel=1e-12)
     # SPD quadratic form: equivalently a Cholesky factor norm
     L = np.linalg.cholesky(C)
     expected_chol = op.grid.h ** (1.0 - op.alpha) * float(np.sum((L.T @ u) ** 2))
-    assert op.energy_seminorm_sq(u) == pytest.approx(expected_chol, rel=1e-12)
+    assert energy_seminorm_sq(op, u) == pytest.approx(expected_chol, rel=1e-12)
 
 
 def test_energy_seminorm_edge_values():
     op = FracOperator(2.0, GridSpec(a=0.0, b=8.0, M=8))
-    assert op.energy_seminorm_sq(np.zeros(op.size)) == 0.0
+    assert energy_seminorm_sq(op, np.zeros(op.size)) == 0.0
     e1 = np.zeros(op.size)
     e1[0] = 1.0
-    assert op.energy_seminorm_sq(e1) == pytest.approx(2.0, rel=1e-14)
+    assert energy_seminorm_sq(op, e1) == pytest.approx(2.0, rel=1e-14)
 
 
 @given(M=st.integers(min_value=2, max_value=3000))
@@ -118,3 +124,30 @@ def test_rejects_wrong_length_input():
     op = make_op(M=16)
     with pytest.raises(ValueError):
         op.apply(np.zeros(16))
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_repeated_fine_mesh_run_faults_in_no_pages():
+    # with glibc's dynamic thresholds the second run faults about 4,800
+    # pages in, about 96 for each real FFT of length 32768
+    code = """
+import resource
+import fracsg
+cfg = fracsg.SchemeConfig(grid=fracsg.GridSpec(a=-20.0, b=20.0, M=16000), alpha=1.8, T=0.3, N=3)
+problem = fracsg.get_problem("5.1", omega=1.1)
+fracsg.run(problem, cfg)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+fracsg.run(problem, cfg)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert int(out) < 100

@@ -22,7 +22,7 @@ from fracsg import (
 from fracsg.problems import Problem, exact_breather
 from fracsg.scheme import IeqState, b_func, level_product
 
-from oracles import assemble_block_system
+from oracles import assemble_block_system, energy_seminorm_sq
 
 
 def zero_problem():
@@ -156,7 +156,8 @@ def test_each_level_applies_the_operator_once(monkeypatch, with_recorder):
         assert np.array_equal(state.product[1], op.apply(state.U))
     h = grid.h
     for state, row in zip(states, recorder.rows):
-        assert row[2] == 0.5 * (h * float(np.dot(state.V, state.V)) + op.energy_seminorm_sq(state.U)
+        assert row[2] == 0.5 * (h * float(np.dot(state.V, state.V))
+                                + energy_seminorm_sq(op, state.U)
                                 + 2.0 * h * float(np.dot(state.W, state.W)))
 
 
@@ -202,6 +203,17 @@ def test_nan_initial_datum_fails_on_first_startup_solve(monkeypatch):
     with pytest.raises(SolveFailure, match="non-finite right-hand side"):
         run(problem, cfg)
     assert len(calls) == 1
+
+
+def test_default_tolerance_above_its_ceiling_is_refused_before_any_step():
+    from fracsg import SolveFailure
+
+    # zero data would make every solve trivial; the refusal comes first anyway
+    levels = []
+    cfg = SchemeConfig(grid=GridSpec(a=-0.0001, b=0.0001, M=1000), alpha=2.0, T=6.0, N=2)
+    with pytest.raises(SolveFailure, match="exceeds its ceiling"):
+        run(zero_problem(), cfg, observers=(lambda state, _: levels.append(state.n),))
+    assert levels == []
 
 
 def test_cn_step_matches_dense_block_solve(rng):

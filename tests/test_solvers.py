@@ -2,6 +2,7 @@
 failure modes, and the dense block-system oracle."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from fracsg import (
 )
 from fracsg import scheme, solvers
 from fracsg.scheme import b_func
-from fracsg.solvers import StepMatrix, build_circulant_preconditioner, condition_bound, solve
+from fracsg.solvers import (StepMatrix, build_circulant_preconditioner, cg_tolerance,
+                            condition_bound, solve)
 
 from oracles import assemble_block_system
 
@@ -157,6 +159,19 @@ def test_unconvergeable_solve_fails_within_derived_cap(rng, monkeypatch):
                        match=rf"cap of {cap} iterations at condition bound 1\.01\d* \(residual"):
         solve(mat, rhs, cfg)
     assert len(matvecs) == cap + 1  # the initial residual, then one per iteration
+
+
+@pytest.mark.parametrize("tau", [0.3, 1.0, 3.0, 10.0])
+def test_default_tolerance_above_its_ceiling_is_refused(tau):
+    # alpha 2, h = 2e-7, M = 10,000: condition bounds 2.3e12 to 2.5e15, where
+    # 10 eps kappa would be 5e-3 to 5.5
+    op = FracOperator(2.0, GridSpec(a=-0.001, b=0.001, M=10000))
+    bound = condition_bound(op, tau)
+    named = f"condition bound {bound:.4g} at h=2e-07, tau={tau:g}) exceeds its ceiling 1e-08"
+    with pytest.raises(SolveFailure, match=re.escape(named)):
+        cg_tolerance(SolveConfig(), op, tau)
+    # an explicit tolerance is refused only below eps kappa
+    assert cg_tolerance(SolveConfig(cg_rel_tol=0.9), op, tau) == 0.9
 
 
 def test_rhs_length_mismatch():
