@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import EnergyRecorder, convergence_ladder
-from .operator import FracOperator, GridSpec, subdivisions
+from .operator import FracOperator, GridSpec, check_alpha, subdivisions
 from .presets import DEFAULTS, PRESETS
 from .problems import get_problem
 from .scheme import IeqState, SchemeConfig, run
@@ -46,6 +46,13 @@ def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError("must be finite")
+    return value
+
+
+def _subintervals(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise ValueError("needs M >= 2 subintervals")
     return value
 
 
@@ -80,9 +87,9 @@ OPTIONS = (
            extra={"action": "version", "version": __version__}),
     Option("preset", SIM, "named experiment settings"),
     Option("example", SIM, "benchmark problem", str, ("5.1", "5.2")),
-    Option("alpha", ("run",), "fractional order in (1, 2]", float),
-    Option("alphas", ("convergence", "energy", "bench"), "comma-separated fractional orders",
-           _list(float)),
+    Option("alpha", ("run",), "fractional order in (1, 2]", check_alpha),
+    Option("alphas", ("convergence", "energy", "bench"),
+           "comma-separated fractional orders in (1, 2]", _list(check_alpha)),
     Option("omega", ALL, "width parameter of benchmark 5.1", _positive(float)),
     Option("domain", SIM, "interval endpoints", _list(_finite, 2),
            extra={"nargs": 2, "metavar": ("A", "B")}),
@@ -92,7 +99,8 @@ OPTIONS = (
     Option("base_tau", ("convergence",), "coarsest time step", _positive(float)),
     Option("levels", ("convergence",), "ladder depth", _positive(int)),
     Option("T", ALL, "final time", _positive(float)),
-    Option("sizes", ("bench",), "comma-separated interior sizes M", _list(int)),
+    Option("sizes", ("bench",), "comma-separated subinterval counts M >= 2 (M-1 unknowns)",
+           _list(_subintervals)),
     Option("taus", ("bench",), "comma-separated time steps", _list(_positive(float))),
     Option("reps", ("bench",), "repetitions per timing (median reported)", _positive(int)),
     Option("cg_tol", ALL, "CG relative residual tolerance (default max(1e-12, 10 eps "
@@ -162,6 +170,7 @@ def _scheme_config(s: dict, alpha: float) -> SchemeConfig:
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)  # here, so a refused run leaves no --out
     with path.open("w") as f:
         f.write(header + "\n")
         f.writelines(",".join(row) + "\n" for row in rows)
@@ -193,6 +202,7 @@ class SnapshotWriter:
             cells[1::4], cells[2::4], cells[3::4] = (
                 state.U.tolist(), state.V.tolist(), state.W.tolist())
             text = "x,U,V,W\n" + self._template % tuple(cells)
+            self.out_dir.mkdir(parents=True, exist_ok=True)
             (self.out_dir / f"solution_{state.n}.csv").write_text(text)
 
 
@@ -314,10 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         ns = build_parser().parse_args(argv)
-        settings = resolve(ns)
-        out_dir = Path(ns.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        return ns.func(settings, out_dir)
+        return ns.func(resolve(ns), Path(ns.out))
     except SystemExit as exc:
         # help and --version exit 0; usage errors exit 1, not argparse's 2,
         # because exit code 2 is reserved for numerical failures

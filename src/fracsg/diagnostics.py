@@ -23,8 +23,8 @@ def discrete_energy(state: IeqState, op: FracOperator) -> float:
     """E^n = 1/2 (||V||^2 + ||Lambda^alpha U||^2 + 2 ||W||^2) with the
     discrete inner product h * sum over interior nodes.  The seminorm term
     ||Lambda^alpha U||^2 = h^{1-alpha} U^T C U is h (op.apply(U), U), with the
-    level's stored operator product, so it costs no FFT where the stepper
-    has already applied the operator to U."""
+    level's operator product, which the stepper and this function share:
+    whichever reads it first computes it."""
     h = op.grid.h
     return 0.5 * (
         h * float(np.dot(state.V, state.V))

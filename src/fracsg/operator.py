@@ -63,6 +63,15 @@ def _pin_malloc_thresholds() -> None:
 _pin_malloc_thresholds()
 
 
+def check_alpha(alpha) -> float:
+    """``alpha``, a number or its text, as a float; ValueError unless it lies
+    in (1, 2]."""
+    alpha = float(alpha)
+    if not 1.0 < alpha <= 2.0:
+        raise ValueError(f"alpha must lie in (1, 2], got {alpha}")
+    return alpha
+
+
 def generate_kernel(alpha: float, length: int) -> np.ndarray:
     """One-sided coefficient sequence c_0 .. c_{length-1} of the fractional
     centered difference of order ``alpha`` (the full stencil is symmetric,
@@ -75,8 +84,7 @@ def generate_kernel(alpha: float, length: int) -> np.ndarray:
     within a few ulps of the exact closed form even for k ~ 1e4; a plain
     float64 recurrence drifts by thousands of ulps over that range.
     """
-    if not 1.0 < alpha <= 2.0:
-        raise ValueError(f"alpha must lie in (1, 2], got {alpha}")
+    check_alpha(alpha)
     if length < 1:
         raise ValueError(f"kernel length must be >= 1, got {length}")
     half = np.longdouble(alpha) / 2

@@ -13,9 +13,10 @@ algebraically.  The first step has no U^{-1} to extrapolate from, so it
 evaluates b at the explicit predictor U^0 + (tau/2) V^0 of the midpoint; the
 energy is conserved for any frozen b, so it too is one linear solve.
 
-Each level's operator product op.apply(U^n), one FFT pair, is computed once
-and stored on its state, so a later step costs its CG iterations, one
-true-residual matvec and the new level's product.
+Each level's operator product op.apply(U^n), one FFT pair, is computed the
+first time a step or an observer reads it and is stored on its state, so a
+later step costs its CG iterations, one true-residual matvec and at most one
+product.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operator import FracOperator, GridSpec, generate_kernel
+from .operator import FracOperator, GridSpec, check_alpha
 from .solvers import SolveConfig, SolveStats, StepMatrix, cg_tolerance, solve
 
 
@@ -57,8 +58,7 @@ class SchemeConfig:
     solve: SolveConfig = field(default_factory=SolveConfig)
 
     def __post_init__(self) -> None:
-        # alpha range check is shared with kernel generation
-        generate_kernel(self.alpha, 1)
+        check_alpha(self.alpha)
         if not self.T > 0:
             raise ValueError(f"final time must be positive, got T={self.T}")
         if self.N < 1:
@@ -95,22 +95,17 @@ def level_product(state: IeqState, op: FracOperator) -> np.ndarray:
     return state.product[1]
 
 
-def _solve_midpoint(op: FracOperator, cfg: SchemeConfig, bvec: np.ndarray,
-                    state: IeqState, x0: np.ndarray,
-                    x0_product: np.ndarray | None = None) -> tuple[np.ndarray, SolveStats]:
-    """One SPD solve for U^{n+1/2} given the frozen coefficient vector."""
+def _step(op: FracOperator, cfg: SchemeConfig, state: IeqState, bvec: np.ndarray,
+          x0: np.ndarray, x0_product: np.ndarray | None = None) -> tuple[IeqState, SolveStats]:
+    """One SPD solve for U^{n+1/2} given the frozen coefficient vector, then
+    the remaining midpoints recovered and reflected to the next level."""
     tau = cfg.tau
     diag = (tau * tau / 8.0) * bvec * bvec
     rhs = state.U + (0.5 * tau) * state.V - (tau * tau / 4.0) * bvec * state.W + diag * state.U
-    mat = StepMatrix(op=op, tau=tau, diag=diag)
-    return solve(mat, rhs, cfg.solve, x0=x0, x0_product=x0_product)
-
-
-def _advance(state: IeqState, U_mid: np.ndarray, bvec: np.ndarray,
-             cfg: SchemeConfig) -> IeqState:
-    """Recover the remaining midpoints and reflect to the next level."""
+    U_mid, stats = solve(StepMatrix(op, tau, diag), rhs, cfg.solve, x0=x0, x0_product=x0_product)
+    del diag, rhs  # freed before the next level is built
     dU = U_mid - state.U
-    V_mid = 2.0 * dU / cfg.tau
+    V_mid = 2.0 * dU / tau
     W_mid = state.W + 0.5 * bvec * dU
     n = state.n + 1
     return IeqState(
@@ -119,7 +114,7 @@ def _advance(state: IeqState, U_mid: np.ndarray, bvec: np.ndarray,
         W=2.0 * W_mid - state.W,
         t=cfg.T * (n / cfg.N),  # from the level index, so level N is at T exactly
         n=n,
-    )
+    ), stats
 
 
 def startup_step(state0: IeqState, op: FracOperator,
@@ -128,25 +123,19 @@ def startup_step(state0: IeqState, op: FracOperator,
     U^0 + (tau/2) V^0, which also warm-starts the solve.  The predictor's
     product is not at hand, so the initial residual costs one matvec."""
     predictor = state0.U + (0.5 * cfg.tau) * state0.V
-    bvec = b_func(predictor)
-    U_mid, stats = _solve_midpoint(op, cfg, bvec, state0, x0=predictor)
-    return _advance(state0, U_mid, bvec, cfg), stats
+    return _step(op, cfg, state0, b_func(predictor), x0=predictor)
 
 
 def cn_step(state_nm1: IeqState, state_n: IeqState, op: FracOperator,
             cfg: SchemeConfig) -> tuple[IeqState, SolveStats]:
     """One linearly-implicit step using the extrapolated midpoint
     x0 = (3 U^n - U^{n-1})/2 inside the coefficient b, which also warm-starts
-    the solve from the two levels' stored products, with no operator
+    the solve from the two levels' products, with no further operator
     application.  It costs its CG iterations, one true-residual matvec and
-    the new level's product, stored for the next step and the observers."""
+    the product of U^n, unless an observer has already read that one."""
     x0 = 1.5 * state_n.U - 0.5 * state_nm1.U
     x0_product = 1.5 * level_product(state_n, op) - 0.5 * level_product(state_nm1, op)
-    bvec = b_func(x0)
-    U_mid, stats = _solve_midpoint(op, cfg, bvec, state_n, x0=x0, x0_product=x0_product)
-    nxt = _advance(state_n, U_mid, bvec, cfg)
-    level_product(nxt, op)
-    return nxt, stats
+    return _step(op, cfg, state_n, b_func(x0), x0=x0, x0_product=x0_product)
 
 
 def run(problem, cfg: SchemeConfig, observers=(), op: FracOperator | None = None) -> RunResult:

@@ -177,7 +177,7 @@ def test_energy_alphas_sharing_a_file_name_exit_one(tmp_path, capsys, alphas, na
                  "--h", "0.5", "--tau", "0.1", "--T", "1", "--out", str(out)])
     assert code == 1
     assert named in capsys.readouterr().err
-    assert list(out.iterdir()) == []  # refused before the first run
+    assert not out.exists()  # refused before the first run
 
 
 def test_run_meta_records_energy_drift(tmp_path):
@@ -194,6 +194,35 @@ def test_bench_rejects_empty_sizes(tmp_path, capsys):
     code = main(["bench", "--sizes", "", "--out", str(tmp_path / "b")])
     assert code == 1
     assert "nonempty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["energy", "--example", "5.2", "--domain", "-10", "10", "--h", "0.5", "--tau", "0.1",
+      "--T", "1", "--alphas", "1.5,2.5"], ""),
+    (["energy", "--preset", "fig2"], "alphas = 1.5, 1\n"),
+    (["convergence", "--preset", "table1", "--alphas", "1.5,2.0000001"], ""),
+    (["bench", "--alphas", "1.5,nan"], ""),
+], ids=["energy-flag", "energy-file", "convergence", "bench"])
+def test_alphas_out_of_range_exit_one_before_any_run(tmp_path, capsys, monkeypatch, argv,
+                                                     config):
+    monkeypatch.setattr("fracsg.cli.run", None)  # a run would fail with TypeError
+    monkeypatch.setattr("fracsg.cli.convergence_ladder", None)
+    cfg = tmp_path / "settings.txt"
+    cfg.write_text(config)
+    out = tmp_path / "x"
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid alphas " in err and "(1, 2]" in err
+    assert not out.exists()
+
+
+def test_bench_sizes_below_two_exit_one_before_any_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("fracsg.cli.run", None)
+    out = tmp_path / "b"
+    assert main(["bench", "--sizes", "20,0", "--taus", "0.5", "--T", "1", "--reps", "1",
+                 "--out", str(out)]) == 1
+    assert "invalid sizes '20,0': needs M >= 2 subintervals" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_small_instance(tmp_path):
@@ -303,7 +332,7 @@ def test_default_cg_tolerance_above_its_ceiling_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "condition bound 2.25e+14 at h=2e-07, tau=3" in err
     assert f"exceeds its ceiling {solvers.CG_DEFAULT_TOL_CEILING:g}" in err
-    assert not (tmp_path / "default" / "meta.json").exists()
+    assert not (tmp_path / "default").exists()  # refused before any output
     # an explicit tolerance keeps its own rules: at or above eps kappa it runs
     out = tmp_path / "explicit"
     assert main(probe + ["--cg-tol", "0.6", "--out", str(out)]) == 0
