@@ -1,10 +1,11 @@
 """Command-line front end of the fracsg solver.
 
 Settings come from flags, then a --config file, then a --preset, then the
-subcommand's defaults.  All real numbers in CSV output use 16-significant-digit
-scientific notation, and every output except bench timings is byte-stable
-across repeated runs.  Exit codes: 0 success, 1 configuration error,
-2 numerical failure.
+subcommand's defaults.  All real numbers in CSV output are written as Python's
+"%.15e" writes them, and every output except bench timings is byte-stable
+across repeated runs.  Solution snapshots are formatted in numpy; their bytes
+still equal "%.15e" (see SnapshotWriter).  Exit codes: 0 success,
+1 configuration error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -22,15 +23,17 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .diagnostics import EnergyRecorder, convergence_ladder
+from ._format import csv_lines, format_slots
+from .diagnostics import EnergyRecorder, convergence_ladder, w_projection_drift
 from .operator import FracOperator, GridSpec, check_alpha, subdivisions
 from .presets import DEFAULTS, PRESETS
 from .problems import get_problem
 from .scheme import IeqState, SchemeConfig, run
-from .solvers import (NumericalFailure, SolveConfig, cg_tolerance, choose_preconditioner,
-                      condition_bound)
+from .solvers import (DIRECT_MAX_SIZE, NumericalFailure, SolveConfig, cg_tolerance,
+                      choose_preconditioner, condition_bound)
 
 _REAL = "{:.15e}".format
+_BLOCK = 500  # rows per csv_lines call
 
 
 def _positive(conv: Callable[[str], Any]) -> Callable[[str], Any]:
@@ -49,10 +52,13 @@ def _finite(text: str) -> float:
     return value
 
 
-def _subintervals(text: str) -> int:
+def _bench_size(text: str) -> int:
     value = int(text)
     if value < 2:
         raise ValueError("needs M >= 2 subintervals")
+    if value - 1 > DIRECT_MAX_SIZE:  # bench times the dense direct solver too
+        raise ValueError(f"dense direct solve limited to {DIRECT_MAX_SIZE} unknowns, "
+                         f"got {value - 1}")
     return value
 
 
@@ -99,8 +105,8 @@ OPTIONS = (
     Option("base_tau", ("convergence",), "coarsest time step", _positive(float)),
     Option("levels", ("convergence",), "ladder depth", _positive(int)),
     Option("T", ALL, "final time", _positive(float)),
-    Option("sizes", ("bench",), "comma-separated subinterval counts M >= 2 (M-1 unknowns)",
-           _list(_subintervals)),
+    Option("sizes", ("bench",), "comma-separated subinterval counts "
+           f"2 <= M <= {DIRECT_MAX_SIZE + 1} (M-1 unknowns)", _list(_bench_size)),
     Option("taus", ("bench",), "comma-separated time steps", _list(_positive(float))),
     Option("reps", ("bench",), "repetitions per timing (median reported)", _positive(int)),
     Option("cg_tol", ALL, "CG relative residual tolerance (default max(1e-12, 10 eps "
@@ -184,26 +190,30 @@ def _write_energy(path: Path, recorder: EnergyRecorder) -> None:
 class SnapshotWriter:
     """Writes solution_<n>.csv at the configured stride plus the final level.
 
-    Each file is formatted by one ``%`` over a flat cell list whose x column
-    is formatted once; ``"%.15e" % v`` gives the same bytes as ``_REAL(v)``.
+    The cells are formatted by ``_format.csv_lines``, _BLOCK rows at a time so
+    that its work arrays stay small, and the x column only once.  It computes
+    each cell's 16 digits in ``np.longdouble`` and hands every cell whose
+    rounding that precision cannot settle to Python's ``"%.15e"``, so the
+    bytes equal ``"%.15e" % v`` for every float64.  Where ``np.longdouble``
+    is plain double, every cell takes that path: the same bytes, at no more
+    than the speed of formatting each value in Python.
     """
 
     def __init__(self, out_dir: Path, x: np.ndarray, stride: int, last: int):
         self.out_dir = out_dir
         self.stride = stride
         self.last = last
-        self._template = "%s,%.15e,%.15e,%.15e\n" * len(x)
-        self._cells: list = [None] * (4 * len(x))
-        self._cells[0::4] = map(_REAL, x.tolist())
+        self._x = format_slots(x)
 
     def __call__(self, state: IeqState, stats) -> None:
         if state.n % self.stride == 0 or state.n == self.last:
-            cells = self._cells
-            cells[1::4], cells[2::4], cells[3::4] = (
-                state.U.tolist(), state.V.tolist(), state.W.tolist())
-            text = "x,U,V,W\n" + self._template % tuple(cells)
+            table = np.stack([state.U, state.V, state.W], axis=1)
             self.out_dir.mkdir(parents=True, exist_ok=True)
-            (self.out_dir / f"solution_{state.n}.csv").write_text(text)
+            with (self.out_dir / f"solution_{state.n}.csv").open("wb") as f:
+                f.write(b"x,U,V,W\n")
+                for lo in range(0, len(table), _BLOCK):
+                    block = slice(lo, lo + _BLOCK)
+                    f.write(csv_lines(table[block], lead=[a[block] for a in self._x]))
 
 
 def cmd_run(s: dict, out_dir: Path) -> int:
@@ -215,7 +225,9 @@ def cmd_run(s: dict, out_dir: Path) -> int:
     op = FracOperator(cfg.alpha, grid)
     recorder = EnergyRecorder(op)
     snapshots = SnapshotWriter(out_dir, grid.interior_nodes(), stride, cfg.N)
-    result = run(problem, cfg, observers=(recorder, snapshots), op=op)
+    w_drifts: list[float] = []
+    result = run(problem, cfg, op=op, observers=(
+        recorder, snapshots, lambda state, stats: w_drifts.append(w_projection_drift(state))))
     _write_energy(out_dir / "energy.csv", recorder)
     bound = condition_bound(op, cfg.tau)
     meta = dict(
@@ -225,7 +237,8 @@ def cmd_run(s: dict, out_dir: Path) -> int:
         condition_bound=bound, snapshot_stride=stride,
         fft_embed_size=op.embed_size, cg_iterations_max=result.cg_iterations_max,
         cg_iterations_mean=result.cg_iterations_mean, residual_max=result.residual_max,
-        energy_drift_max=recorder.max_relative_drift(), version=__version__)
+        energy_drift_max=recorder.max_relative_drift(), w_drift_max=max(w_drifts),
+        version=__version__)
     (out_dir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return 0
 

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fracsg import FracOperator, solvers
+from fracsg import FracOperator, GridSpec, SchemeConfig, get_problem, run, solvers
 from fracsg.cli import SnapshotWriter, main
+from fracsg.diagnostics import w_projection_drift
 from fracsg.scheme import IeqState
 
 
@@ -190,6 +191,18 @@ def test_run_meta_records_energy_drift(tmp_path):
     assert float(f"{drift:.15e}") == np.max(read_csv(out / "energy.csv")[:, 3])
 
 
+def test_run_meta_records_w_projection_drift(tmp_path):
+    out = tmp_path / "run"
+    assert main(["run", "--example", "5.2", "--alpha", "1.5", "--domain", "-20", "20",
+                 "--h", "0.5", "--tau", "0.1", "--T", "2", "--out", str(out)]) == 0
+    cfg = SchemeConfig(grid=GridSpec(a=-20.0, b=20.0, M=80), alpha=1.5, T=2.0, N=20)
+    drifts = []
+    run(get_problem("5.2"), cfg,
+        observers=(lambda state, stats: drifts.append(w_projection_drift(state)),))
+    assert len(drifts) == 21 and drifts[0] == 0.0
+    assert json.loads((out / "meta.json").read_text())["w_drift_max"] == max(drifts) > 0.0
+
+
 def test_bench_rejects_empty_sizes(tmp_path, capsys):
     code = main(["bench", "--sizes", "", "--out", str(tmp_path / "b")])
     assert code == 1
@@ -222,6 +235,17 @@ def test_bench_sizes_below_two_exit_one_before_any_run(tmp_path, capsys, monkeyp
     assert main(["bench", "--sizes", "20,0", "--taus", "0.5", "--T", "1", "--reps", "1",
                  "--out", str(out)]) == 1
     assert "invalid sizes '20,0': needs M >= 2 subintervals" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_sizes_beyond_direct_limit_exit_one_before_any_run(tmp_path, capsys,
+                                                                  monkeypatch):
+    monkeypatch.setattr("fracsg.cli.run", None)
+    out = tmp_path / "b"
+    assert main(["bench", "--sizes", "4000,5000", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert ("invalid sizes '4000,5000': dense direct solve limited to "
+            f"{solvers.DIRECT_MAX_SIZE} unknowns, got 4999") in err
     assert not out.exists()
 
 
