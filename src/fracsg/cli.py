@@ -29,36 +29,28 @@ from .operator import FracOperator, GridSpec, check_alpha, subdivisions
 from .presets import DEFAULTS, PRESETS
 from .problems import get_problem
 from .scheme import IeqState, SchemeConfig, run
-from .solvers import (DIRECT_MAX_SIZE, NumericalFailure, SolveConfig, cg_tolerance,
-                      choose_preconditioner, condition_bound)
+from .solvers import NumericalFailure, cg_tolerance, choose_preconditioner, condition_bound
 
 _REAL = "{:.15e}".format
 _BLOCK = 500  # rows per csv_lines call
 
 
-def _positive(conv: Callable[[str], Any]) -> Callable[[str], Any]:
+def _between(low: float, high: float, conv: Callable[[str], Any] = float):
+    """A converter of text by ``conv`` that admits values in (low, high) only."""
     def convert(text: str):
         value = conv(text)
-        if not 0 < value < math.inf:  # also rejects NaN
-            raise ValueError("must be positive and finite")
+        if not low < value < high:  # also rejects NaN
+            raise ValueError(f"must lie in ({low:g}, {high:g})")
         return value
     return convert
-
-
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError("must be finite")
-    return value
 
 
 def _bench_size(text: str) -> int:
     value = int(text)
     if value < 2:
         raise ValueError("needs M >= 2 subintervals")
-    if value - 1 > DIRECT_MAX_SIZE:  # bench times the dense direct solver too
-        raise ValueError(f"dense direct solve limited to {DIRECT_MAX_SIZE} unknowns, "
-                         f"got {value - 1}")
+    from . import _dense  # here, so importing the cli loads no SciPy
+    _dense.check_size(value - 1)  # bench times the dense direct solve too
     return value
 
 
@@ -86,6 +78,7 @@ class Option(NamedTuple):
     extra: dict = {}  # further add_argument keywords
 
 
+_POSITIVE, _COUNT = _between(0, math.inf), _between(0, math.inf, int)
 SIM = ("run", "convergence", "energy")
 ALL = SIM + ("bench",)
 OPTIONS = (
@@ -96,23 +89,23 @@ OPTIONS = (
     Option("alpha", ("run",), "fractional order in (1, 2]", check_alpha),
     Option("alphas", ("convergence", "energy", "bench"),
            "comma-separated fractional orders in (1, 2]", _list(check_alpha)),
-    Option("omega", ALL, "width parameter of benchmark 5.1", _positive(float)),
-    Option("domain", SIM, "interval endpoints", _list(_finite, 2),
+    Option("omega", ALL, "width parameter of benchmark 5.1", _POSITIVE),
+    Option("domain", SIM, "interval endpoints", _list(_between(-math.inf, math.inf), 2),
            extra={"nargs": 2, "metavar": ("A", "B")}),
-    Option("h", ("run", "energy", "bench"), "mesh size", _positive(float)),
-    Option("tau", ("run", "energy"), "time step (must divide T)", _positive(float)),
-    Option("base_h", ("convergence",), "coarsest mesh size", _positive(float)),
-    Option("base_tau", ("convergence",), "coarsest time step", _positive(float)),
-    Option("levels", ("convergence",), "ladder depth", _positive(int)),
-    Option("T", ALL, "final time", _positive(float)),
-    Option("sizes", ("bench",), "comma-separated subinterval counts "
-           f"2 <= M <= {DIRECT_MAX_SIZE + 1} (M-1 unknowns)", _list(_bench_size)),
-    Option("taus", ("bench",), "comma-separated time steps", _list(_positive(float))),
-    Option("reps", ("bench",), "repetitions per timing (median reported)", _positive(int)),
-    Option("cg_tol", ALL, "CG relative residual tolerance (default max(1e-12, 10 eps "
-           "times the condition bound))", _positive(float)),
+    Option("h", ("run", "energy", "bench"), "mesh size", _POSITIVE),
+    Option("tau", ("run", "energy"), "time step (must divide T)", _POSITIVE),
+    Option("base_h", ("convergence",), "coarsest mesh size", _POSITIVE),
+    Option("base_tau", ("convergence",), "coarsest time step", _POSITIVE),
+    Option("levels", ("convergence",), "ladder depth", _COUNT),
+    Option("T", ALL, "final time", _POSITIVE),
+    Option("sizes", ("bench",), "comma-separated subinterval counts M >= 2 (M-1 unknowns, "
+           "within the dense direct solve's limit)", _list(_bench_size)),
+    Option("taus", ("bench",), "comma-separated time steps", _list(_POSITIVE)),
+    Option("reps", ("bench",), "repetitions per timing (median reported)", _COUNT),
+    Option("cg_tol", ALL, "CG relative residual tolerance in (0, 1) (default max(1e-12, "
+           "10 eps times the condition bound))", _between(0, 1)),
     Option("snapshot_stride", ("run",),
-           "write solution_<n>.csv every this many steps (default N/100)", _positive(int)),
+           "write solution_<n>.csv every this many steps (default N/100)", _COUNT),
     Option("out", ALL, "output directory", extra={"required": True}),
     Option("config", ALL, "flat key = value config file; flags take precedence"),
 )
@@ -164,15 +157,11 @@ def resolve(ns: argparse.Namespace) -> dict[str, Any]:
     return {k: merged[k] for k in owned}
 
 
-def _solve_config(s: dict) -> SolveConfig:
-    return SolveConfig(cg_rel_tol=s["cg_tol"])
-
-
 def _scheme_config(s: dict, alpha: float) -> SchemeConfig:
     a, b = s["domain"]
     return SchemeConfig(grid=GridSpec(a=a, b=b, M=subdivisions(b - a, s["h"], "h")),
                         alpha=alpha, T=s["T"], N=subdivisions(s["T"], s["tau"], "tau"),
-                        solve=_solve_config(s))
+                        cg_tol=s["cg_tol"])
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -219,7 +208,7 @@ class SnapshotWriter:
 def cmd_run(s: dict, out_dir: Path) -> int:
     """single simulation with snapshots and energy series"""
     cfg = _scheme_config(s, s["alpha"])
-    grid, solve = cfg.grid, cfg.solve
+    grid = cfg.grid
     stride = max(1, cfg.N // 100) if s["snapshot_stride"] is None else s["snapshot_stride"]
     problem = get_problem(s["example"], omega=s["omega"])
     op = FracOperator(cfg.alpha, grid)
@@ -232,9 +221,9 @@ def cmd_run(s: dict, out_dir: Path) -> int:
     bound = condition_bound(op, cfg.tau)
     meta = dict(
         example=problem.key, omega=problem.omega, alpha=cfg.alpha, domain=[grid.a, grid.b],
-        h=grid.h, M=grid.M, tau=cfg.tau, N=cfg.N, T=cfg.T, method=solve.method,
-        cg_rel_tol=cg_tolerance(solve, op, cfg.tau), precond=choose_preconditioner(op, cfg.tau),
-        condition_bound=bound, snapshot_stride=stride,
+        h=grid.h, M=grid.M, tau=cfg.tau, N=cfg.N, T=cfg.T,
+        cg_rel_tol=cg_tolerance(cfg.cg_tol, op, cfg.tau),
+        precond=choose_preconditioner(op, cfg.tau), condition_bound=bound, snapshot_stride=stride,
         fft_embed_size=op.embed_size, cg_iterations_max=result.cg_iterations_max,
         cg_iterations_mean=result.cg_iterations_mean, residual_max=result.residual_max,
         energy_drift_max=recorder.max_relative_drift(), w_drift_max=max(w_drifts),
@@ -249,7 +238,7 @@ def cmd_convergence(s: dict, out_dir: Path) -> int:
     rows = []
     for alpha in s["alphas"]:
         report = convergence_ladder(problem, alpha, *s["domain"], s["base_h"], s["base_tau"],
-                                    s["levels"], s["T"], solve_cfg=_solve_config(s))
+                                    s["levels"], s["T"], cg_tol=s["cg_tol"])
         rows.extend((_REAL(alpha), _REAL(row.h), _REAL(row.tau), _REAL(row.error),
                      "" if row.order is None else _REAL(row.order)) for row in report.rows)
     _write_csv(out_dir / "convergence.csv", "alpha,h,tau,error,order", rows)
@@ -286,15 +275,16 @@ def _timed_run(problem, cfg: SchemeConfig, reps: int) -> tuple[float, np.ndarray
 
 def cmd_bench(s: dict, out_dir: Path) -> int:
     """dense-direct vs FFT-CG wall-clock comparison (default settings take a few minutes)"""
+    from . import _dense  # loads SciPy here, before the first timed run
     problem = get_problem("5.1", omega=s["omega"])
     rows, violations = [], []
     for alpha, M, tau in itertools.product(s["alphas"], s["sizes"], s["taus"]):
         grid = GridSpec(a=-0.5 * M * s["h"], b=0.5 * M * s["h"], M=M)
-        base = dict(grid=grid, alpha=alpha, T=s["T"], N=subdivisions(s["T"], tau, "tau"))
-        direct_cfg = SchemeConfig(solve=SolveConfig(method="direct"), **base)
-        fft_cfg = SchemeConfig(solve=SolveConfig(cg_rel_tol=s["cg_tol"]), **base)
-        t_direct, u_direct = _timed_run(problem, direct_cfg, s["reps"])
-        t_fft, u_fft = _timed_run(problem, fft_cfg, s["reps"])
+        base = dict(grid=grid, alpha=alpha, T=s["T"], N=subdivisions(s["T"], tau, "tau"),
+                    cg_tol=s["cg_tol"])
+        t_direct, u_direct = _timed_run(problem, SchemeConfig(solve=_dense.solve, **base),
+                                        s["reps"])
+        t_fft, u_fft = _timed_run(problem, SchemeConfig(**base), s["reps"])
         diff = float(np.max(np.abs(u_direct - u_fft)))
         if diff > 1e-8:
             raise NumericalFailure(f"direct and FFT solution paths disagree by {diff:.3e} "

@@ -16,7 +16,6 @@ import numpy as np
 from .operator import FracOperator, GridSpec, subdivisions
 from .problems import Problem, exact_breather
 from .scheme import IeqState, SchemeConfig, level_product, run
-from .solvers import SolveConfig
 
 
 def discrete_energy(state: IeqState, op: FracOperator) -> float:
@@ -101,7 +100,7 @@ class ErrorReport:
 
 def convergence_ladder(problem: Problem, alpha: float, a: float, b: float,
                        base_h: float, base_tau: float, levels: int, T: float,
-                       solve_cfg: SolveConfig | None = None) -> ErrorReport:
+                       cg_tol: float | None = None) -> ErrorReport:
     """Errors and observed orders over the refinement ladder (h, tau),
     (h/2, tau/2), ...
 
@@ -112,7 +111,6 @@ def convergence_ladder(problem: Problem, alpha: float, a: float, b: float,
         raise ValueError(f"need at least one ladder level, got {levels}")
     base_M = subdivisions(b - a, base_h, "h")
     base_N = subdivisions(T, base_tau, "tau")
-    solve_cfg = solve_cfg if solve_cfg is not None else SolveConfig()
 
     exact_mode = alpha == 2.0 and problem.has_exact
     n_runs = levels if exact_mode else levels + 1
@@ -120,7 +118,7 @@ def convergence_ladder(problem: Problem, alpha: float, a: float, b: float,
     grids: list[GridSpec] = []
     for lvl in range(n_runs):
         grid = GridSpec(a=a, b=b, M=base_M * 2 ** lvl)
-        cfg = SchemeConfig(grid=grid, alpha=alpha, T=T, N=base_N * 2 ** lvl, solve=solve_cfg)
+        cfg = SchemeConfig(grid=grid, alpha=alpha, T=T, N=base_N * 2 ** lvl, cg_tol=cg_tol)
         finals.append(run(problem, cfg).state.U)
         grids.append(grid)
 

@@ -3,11 +3,11 @@
 The discrete fractional Laplacian of order ``alpha`` in (1, 2] acts on the
 interior values of a homogeneous-Dirichlet grid function as a scaled symmetric
 positive-definite Toeplitz matrix.  The matrix action is evaluated through a
-power-of-two circulant embedding and real FFTs in O(M log M); the dense matrix
-is formed only for the direct solver.
+power-of-two circulant embedding and real FFTs in O(M log M); the matrix is
+never formed.
 
-The kernel's c_0 comes from an extended-precision ln Gamma, so only the dense
-matrix needs SciPy.  Importing the module pins glibc's malloc thresholds
+The kernel's c_0 comes from an extended-precision ln Gamma, so the module
+needs no SciPy.  Importing it pins glibc's malloc thresholds
 (_pin_malloc_thresholds), so large FFTs reuse their scratch memory.
 """
 
@@ -149,19 +149,10 @@ class FracOperator:
         circ[:m] = self.kernel
         circ[self.embed_size - m + 1:] = self.kernel[1:][::-1]
         self.symbol = np.fft.rfft(circ)
-        self._dense: np.ndarray | None = None
 
     @property
     def size(self) -> int:
         return self.grid.M - 1
-
-    def dense_matrix(self) -> np.ndarray:
-        """Materialized h^{-alpha} C; cached, only for factorization and
-        small-size eigenvalue checks."""
-        if self._dense is None:
-            from scipy.linalg import toeplitz  # here, so importing fracsg does not load it
-            self._dense = self.scale * toeplitz(self.kernel)
-        return self._dense
 
     def _check(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=np.float64)
@@ -178,5 +169,5 @@ class FracOperator:
     def apply_fft(self, u: np.ndarray) -> np.ndarray:
         return self.scale * self.circulant_product(self.symbol, self._check(u))
 
-    # the scheme always goes through the fast path
+    # one action under both names
     apply = apply_fft

@@ -4,8 +4,8 @@ Convergence presets cover the two benchmark tables (refinement ladder from
 (h, tau) = (1/5, 1/50), four levels, T = 1); energy presets cover the
 long-time conservation runs; run presets cover the wide-domain soliton
 evolutions.  Each subcommand also has defaults, the values it uses when no
-flag, config file or preset sets them; those of bench drive the
-direct-vs-FFT timing comparison.
+flag, config file or preset sets them; those of bench drive the timing of
+the FFT-CG solve against the dense direct one of _dense.
 """
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ DEFAULTS: dict[str, dict] = {
         "reps": 3,
         "omega": 1.0,  # soliton setting
         # tighter than the general default: per-step CG error accumulates over
-        # the longest sweep (800 steps), and the bench contract checks the two
-        # solution paths against each other at 1e-8
+        # the longest sweep (800 steps), and the bench contract checks the CG
+        # solution against the dense direct one at 1e-8
         "cg_tol": 1e-14,
     },
 }

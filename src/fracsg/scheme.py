@@ -22,11 +22,12 @@ product.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .operator import FracOperator, GridSpec, check_alpha
-from .solvers import SolveConfig, SolveStats, StepMatrix, cg_tolerance, solve
+from .solvers import SolveStats, StepMatrix, cg_tolerance, solve
 
 
 def b_func(x):
@@ -55,10 +56,13 @@ class SchemeConfig:
     alpha: float
     T: float
     N: int
-    solve: SolveConfig = field(default_factory=SolveConfig)
+    cg_tol: float | None = None  # None: the default of solvers.cg_tolerance
+    solve: Callable | None = None  # like solvers.solve; None: the module's solve when called
 
     def __post_init__(self) -> None:
         check_alpha(self.alpha)
+        if self.cg_tol is not None and not 0.0 < self.cg_tol < 1.0:
+            raise ValueError(f"cg_tol must lie in (0, 1), got {self.cg_tol}")
         if not self.T > 0:
             raise ValueError(f"final time must be positive, got T={self.T}")
         if self.N < 1:
@@ -102,7 +106,8 @@ def _step(op: FracOperator, cfg: SchemeConfig, state: IeqState, bvec: np.ndarray
     tau = cfg.tau
     diag = (tau * tau / 8.0) * bvec * bvec
     rhs = state.U + (0.5 * tau) * state.V - (tau * tau / 4.0) * bvec * state.W + diag * state.U
-    U_mid, stats = solve(StepMatrix(op, tau, diag), rhs, cfg.solve, x0=x0, x0_product=x0_product)
+    U_mid, stats = (cfg.solve or solve)(StepMatrix(op, tau, diag), rhs, cfg.cg_tol,
+                                        x0=x0, x0_product=x0_product)
     del diag, rhs  # freed before the next level is built
     dU = U_mid - state.U
     V_mid = 2.0 * dU / tau
@@ -147,8 +152,7 @@ def run(problem, cfg: SchemeConfig, observers=(), op: FracOperator | None = None
     """
     if op is None:
         op = FracOperator(cfg.alpha, cfg.grid)
-    if cfg.solve.method == "cg":
-        cg_tolerance(cfg.solve, op, cfg.tau)  # refuses an unusable tolerance before any step
+    cg_tolerance(cfg.cg_tol, op, cfg.tau)  # refuses an unusable tolerance before any step
     state = initial_state(problem, cfg.grid)
     for obs in observers:
         obs(state, None)

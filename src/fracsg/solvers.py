@@ -2,11 +2,11 @@
 
 Each time step requires one solve with I + (tau^2/4) * Dh^alpha + diag(d),
 d >= 0: identity plus SPD plus nonnegative diagonal, hence SPD for every
-tau > 0.  The fast path runs conjugate gradients with FFT mat-vecs, its
+tau > 0.  It is solved by conjugate gradients with FFT mat-vecs, the
 default tolerance and cap set by the system's a-priori condition bound and,
 where that bound is large, preconditioned through the operator's own circulant
-embedding.  The direct path refactorizes the dense matrix every step, since d
-changes with the midpoint.
+embedding.  The dense direct solve, the reference this one is checked and
+timed against, lives in the private module _dense.
 """
 
 from __future__ import annotations
@@ -25,17 +25,13 @@ from .operator import FracOperator
 # No preset's bound exceeds about 2.  CHANGES.md records the sweep.
 CIRCULANT_MIN_BOUND = 5.0
 
-# CG cap: this factor times ceil(sqrt(bound)/2 ln(2/cg_rel_tol)), the
+# CG cap: this factor times ceil(sqrt(bound)/2 ln(2/rel_tol)), the
 # exact-arithmetic CG bound (Saad 2003, sec. 6.11.3).  Runs at alpha 1.3-2,
 # bounds 1-400 and tolerances 1e-12 and 1e-14 took at most 0.87 of the bound.
 CG_CAP_FACTOR = 2
 
 # Ceiling of the default CG tolerance: the direct/FFT agreement contract.
 CG_DEFAULT_TOL_CEILING = 1e-8
-
-# Largest system the dense direct path factorizes.  It forms several dense
-# copies of the matrix, 128 MiB each at this size.
-DIRECT_MAX_SIZE = 4096
 
 
 class NumericalFailure(RuntimeError):
@@ -48,8 +44,8 @@ class SolveFailure(NumericalFailure):
 
 @dataclass
 class StepMatrix:
-    """Action of M_sys = I + (tau^2/4) * Dh^alpha + diag(d); never formed
-    densely on the fast path."""
+    """Action of M_sys = I + (tau^2/4) * Dh^alpha + diag(d), applied without
+    forming the matrix."""
 
     op: FracOperator
     tau: float
@@ -61,24 +57,6 @@ class StepMatrix:
     def matvec_from_product(self, v: np.ndarray, op_v: np.ndarray) -> np.ndarray:
         """M_sys v from v and its operator product op_v = op.apply(v)."""
         return v + (0.25 * self.tau * self.tau) * op_v + self.diag * v
-
-    def dense(self) -> np.ndarray:
-        m = (0.25 * self.tau * self.tau) * self.op.dense_matrix()
-        m = m + np.eye(len(self.diag))
-        m[np.diag_indices_from(m)] += self.diag
-        return m
-
-
-@dataclass
-class SolveConfig:
-    method: str = "cg"  # "cg" | "direct"
-    cg_rel_tol: float | None = None  # None: the default of cg_tolerance
-
-    def __post_init__(self) -> None:
-        if self.method not in ("cg", "direct"):
-            raise ValueError(f"unknown solve method {self.method!r}")
-        if self.cg_rel_tol is not None and not 0.0 < self.cg_rel_tol < 1.0:
-            raise ValueError("cg_rel_tol must lie in (0, 1)")
 
 
 @dataclass
@@ -98,27 +76,27 @@ def condition_bound(op: FracOperator, tau: float) -> float:
     return 1.0 + 0.5 * tau * tau * op.scale * float(op.kernel[0]) + 0.125 * tau * tau
 
 
-def cg_tolerance(cfg: SolveConfig, op: FracOperator, tau: float) -> float:
+def cg_tolerance(cg_tol: float | None, op: FracOperator, tau: float) -> float:
     """CG's relative tolerance for the step matrices of ``op`` and ``tau``:
-    cfg.cg_rel_tol, by default max(1e-12, 10 eps bound) with the condition
+    cg_tol, by default (None) max(1e-12, 10 eps bound) with the condition
     bound (1e-12 up to bounds of about 450).  Below eps * bound the true
     residual no longer follows the recursive one, so a tolerance set there
     raises SolveFailure, as does a default above CG_DEFAULT_TOL_CEILING
     (bounds above about 4.5e6), which would accept a visibly wrong step."""
     bound = condition_bound(op, tau)
     floor = np.finfo(np.float64).eps * bound
-    if cfg.cg_rel_tol is None:
+    if cg_tol is None:
         if 10.0 * floor > CG_DEFAULT_TOL_CEILING:
             raise SolveFailure(
                 f"default CG rel tol {10.0 * floor:.3g} (10 eps times condition bound "
                 f"{bound:.4g} at h={op.grid.h:g}, tau={tau:g}) exceeds its ceiling "
                 f"{CG_DEFAULT_TOL_CEILING:g}; a smaller tau lowers the bound")
         return max(1e-12, 10.0 * floor)
-    if cfg.cg_rel_tol < floor:
+    if cg_tol < floor:
         raise SolveFailure(
-            f"CG rel tol {cfg.cg_rel_tol:g} lies below the attainable floor {floor:.3g} "
+            f"CG rel tol {cg_tol:g} lies below the attainable floor {floor:.3g} "
             f"(machine epsilon times condition bound {bound:.4g})")
-    return cfg.cg_rel_tol
+    return cg_tol
 
 
 def choose_preconditioner(op: FracOperator, tau: float) -> str:
@@ -141,10 +119,10 @@ def build_circulant_preconditioner(mat: StepMatrix):
     return lambda r: op.circulant_product(spectrum, r)
 
 
-def solve(mat: StepMatrix, rhs: np.ndarray, cfg: SolveConfig,
+def solve(mat: StepMatrix, rhs: np.ndarray, cg_tol: float | None = None,
           x0: np.ndarray | None = None,
           x0_product: np.ndarray | None = None) -> tuple[np.ndarray, SolveStats]:
-    """Solve M_sys x = rhs to the configured tolerance contract.
+    """Solve M_sys x = rhs by CG to the relative tolerance cg_tolerance(cg_tol).
 
     CG starts from x0 (zero if None) and terminates when the recursive
     residual satisfies ||r||_2 <= cg_tolerance * ||rhs||_2, preconditioned as
@@ -158,20 +136,12 @@ def solve(mat: StepMatrix, rhs: np.ndarray, cfg: SolveConfig,
     m = len(mat.diag)
     if rhs.shape != (m,):
         raise ValueError(f"rhs length {rhs.shape} does not match system size {m}")
-    if cfg.method == "direct" and m > DIRECT_MAX_SIZE:
-        raise ValueError(f"dense direct solve limited to {DIRECT_MAX_SIZE} unknowns, got {m}")
     bnorm = _finite(float(np.linalg.norm(rhs)), "right-hand side")
     if bnorm == 0.0:
         return np.zeros(m), SolveStats(iterations=0, residual=0.0)
 
-    if cfg.method == "direct":
-        from scipy.linalg import cho_factor, cho_solve  # here, so importing fracsg does not load it
-        x = cho_solve(cho_factor(mat.dense()), rhs)
-        res = float(np.linalg.norm(rhs - mat.matvec(x))) / bnorm
-        return x, SolveStats(iterations=0, residual=res)
-
     bound = condition_bound(mat.op, mat.tau)  # the plain bound caps both paths
-    rel_tol = cg_tolerance(cfg, mat.op, mat.tau)
+    rel_tol = cg_tolerance(cg_tol, mat.op, mat.tau)
     pre = None
     if choose_preconditioner(mat.op, mat.tau) == "circulant":
         pre = build_circulant_preconditioner(mat)

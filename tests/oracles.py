@@ -9,6 +9,7 @@ quadrature.  Small sizes only.
 import numpy as np
 from scipy.integrate import quad
 
+from fracsg import _dense
 from fracsg.problems import sech
 
 
@@ -42,7 +43,7 @@ def assemble_block_system(op, tau, bvec, U_n, V_n, W_n, size_guard=128):
     if m > size_guard:
         raise ValueError(f"block assembly limited to {size_guard} interior nodes, got {m}")
     I = np.eye(m)
-    A = op.dense_matrix()
+    A = _dense.operator_matrix(op)
     B = np.diag(bvec)
     half = 0.5 * tau
     top = np.hstack((I, -half * I, np.zeros((m, m))))

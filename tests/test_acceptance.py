@@ -17,13 +17,13 @@ from fracsg import (
     FracOperator,
     GridSpec,
     SchemeConfig,
-    SolveConfig,
     cn_step,
     convergence_ladder,
     generate_kernel,
     get_problem,
     run,
 )
+from fracsg import _dense
 from fracsg.diagnostics import max_norm_error_self, orders_from_errors
 from fracsg.presets import ENERGY_PRESETS
 from fracsg.problems import exact_breather, sech
@@ -155,8 +155,7 @@ def test_criterion_05_fft_equals_dense():
 
 def test_criterion_06_schur_step_equals_block_solve():
     grid = GridSpec(a=DOMAIN[0], b=DOMAIN[1], M=8)
-    cfg = SchemeConfig(grid=grid, alpha=1.5, T=1.0, N=10,
-                       solve=SolveConfig(method="direct"))
+    cfg = SchemeConfig(grid=grid, alpha=1.5, T=1.0, N=10, solve=_dense.solve)
     op = FracOperator(cfg.alpha, grid)
     m = op.size
     rng = np.random.default_rng(11)
@@ -276,8 +275,8 @@ def test_criterion_11_fft_faster_than_direct():
         base = dict(grid=grid, alpha=1.5, T=T, N=round(T / tau))
         timings = {}
         finals = {}
-        for method in ("direct", "cg"):
-            cfg = SchemeConfig(solve=SolveConfig(method=method), **base)
+        for method, solve in (("direct", _dense.solve), ("cg", None)):
+            cfg = SchemeConfig(solve=solve, **base)
             best = []
             for _ in range(reps):
                 t0 = time.perf_counter()

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fracsg import FracOperator, GridSpec, SchemeConfig, get_problem, run, solvers
+from fracsg import GridSpec, SchemeConfig, _dense, get_problem, run, solvers
 from fracsg.cli import SnapshotWriter, main
 from fracsg.diagnostics import w_projection_drift
 from fracsg.scheme import IeqState
@@ -245,7 +245,7 @@ def test_bench_sizes_beyond_direct_limit_exit_one_before_any_run(tmp_path, capsy
     assert main(["bench", "--sizes", "4000,5000", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert ("invalid sizes '4000,5000': dense direct solve limited to "
-            f"{solvers.DIRECT_MAX_SIZE} unknowns, got 4999") in err
+            f"{_dense.DIRECT_MAX_SIZE} unknowns, got 4999") in err
     assert not out.exists()
 
 
@@ -326,6 +326,17 @@ def test_unattainable_cg_tolerance_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "1e-30 lies below the attainable floor" in err
     assert "condition bound" in err
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_cg_tolerance_outside_unit_interval_names_the_setting(tmp_path, capsys, source):
+    cfg = tmp_path / "settings.txt"
+    cfg.write_text("cg_tol = 2\n")
+    extra = ["--cg-tol", "2"] if source == "flag" else ["--config", str(cfg)]
+    out = tmp_path / "x"
+    assert main(RUN_ARGS + extra + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: invalid cg_tol '2': must lie in (0, 1)\n"
+    assert not out.exists()
 
 
 def test_default_cg_tolerance_follows_condition_bound(tmp_path, capsys):
@@ -444,17 +455,36 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+@pytest.mark.parametrize("sizes", [["--sizes", "16"], []], ids=["flag", "default"])
+def test_bench_loads_scipy_before_the_first_timed_run(tmp_path, sizes):
+    # a fresh interpreter, so that no other test has loaded SciPy; the spy
+    # runs inside the timed interval, when the first run starts
+    code = ("import sys, fracsg.cli as cli\n"
+            "real, loaded = cli.run, []\n"
+            "def spy(*args, **kwargs):\n"
+            "    loaded.append('scipy.linalg' in sys.modules)\n"
+            "    return real(*args, **kwargs)\n"
+            "cli.run = spy\n"
+            "cli.main(['bench', '--alphas', '1.5', '--taus', '0.1', '--T', '0.2', '--reps', '1',"
+            " '--out', sys.argv[1]] + sys.argv[2:])\n"
+            "print(loaded[0])\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "b"), *sizes], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "True"
+
+
 def test_bench_beyond_direct_size_limit_exits_one(tmp_path, capsys, monkeypatch):
-    def never(self):
+    def never(arg):
         raise AssertionError("dense matrix allocated")
 
-    monkeypatch.setattr(solvers.StepMatrix, "dense", never)
-    monkeypatch.setattr(FracOperator, "dense_matrix", never)
+    monkeypatch.setattr(_dense, "step_matrix", never)
+    monkeypatch.setattr(_dense, "operator_matrix", never)
     code = main(["bench", "--sizes", "20000", "--alphas", "1.5", "--taus", "0.1",
                  "--T", "0.2", "--reps", "1", "--out", str(tmp_path / "b")])
     assert code == 1
     err = capsys.readouterr().err
-    assert f"limited to {solvers.DIRECT_MAX_SIZE} unknowns, got 19999" in err
+    assert f"limited to {_dense.DIRECT_MAX_SIZE} unknowns, got 19999" in err
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

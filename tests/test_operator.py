@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
-from fracsg import FracOperator, GridSpec, generate_kernel
+from fracsg import FracOperator, GridSpec, _dense, generate_kernel
 
 from oracles import apply_dense, energy_seminorm_sq
 
@@ -89,7 +89,7 @@ def test_unscaled_eigenvalues_inside_spectral_bound(alpha, M):
 def test_classical_operator_is_tridiagonal():
     op = FracOperator(2.0, GridSpec(a=0.0, b=6.0, M=6))
     expected = toeplitz([2.0, -1.0, 0.0, 0.0, 0.0])
-    np.testing.assert_array_equal(op.dense_matrix(), expected)
+    np.testing.assert_array_equal(_dense.operator_matrix(op), expected)
 
 
 def test_energy_seminorm_matches_quadratic_form(rng):

@@ -11,7 +11,6 @@ from fracsg import (
     FracOperator,
     GridSpec,
     SchemeConfig,
-    SolveConfig,
     cn_step,
     discrete_energy,
     get_problem,
@@ -19,6 +18,7 @@ from fracsg import (
     run,
     startup_step,
 )
+from fracsg import _dense
 from fracsg.problems import Problem, exact_breather
 from fracsg.scheme import IeqState, b_func, level_product
 
@@ -221,8 +221,7 @@ def test_default_tolerance_above_its_ceiling_is_refused_before_any_step():
 
 def test_cn_step_matches_dense_block_solve(rng):
     grid = GridSpec(a=-20.0, b=20.0, M=8)
-    cfg = SchemeConfig(grid=grid, alpha=1.5, T=1.0, N=10,
-                       solve=SolveConfig(method="direct"))
+    cfg = SchemeConfig(grid=grid, alpha=1.5, T=1.0, N=10, solve=_dense.solve)
     op = FracOperator(cfg.alpha, grid)
     m = op.size
     U_prev = rng.standard_normal(m)

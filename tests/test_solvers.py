@@ -14,12 +14,11 @@ from fracsg import (
     FracOperator,
     GridSpec,
     SchemeConfig,
-    SolveConfig,
     SolveFailure,
     get_problem,
     run,
 )
-from fracsg import scheme, solvers
+from fracsg import _dense, scheme, solvers
 from fracsg.scheme import b_func
 from fracsg.solvers import (StepMatrix, build_circulant_preconditioner, cg_tolerance,
                             condition_bound, solve)
@@ -64,23 +63,29 @@ def record_transform_lengths(monkeypatch):
 def test_step_matrix_action_matches_dense(rng):
     mat = make_step_matrix(M=24)
     v = rng.standard_normal(len(mat.diag))
-    np.testing.assert_allclose(mat.matvec(v), mat.dense() @ v, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(mat.matvec(v), _dense.step_matrix(mat) @ v, rtol=1e-12, atol=1e-12)
 
 
 def test_cg_agrees_with_direct(rng):
     mat = make_step_matrix(M=96)
     rhs = rng.standard_normal(len(mat.diag))
-    x_cg, stats_cg = solve(mat, rhs, SolveConfig(method="cg"))
-    x_dir, stats_dir = solve(mat, rhs, SolveConfig(method="direct"))
+    x_cg, stats_cg = solve(mat, rhs)
+    x_dir, stats_dir = _dense.solve(mat, rhs)
     assert np.max(np.abs(x_cg - x_dir)) <= 1e-10
     assert stats_cg.iterations > 0
     assert stats_cg.residual <= 5e-12
     assert stats_dir.iterations == 0
 
 
+def test_dense_matrix_is_formed_once_per_operator():
+    # a run builds one operator, so bench's direct run forms h^-alpha C once
+    op = make_step_matrix(M=16).op
+    assert _dense.operator_matrix(op) is _dense.operator_matrix(op)
+
+
 def test_zero_rhs_short_circuits():
     mat = make_step_matrix(M=16)
-    x, stats = solve(mat, np.zeros(len(mat.diag)), SolveConfig())
+    x, stats = solve(mat, np.zeros(len(mat.diag)))
     assert np.array_equal(x, np.zeros(len(mat.diag)))
     assert stats.iterations == 0
     assert stats.residual == 0.0
@@ -89,8 +94,8 @@ def test_zero_rhs_short_circuits():
 def test_warm_start_converges_immediately():
     mat = make_step_matrix(M=32)
     rhs = np.ones(len(mat.diag))
-    x, _ = solve(mat, rhs, SolveConfig())
-    _, stats = solve(mat, rhs, SolveConfig(), x0=x)
+    x, _ = solve(mat, rhs)
+    _, stats = solve(mat, rhs, x0=x)
     assert stats.iterations == 0
 
 
@@ -115,10 +120,10 @@ def test_start_product_replaces_the_initial_matvec(rng, monkeypatch, min_bound):
     x0 = rng.standard_normal(len(mat.diag))
     x0_product = mat.op.apply(x0)
     calls = count_applies(monkeypatch)
-    x_matvec, by_matvec = solve(mat, rhs, SolveConfig(), x0=x0)
+    x_matvec, by_matvec = solve(mat, rhs, x0=x0)
     matvec_calls = len(calls)
     calls.clear()
-    x_product, by_product = solve(mat, rhs, SolveConfig(), x0=x0, x0_product=x0_product)
+    x_product, by_product = solve(mat, rhs, x0=x0, x0_product=x0_product)
     assert by_product.iterations == by_matvec.iterations > 0
     assert np.max(np.abs(x_product - x_matvec)) <= 1e-13
     assert len(calls) == matvec_calls - 1
@@ -131,13 +136,12 @@ def test_true_residual_does_not_trust_the_start_product(rng):
     x0 = rng.standard_normal(len(mat.diag))
     # CG converges for the residual it was given, so only the true residual
     # shows that the supplied product was wrong
-    _, stats = solve(mat, rhs, SolveConfig(), x0=x0, x0_product=1.01 * mat.op.apply(x0))
+    _, stats = solve(mat, rhs, x0=x0, x0_product=1.01 * mat.op.apply(x0))
     assert stats.residual > 1e-6
 
 
 def test_unconvergeable_solve_fails_within_derived_cap(rng, monkeypatch):
     mat = make_step_matrix(M=64)
-    cfg = SolveConfig(cg_rel_tol=1e-12)
     bound = condition_bound(mat.op, mat.tau)
     cap = solvers.CG_CAP_FACTOR * math.ceil(0.5 * math.sqrt(bound) * math.log(2.0 / 1e-12))
     rhs = rng.standard_normal(len(mat.diag))
@@ -152,12 +156,12 @@ def test_unconvergeable_solve_fails_within_derived_cap(rng, monkeypatch):
     monkeypatch.setattr(StepMatrix, "matvec", skewed)
     # a tolerance below eps times the bound is refused before any matvec
     with pytest.raises(SolveFailure, match=r"1e-30 lies below the attainable floor 2\.2\de-16"):
-        solve(mat, rhs, SolveConfig(cg_rel_tol=1e-30))
+        solve(mat, rhs, 1e-30)
     assert matvecs == []
     assert cap == 30
     with pytest.raises(SolveFailure,
                        match=rf"cap of {cap} iterations at condition bound 1\.01\d* \(residual"):
-        solve(mat, rhs, cfg)
+        solve(mat, rhs, 1e-12)
     assert len(matvecs) == cap + 1  # the initial residual, then one per iteration
 
 
@@ -169,29 +173,28 @@ def test_default_tolerance_above_its_ceiling_is_refused(tau):
     bound = condition_bound(op, tau)
     named = f"condition bound {bound:.4g} at h=2e-07, tau={tau:g}) exceeds its ceiling 1e-08"
     with pytest.raises(SolveFailure, match=re.escape(named)):
-        cg_tolerance(SolveConfig(), op, tau)
+        cg_tolerance(None, op, tau)
     # an explicit tolerance is refused only below eps kappa
-    assert cg_tolerance(SolveConfig(cg_rel_tol=0.9), op, tau) == 0.9
+    assert cg_tolerance(0.9, op, tau) == 0.9
 
 
 def test_rhs_length_mismatch():
     mat = make_step_matrix(M=16)
     with pytest.raises(ValueError):
-        solve(mat, np.zeros(4), SolveConfig())
+        solve(mat, np.zeros(4))
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"method": "lu"},
-        {"cg_rel_tol": 0.0},
-        {"cg_rel_tol": 1.0},
-        {"cg_rel_tol": math.nan},
+        {"cg_tol": 0.0},
+        {"cg_tol": 1.0},
+        {"cg_tol": math.nan},
     ],
 )
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
-        SolveConfig(**kwargs)
+        SchemeConfig(grid=GridSpec(a=-1.0, b=1.0, M=8), alpha=1.5, T=1.0, N=10, **kwargs)
 
 
 def test_circulant_preconditioner_exists_for_step_matrix():
@@ -225,7 +228,7 @@ def test_preconditioned_solve_transforms_at_embedding_length(rng, monkeypatch):
     m, embed = mat.op.size, mat.op.embed_size
     lengths = record_transform_lengths(monkeypatch)
     monkeypatch.setattr(solvers, "CIRCULANT_MIN_BOUND", 0.0)
-    _, stats = solve(mat, rng.standard_normal(m), SolveConfig())
+    _, stats = solve(mat, rng.standard_normal(m))
     assert stats.iterations > 0
     # every transform runs at the embedding length, none at length m
     assert lengths.count(m) == 0
@@ -271,9 +274,9 @@ def test_preconditioner_never_increases_iterations(rng, monkeypatch):
     mat = make_step_matrix(M=256, tau=0.2)
     rhs = rng.standard_normal(len(mat.diag))
     monkeypatch.setattr(solvers, "CIRCULANT_MIN_BOUND", math.inf)
-    _, plain = solve(mat, rhs, SolveConfig())
+    _, plain = solve(mat, rhs)
     monkeypatch.setattr(solvers, "CIRCULANT_MIN_BOUND", 0.0)
-    _, pre = solve(mat, rhs, SolveConfig())
+    _, pre = solve(mat, rhs)
     assert pre.iterations <= plain.iterations
 
 
@@ -283,7 +286,7 @@ def test_condition_bound_and_preconditioner_spectrum(alpha, M, h, tau, seed):
     op = FracOperator(alpha, GridSpec(a=0.0, b=M * h, M=M))
     rng = np.random.default_rng(seed)
     mat = StepMatrix(op=op, tau=tau, diag=rng.uniform(0.0, tau * tau / 8.0, op.size))
-    eigs = np.linalg.eigvalsh(mat.dense())
+    eigs = np.linalg.eigvalsh(_dense.step_matrix(mat))
     assert eigs[-1] / eigs[0] <= condition_bound(op, tau)
     r = rng.standard_normal(op.size)
     z = build_circulant_preconditioner(mat)(r)
@@ -301,7 +304,7 @@ def test_non_finite_data_raises(where, bad, named):
     data = {"rhs": np.ones(len(mat.diag)), "x0": np.zeros(len(mat.diag))}
     data[where][3] = bad
     with pytest.raises(SolveFailure, match=f"non-finite {named}"):
-        solve(mat, data["rhs"], SolveConfig(), x0=data["x0"])
+        solve(mat, data["rhs"], x0=data["x0"])
 
 
 class TestBlockSystem:
