@@ -89,7 +89,8 @@ OPTIONS = (
     Option("alpha", ("run",), "fractional order in (1, 2]", check_alpha),
     Option("alphas", ("convergence", "energy", "bench"),
            "comma-separated fractional orders in (1, 2]", _list(check_alpha)),
-    Option("omega", ALL, "width parameter of benchmark 5.1", _POSITIVE),
+    Option("omega", ALL, "width parameter of example 5.1, which alone takes one (its own "
+           "default 1.1)", _POSITIVE),
     Option("domain", SIM, "interval endpoints", _list(_between(-math.inf, math.inf), 2),
            extra={"nargs": 2, "metavar": ("A", "B")}),
     Option("h", ("run", "energy", "bench"), "mesh size", _POSITIVE),
@@ -128,12 +129,15 @@ def _read_config(path: str) -> dict[str, str]:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
         raise ValueError(f"cannot read config file: {exc}") from None
-    entries = {}
+    entries, line_of = {}, {}
     for lineno, raw in enumerate(lines, start=1):
         key, eq, value = raw.split("#", 1)[0].partition("=")
+        key = key.strip().replace("-", "_")
+        if eq and key in line_of:
+            raise ValueError(f"{path}:{lineno}: {key} is already set on line {line_of[key]}")
         if eq:
-            entries[key.strip().replace("-", "_")] = value.strip()
-        elif key.strip():
+            entries[key], line_of[key] = value.strip(), lineno
+        elif key:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
     return entries
 
@@ -214,9 +218,10 @@ def cmd_run(s: dict, out_dir: Path) -> int:
     op = FracOperator(cfg.alpha, grid)
     recorder = EnergyRecorder(op)
     snapshots = SnapshotWriter(out_dir, grid.interior_nodes(), stride, cfg.N)
-    w_drifts: list[float] = []
-    result = run(problem, cfg, op=op, observers=(
-        recorder, snapshots, lambda state, stats: w_drifts.append(w_projection_drift(state))))
+    levels = []  # per level: W drift, largest |U| at the two outermost interior nodes
+    result = run(problem, cfg, op=op, observers=(recorder, snapshots, lambda state, stats:
+                 levels.append((w_projection_drift(state), abs(state.U[[0, -1]]).max()))))
+    w_drift_max, boundary_max = np.max(levels, axis=0)
     _write_energy(out_dir / "energy.csv", recorder)
     bound = condition_bound(op, cfg.tau)
     meta = dict(
@@ -226,8 +231,8 @@ def cmd_run(s: dict, out_dir: Path) -> int:
         precond=choose_preconditioner(op, cfg.tau), condition_bound=bound, snapshot_stride=stride,
         fft_embed_size=op.embed_size, cg_iterations_max=result.cg_iterations_max,
         cg_iterations_mean=result.cg_iterations_mean, residual_max=result.residual_max,
-        energy_drift_max=recorder.max_relative_drift(), w_drift_max=max(w_drifts),
-        version=__version__)
+        energy_drift_max=recorder.max_relative_drift(), w_drift_max=w_drift_max,
+        boundary_max=boundary_max, version=__version__)
     (out_dir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return 0
 
@@ -335,7 +340,7 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an --out that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,10 +1,11 @@
 """Energy, error-norm, and convergence-order diagnostics.
 
-The discrete energy is the conserved quadratic form of the stepper; the error
-utilities implement the exact-solution max-norm error (classical case of the
-velocity-kick benchmark only) and the grid-halving self-comparison error at
-coincident nodes (no interpolation).  Convergence ladders assemble the rows
-behind the convergence tables and the observed orders log2(E(h)/E(h/2)).
+The discrete energy is the conserved quadratic form of the stepper.
+Convergence ladders assemble the rows behind the convergence tables and the
+observed orders log2(E(h)/E(h/2)): each error is the max-norm distance from
+the problem's exact solution (Problem.exact, at alpha = 2 only) or, without
+one, the grid-halving self-comparison error at coincident nodes (no
+interpolation).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operator import FracOperator, GridSpec, subdivisions
-from .problems import Problem, exact_breather
+from .problems import Problem
 from .scheme import IeqState, SchemeConfig, level_product, run
 
 
@@ -54,11 +55,6 @@ class EnergyRecorder:
 
     def max_relative_drift(self) -> float:
         return max(r[3] for r in self.rows)
-
-
-def max_norm_error_exact(U: np.ndarray, grid: GridSpec, t: float, omega: float) -> float:
-    """Max-norm distance from the breather at time t over interior nodes."""
-    return float(np.max(np.abs(exact_breather(grid.interior_nodes(), t, omega) - U)))
 
 
 def max_norm_error_self(coarse: np.ndarray, fine: np.ndarray, ratio: int = 2) -> float:
@@ -112,7 +108,7 @@ def convergence_ladder(problem: Problem, alpha: float, a: float, b: float,
     base_M = subdivisions(b - a, base_h, "h")
     base_N = subdivisions(T, base_tau, "tau")
 
-    exact_mode = alpha == 2.0 and problem.has_exact
+    exact_mode = alpha == 2.0 and problem.exact is not None
     n_runs = levels if exact_mode else levels + 1
     finals: list[np.ndarray] = []
     grids: list[GridSpec] = []
@@ -125,7 +121,8 @@ def convergence_ladder(problem: Problem, alpha: float, a: float, b: float,
     errors: list[float] = []
     for lvl in range(levels):
         if exact_mode:
-            errors.append(max_norm_error_exact(finals[lvl], grids[lvl], T, problem.omega))
+            exact = problem.exact(grids[lvl].interior_nodes(), T)
+            errors.append(float(np.max(np.abs(exact - finals[lvl]))))
         else:
             errors.append(max_norm_error_self(finals[lvl], finals[lvl + 1]))
     orders = orders_from_errors(errors)

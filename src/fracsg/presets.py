@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 class Preset:
     """Experiment settings; a field left at None is not part of the preset."""
 
-    problem_key: str
+    example: str
     a: float
     b: float
     T: float
@@ -32,31 +32,30 @@ class Preset:
     def settings(self) -> dict:
         """The set fields under the CLI's setting names."""
         values = asdict(self)
-        values["example"] = values.pop("problem_key")
         values["domain"] = (values.pop("a"), values.pop("b"))
         return {k: v for k, v in values.items() if v is not None}
 
 
 CONVERGENCE_PRESETS: dict[str, Preset] = {
-    "table1": Preset(problem_key="5.1", a=-20.0, b=20.0, base_h=0.2, base_tau=0.02,
-                     levels=4, T=1.0, alphas=(1.3, 1.75, 1.99, 2.0), omega=1.1),
-    "table2": Preset(problem_key="5.2", a=-20.0, b=20.0, base_h=0.2, base_tau=0.02,
+    "table1": Preset(example="5.1", a=-20.0, b=20.0, base_h=0.2, base_tau=0.02,
+                     levels=4, T=1.0, alphas=(1.3, 1.75, 1.99, 2.0)),
+    "table2": Preset(example="5.2", a=-20.0, b=20.0, base_h=0.2, base_tau=0.02,
                      levels=4, T=1.0, alphas=(1.3, 1.6, 1.9, 2.0)),
 }
 
 # the long-time energy runs; final time is not dictated by the benchmark
 # tables, T=10 matches the timing experiment's horizon
 ENERGY_PRESETS: dict[str, Preset] = {
-    "fig2": Preset(problem_key="5.1", a=-40.0, b=40.0, h=0.1, tau=0.05, T=10.0,
-                   alphas=(1.3, 1.75, 1.99, 2.0), omega=1.1),
-    "fig4": Preset(problem_key="5.2", a=-40.0, b=40.0, h=0.05, tau=0.05, T=10.0,
+    "fig2": Preset(example="5.1", a=-40.0, b=40.0, h=0.1, tau=0.05, T=10.0,
+                   alphas=(1.3, 1.75, 1.99, 2.0)),
+    "fig4": Preset(example="5.2", a=-40.0, b=40.0, h=0.05, tau=0.05, T=10.0,
                    alphas=(1.3, 1.6, 1.9, 2.0)),
 }
 
 RUN_PRESETS: dict[str, Preset] = {
-    "soliton1": Preset(problem_key="5.1", a=-100.0, b=100.0, h=0.1,
+    "soliton1": Preset(example="5.1", a=-100.0, b=100.0, h=0.1,
                        tau=0.05, T=10.0, omega=1.0),
-    "soliton2": Preset(problem_key="5.2", a=-100.0, b=100.0, h=0.1,
+    "soliton2": Preset(example="5.2", a=-100.0, b=100.0, h=0.1,
                        tau=0.05, T=10.0),
 }
 
@@ -68,7 +67,8 @@ PRESETS: dict[str, dict[str, Preset]] = {
 
 # what a subcommand falls back on when no flag, config file or preset sets a
 # value; every other setting the subcommand owns is required
-_SOLVE_DEFAULTS = {"omega": 1.1, "cg_tol": None}  # None: solvers.cg_tolerance's default
+# None: the problem's own omega (problems.get_problem), solvers.cg_tolerance's default
+_SOLVE_DEFAULTS = {"omega": None, "cg_tol": None}
 DEFAULTS: dict[str, dict] = {
     "run": {**_SOLVE_DEFAULTS, "snapshot_stride": None},  # None: N // 100
     "convergence": {**_SOLVE_DEFAULTS, "levels": 4},

@@ -1,13 +1,14 @@
 """Benchmark initial-value problems and the classical-case exact solution.
 
-Two standard localized initial conditions are provided, addressed by the CLI
-identifiers "5.1" and "5.2":
+Two standard localized initial conditions are built by get_problem, the only
+constructor of a benchmark problem, under the CLI identifiers "5.1" and "5.2":
 
   5.1  zero displacement with a sech-shaped velocity kick, psi = (4/omega)
-       sech(x/omega).  At alpha = 2 the solution is the known breather
-       4 atan(phi(t; omega) sech(x/omega)), which serves as the exact-error
-       oracle.
-  5.2  a sech-shaped displacement hump at rest, phi = 3.2 sech(x).
+       sech(x/omega), omega = 1.1 unless set.  At alpha = 2 the solution is
+       the known breather 4 atan(phi(t; omega) sech(x/omega)), which
+       Problem.exact returns as the exact-error oracle.
+  5.2  a sech-shaped displacement hump at rest, phi = 3.2 sech(x).  It has
+       no omega and no exact solution.
 
 Both are solved with a zero exterior, near exact at alpha = 2 only: below,
 the kernel's k^{-1-alpha} decay gives algebraic tails.  On fig2's (-40, 40)
@@ -35,36 +36,26 @@ class Problem:
     phi: Callable[[np.ndarray], np.ndarray]
     psi: Callable[[np.ndarray], np.ndarray]
     omega: float | None = None
-    has_exact: bool = False
+    exact: Callable[[np.ndarray, float], np.ndarray] | None = None  # (x, t) -> u at alpha = 2
 
 
-def sech_velocity_kick(omega: float = 1.1) -> Problem:
-    """Benchmark 5.1: u(x,0) = 0, u_t(x,0) = (4/omega) sech(x/omega)."""
-    if not 0 < omega < np.inf:  # also rejects NaN
-        raise ValueError(f"omega must be positive and finite, got {omega}")
-    return Problem(
-        key="5.1",
-        phi=lambda x: np.zeros_like(np.asarray(x, dtype=np.float64)),
-        psi=lambda x: (4.0 / omega) * sech(x / omega),
-        omega=omega,
-        has_exact=True,
-    )
+def _zeros(x):
+    return np.zeros_like(np.asarray(x, dtype=np.float64))
 
 
-def sech_hump_at_rest() -> Problem:
-    """Benchmark 5.2: u(x,0) = 3.2 sech(x), u_t(x,0) = 0."""
-    return Problem(
-        key="5.2",
-        phi=lambda x: 3.2 * sech(x),
-        psi=lambda x: np.zeros_like(np.asarray(x, dtype=np.float64)),
-    )
-
-
-def get_problem(key: str, omega: float = 1.1) -> Problem:
+def get_problem(key: str, omega: float | None = None) -> Problem:
+    """Benchmark ``key``'s initial data.  ``omega`` is 5.1's width, 1.1 unless
+    set; 5.2 takes none, and refuses one."""
     if key == "5.1":
-        return sech_velocity_kick(omega)
+        omega = 1.1 if omega is None else omega
+        if not 0 < omega < np.inf:  # also rejects NaN
+            raise ValueError(f"omega must be positive and finite, got {omega}")
+        return Problem(key, phi=_zeros, psi=lambda x: (4.0 / omega) * sech(x / omega),
+                       omega=omega, exact=lambda x, t: exact_breather(x, t, omega))
     if key == "5.2":
-        return sech_hump_at_rest()
+        if omega is not None:
+            raise ValueError(f"example 5.2 takes no omega, got omega = {omega}")
+        return Problem(key, phi=lambda x: 3.2 * sech(x), psi=_zeros)
     raise ValueError(f"unknown benchmark problem {key!r} (expected 5.1 or 5.2)")
 
 

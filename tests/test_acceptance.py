@@ -129,7 +129,7 @@ def test_criterion_04_energy_conservation_on_presets():
             cfg = SchemeConfig(grid=grid, alpha=alpha, T=preset.T, N=N)
             op = FracOperator(alpha, grid)
             recorder = EnergyRecorder(op)
-            run(get_problem(preset.problem_key, omega=preset.omega), cfg,
+            run(get_problem(preset.example, omega=preset.omega), cfg,
                 observers=(recorder,), op=op)
             drift = recorder.max_relative_drift()
             worst = max(worst, drift)

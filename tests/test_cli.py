@@ -71,6 +71,23 @@ def test_run_preset_with_overrides(tmp_path):
     assert meta["h"] == 0.5
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["--preset", "soliton2", "--omega", "2"], ""),
+    (["--preset", "soliton2"], "omega = 2\n"),
+    (["--preset", "soliton1", "--example", "5.2"], ""),  # the preset's own omega 1.0
+], ids=["flag", "file", "soliton1-preset"])
+def test_omega_for_the_hump_at_rest_exits_one(tmp_path, capsys, argv, config):
+    cfg = tmp_path / "settings.txt"
+    cfg.write_text(config)
+    out = tmp_path / "x"
+    code = main(["run", "--alpha", "1.5", "--T", "0.1", "--config", str(cfg), "--out", str(out)]
+                + argv)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "5.2" in err and "omega" in err
+    assert not out.exists()
+
+
 def test_alpha_out_of_range_exits_one(tmp_path, capsys):
     code = main(["run", "--example", "5.1", "--alpha", "2.5", "--domain", "-20", "20",
                  "--h", "0.2", "--tau", "0.02", "--T", "1",
@@ -125,6 +142,17 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")])
     assert code == 1
     assert "wavelength" in capsys.readouterr().err
+
+
+def test_config_file_rejects_a_key_set_twice(tmp_path, capsys):
+    cfg = tmp_path / "settings.txt"
+    cfg.write_text("h = 0.5\n# finer\nh = 0.25\n")
+    out = tmp_path / "x"
+    code = main(["run", "--example", "5.1", "--alpha", "2", "--domain", "-20", "20",
+                 "--tau", "0.02", "--T", "1", "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    assert f"{cfg}:3: h is already set on line 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_convergence_single_level_has_empty_order(tmp_path):
@@ -201,6 +229,31 @@ def test_run_meta_records_w_projection_drift(tmp_path):
         observers=(lambda state, stats: drifts.append(w_projection_drift(state)),))
     assert len(drifts) == 21 and drifts[0] == 0.0
     assert json.loads((out / "meta.json").read_text())["w_drift_max"] == max(drifts) > 0.0
+
+
+def _boundary_max(tmp_path, alpha, a, b):
+    out = tmp_path / f"{alpha}_{b}"
+    assert main(["run", "--example", "5.1", "--omega", "1.1", "--alpha", str(alpha),
+                 "--domain", str(a), str(b), "--h", "0.2", "--tau", "0.05", "--T", "1",
+                 "--out", str(out)]) == 0
+    return json.loads((out / "meta.json").read_text())["boundary_max"]
+
+
+def test_run_meta_records_zero_exterior_truncation(tmp_path):
+    # near exact at alpha = 2; below, algebraic tails that a wider domain shrinks
+    assert _boundary_max(tmp_path, 2, -20, 20) < 1e-7
+    narrow = _boundary_max(tmp_path, 1.3, -20, 20)
+    assert narrow > 1e-5
+    assert _boundary_max(tmp_path, 1.3, -40, 40) <= narrow / 4
+
+
+def test_run_meta_boundary_max_is_the_largest_edge_value(tmp_path):
+    out = tmp_path / "run"
+    assert main(RUN_ARGS + ["--out", str(out)]) == 0
+    edges = [np.abs(read_csv(path)[[0, -1], 1]).max() for path in out.glob("solution_*.csv")]
+    # every level is written at RUN_ARGS' stride, to 16 significant digits
+    boundary_max = json.loads((out / "meta.json").read_text())["boundary_max"]
+    assert float(f"{boundary_max:.15e}") == max(edges) > 0.0
 
 
 def test_bench_rejects_empty_sizes(tmp_path, capsys):
@@ -291,6 +344,18 @@ def test_unreadable_config_file_exits_one(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "missing.txt"), "--out", str(tmp_path / "x")])
     assert code == 1
     assert "missing.txt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, out", [
+    (RUN_ARGS, "file/x"),
+    (["energy", "--preset", "fig2", "--alphas", "2", "--T", "0.1"], "file"),
+], ids=["under-a-file", "an-existing-file"])
+def test_unwritable_out_exits_one(tmp_path, capsys, argv, out):
+    (tmp_path / "file").write_text("")
+    assert main(argv + ["--out", str(tmp_path / out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path / "file") in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -436,15 +501,6 @@ def test_convergence_config_file_beats_preset(tmp_path):
     rows = [line.split(",") for line in (out / "convergence.csv").read_text().splitlines()[1:]]
     assert len(rows) == 2  # one order, two levels
     assert [(float(r[1]), float(r[2])) for r in rows] == [(2.0, 0.25), (1.0, 0.125)]
-
-
-def test_import_does_not_load_scipy_integrate():
-    code = ("import sys, fracsg.cli; "
-            "print('scipy.integrate' in sys.modules or 'scipy.linalg' in sys.modules)")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
 
 
 def test_import_loads_no_scipy():

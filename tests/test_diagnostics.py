@@ -14,12 +14,7 @@ from fracsg import (
     initial_state,
     run,
 )
-from fracsg.diagnostics import (
-    max_norm_error_exact,
-    max_norm_error_self,
-    orders_from_errors,
-    w_projection_drift,
-)
+from fracsg.diagnostics import max_norm_error_self, orders_from_errors, w_projection_drift
 from fracsg.scheme import IeqState
 
 from oracles import continuous_energy, hump_slope, quadratization_offset
@@ -84,8 +79,9 @@ def test_energy_recorder_rows():
 
 def test_exact_error_at_initial_time_is_zero():
     grid = GridSpec(a=-20.0, b=20.0, M=50)
-    state = initial_state(get_problem("5.1", omega=1.1), grid)
-    assert max_norm_error_exact(state.U, grid, 0.0, 1.1) == 0.0
+    problem = get_problem("5.1", omega=1.1)
+    state = initial_state(problem, grid)
+    assert np.max(np.abs(problem.exact(grid.interior_nodes(), 0.0) - state.U)) == 0.0
 
 
 class TestSelfError:

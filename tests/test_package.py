@@ -1,12 +1,14 @@
 """The package's top-level names, its SciPy-free production modules, and the
-README example that uses them."""
+README examples that use them."""
 
 import ast
 import inspect
 import re
+import shlex
 from pathlib import Path
 
 import fracsg
+from fracsg.cli import build_parser, resolve
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -38,6 +40,25 @@ def test_production_modules_import_no_scipy():
             offenders += [f"{path.name}:{node.lineno} imports {name}" for name in names
                           if name.split(".")[0] == "scipy"]
     assert offenders == []
+
+
+def readme_blocks(lang):
+    return re.findall(rf"```{lang}\n(.*?)```", README.read_text(), re.DOTALL)
+
+
+def test_readme_commands_resolve(tmp_path, monkeypatch):
+    # every fracsg command of the README, and its config-file example, parse and
+    # resolve to a full set of settings; nothing runs and nothing is written
+    monkeypatch.chdir(tmp_path)
+    commands = [shlex.split(line)[1:] for block in readme_blocks("sh")
+                for line in block.replace("\\\n", " ").splitlines() if line.startswith("fracsg ")]
+    assert len(commands) >= 9
+    config = tmp_path / "settings.txt"
+    config.write_text(readme_blocks("ini")[0])
+    commands.append(["run", "--config", str(config), "--out", "out/config"])
+    for argv in commands:
+        assert resolve(build_parser().parse_args(argv)), argv
+    assert list(tmp_path.iterdir()) == [config]
 
 
 def test_readme_library_example_runs(capsys):

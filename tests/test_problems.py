@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from fracsg import get_problem
-from fracsg.problems import (
-    breather_amplitude,
-    exact_breather,
-    sech,
-    sech_hump_at_rest,
-    sech_velocity_kick,
-)
+from fracsg.problems import breather_amplitude, exact_breather, sech
 
 from oracles import hump_slope
 
@@ -28,37 +22,37 @@ class TestSech:
 
 class TestVelocityKick:
     def test_peak_velocity(self):
-        p = sech_velocity_kick(omega=1.0)
+        p = get_problem("5.1", omega=1.0)
         assert p.phi(np.array([0.0]))[0] == 0.0
         assert p.psi(np.array([0.0]))[0] == pytest.approx(4.0, rel=1e-15)
 
     def test_scaling_with_omega(self):
-        p = sech_velocity_kick(omega=1.1)
+        p = get_problem("5.1", omega=1.1)
         assert p.psi(np.array([0.0]))[0] == pytest.approx(4.0 / 1.1, rel=1e-15)
 
     def test_boundary_decay(self):
-        p = sech_velocity_kick(omega=1.1)
+        p = get_problem("5.1", omega=1.1)
         edges = np.array([-20.0, 20.0])
         assert np.max(np.abs(p.psi(edges))) < 1e-7
         assert np.max(np.abs(p.phi(edges))) == 0.0
 
     def test_rejects_nonpositive_omega(self):
         with pytest.raises(ValueError):
-            sech_velocity_kick(omega=0.0)
+            get_problem("5.1", omega=0.0)
 
 
 class TestHumpAtRest:
     def test_peak_displacement(self):
-        p = sech_hump_at_rest()
+        p = get_problem("5.2")
         assert p.phi(np.array([0.0]))[0] == pytest.approx(3.2, rel=1e-15)
         assert p.psi(np.array([0.0]))[0] == 0.0
 
     def test_boundary_decay(self):
-        p = sech_hump_at_rest()
+        p = get_problem("5.2")
         assert np.max(np.abs(p.phi(np.array([-20.0, 20.0])))) < 1e-7
 
     def test_derivative_consistency(self):
-        p = sech_hump_at_rest()
+        p = get_problem("5.2")
         x = np.linspace(-3.0, 3.0, 25)
         d = 1e-6
         fd = (p.phi(x + d) - p.phi(x - d)) / (2.0 * d)
@@ -68,16 +62,36 @@ class TestHumpAtRest:
 @pytest.mark.parametrize("omega", [np.inf, np.nan])
 def test_non_finite_omega_is_rejected(omega):
     with pytest.raises(ValueError, match="positive and finite"):
-        sech_velocity_kick(omega)
+        get_problem("5.1", omega)
     with pytest.raises(ValueError, match="positive and finite"):
         breather_amplitude(1.0, omega)
 
 
 def test_get_problem_dispatch():
     assert get_problem("5.1", omega=1.3).omega == 1.3
+    assert get_problem("5.1").omega == 1.1
     assert get_problem("5.2").key == "5.2"
+    assert get_problem("5.2").omega is None
     with pytest.raises(ValueError):
         get_problem("5.3")
+
+
+@pytest.mark.parametrize("omega", [1.0, 1.1])
+def test_hump_at_rest_refuses_omega(omega):
+    with pytest.raises(ValueError, match=rf"5\.2.*omega.*{omega}"):
+        get_problem("5.2", omega=omega)
+
+
+def test_exact_solution_is_the_breather_at_omega_1_1():
+    x = np.linspace(-20.0, 20.0, 201)
+    for t in (0.0, 0.37, 1.0):
+        np.testing.assert_array_equal(get_problem("5.1").exact(x, t), exact_breather(x, t, 1.1))
+    np.testing.assert_array_equal(get_problem("5.1", omega=0.9).exact(x, 1.0),
+                                  exact_breather(x, 1.0, 0.9))
+
+
+def test_hump_at_rest_has_no_exact_solution():
+    assert get_problem("5.2").exact is None
 
 
 class TestBreather:
