@@ -17,6 +17,7 @@ import math
 import sys
 import time
 from collections import ChainMap
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -89,8 +90,8 @@ OPTIONS = (
     Option("alpha", ("run",), "fractional order in (1, 2]", check_alpha),
     Option("alphas", ("convergence", "energy", "bench"),
            "comma-separated fractional orders in (1, 2]", _list(check_alpha)),
-    Option("omega", ALL, "width parameter of example 5.1, which alone takes one (its own "
-           "default 1.1)", _POSITIVE),
+    Option("omega", ALL, "width parameter of example 5.1, which alone takes one (default 1.1)",
+           _POSITIVE),
     Option("domain", SIM, "interval endpoints", _list(_between(-math.inf, math.inf), 2),
            extra={"nargs": 2, "metavar": ("A", "B")}),
     Option("h", ("run", "energy", "bench"), "mesh size", _POSITIVE),
@@ -161,10 +162,12 @@ def resolve(ns: argparse.Namespace) -> dict[str, Any]:
     return {k: merged[k] for k in owned}
 
 
-def _scheme_config(s: dict, alpha: float) -> SchemeConfig:
+def _scheme_config(s: dict, alpha: float, h: str = "h", tau: str = "tau") -> SchemeConfig:
+    """The one SchemeConfig maker: settings ``s`` at ``alpha``, with the step
+    sizes read from (and errors naming) the settings ``h`` and ``tau``."""
     a, b = s["domain"]
-    return SchemeConfig(grid=GridSpec(a=a, b=b, M=subdivisions(b - a, s["h"], "h")),
-                        alpha=alpha, T=s["T"], N=subdivisions(s["T"], s["tau"], "tau"),
+    return SchemeConfig(grid=GridSpec(a=a, b=b, M=subdivisions(b - a, s[h], h)),
+                        alpha=alpha, T=s["T"], N=subdivisions(s["T"], s[tau], tau),
                         cg_tol=s["cg_tol"])
 
 
@@ -242,8 +245,8 @@ def cmd_convergence(s: dict, out_dir: Path) -> int:
     problem = get_problem(s["example"], omega=s["omega"])
     rows = []
     for alpha in s["alphas"]:
-        report = convergence_ladder(problem, alpha, *s["domain"], s["base_h"], s["base_tau"],
-                                    s["levels"], s["T"], cg_tol=s["cg_tol"])
+        report = convergence_ladder(problem, _scheme_config(s, alpha, "base_h", "base_tau"),
+                                    s["levels"])
         rows.extend((_REAL(alpha), _REAL(row.h), _REAL(row.tau), _REAL(row.error),
                      "" if row.order is None else _REAL(row.order)) for row in report.rows)
     _write_csv(out_dir / "convergence.csv", "alpha,h,tau,error,order", rows)
@@ -284,12 +287,10 @@ def cmd_bench(s: dict, out_dir: Path) -> int:
     problem = get_problem("5.1", omega=s["omega"])
     rows, violations = [], []
     for alpha, M, tau in itertools.product(s["alphas"], s["sizes"], s["taus"]):
-        grid = GridSpec(a=-0.5 * M * s["h"], b=0.5 * M * s["h"], M=M)
-        base = dict(grid=grid, alpha=alpha, T=s["T"], N=subdivisions(s["T"], tau, "tau"),
-                    cg_tol=s["cg_tol"])
-        t_direct, u_direct = _timed_run(problem, SchemeConfig(solve=_dense.solve, **base),
-                                        s["reps"])
-        t_fft, u_fft = _timed_run(problem, SchemeConfig(**base), s["reps"])
+        cfg = _scheme_config({**s, "domain": (-0.5 * M * s["h"], 0.5 * M * s["h"]), "tau": tau},
+                             alpha)
+        t_direct, u_direct = _timed_run(problem, replace(cfg, solve=_dense.solve), s["reps"])
+        t_fft, u_fft = _timed_run(problem, cfg, s["reps"])
         diff = float(np.max(np.abs(u_direct - u_fft)))
         if diff > 1e-8:
             raise NumericalFailure(f"direct and FFT solution paths disagree by {diff:.3e} "
@@ -297,7 +298,7 @@ def cmd_bench(s: dict, out_dir: Path) -> int:
         if M >= 400 and t_fft > t_direct:
             violations.append(f"alpha={alpha} M={M} tau={tau}: "
                               f"fft {t_fft:.3f}s > direct {t_direct:.3f}s")
-        rows.append((_REAL(alpha), str(M), _REAL(grid.h), _REAL(tau), str(base["N"]),
+        rows.append((_REAL(alpha), str(M), _REAL(cfg.grid.h), _REAL(tau), str(cfg.N),
                      _REAL(t_direct), _REAL(t_fft), _REAL(diff)))
     _write_csv(out_dir / "bench.csv",
                "alpha,M,h,tau,steps,direct_seconds,fft_seconds,solution_diff", rows)
@@ -319,9 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     for opt, cmd in ((o, c) for o in OPTIONS for c in o.commands):
         kwargs = dict(opt.extra, dest=opt.name, help=opt.help)
         default = DEFAULTS.get(cmd, {}).get(opt.name)
-        if default is not None:
+        if default is not None:  # the subcommand's own default replaces the general one
             text = ",".join(map(str, default)) if isinstance(default, tuple) else default
-            kwargs["help"] += f" (default {text})"
+            kwargs["help"] = f"{opt.help.partition(' (default ')[0]} (default {text})"
         choices = sorted(PRESETS[cmd]) if opt.name == "preset" else opt.choices
         if choices:
             kwargs["choices"] = choices
@@ -332,7 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         ns = build_parser().parse_args(argv)
-        return ns.func(resolve(ns), Path(ns.out))
+        settings, out = resolve(ns), Path(ns.out)
+        # an --out that cannot be a directory fails here, before any run
+        existing = next(p for p in (out, *out.parents) if p.exists())
+        if not existing.is_dir():
+            raise NotADirectoryError(f"--out {out}: {existing} is not a directory")
+        return ns.func(settings, out)
     except SystemExit as exc:
         # help and --version exit 0; usage errors exit 1, not argparse's 2,
         # because exit code 2 is reserved for numerical failures

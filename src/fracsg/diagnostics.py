@@ -1,8 +1,9 @@
 """Energy, error-norm, and convergence-order diagnostics.
 
 The discrete energy is the conserved quadratic form of the stepper.
-Convergence ladders assemble the rows behind the convergence tables and the
-observed orders log2(E(h)/E(h/2)): each error is the max-norm distance from
+Convergence ladders refine a given SchemeConfig, halving h and tau at each
+level, and assemble the rows behind the convergence tables and the observed
+orders log2(E(h)/E(h/2)): each error is the max-norm distance from
 the problem's exact solution (Problem.exact, at alpha = 2 only) or, without
 one, the grid-halving self-comparison error at coincident nodes (no
 interpolation).
@@ -10,11 +11,11 @@ interpolation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .operator import FracOperator, GridSpec, subdivisions
+from .operator import FracOperator
 from .problems import Problem
 from .scheme import IeqState, SchemeConfig, level_product, run
 
@@ -94,41 +95,24 @@ class ErrorReport:
     rows: list[LadderRow]
 
 
-def convergence_ladder(problem: Problem, alpha: float, a: float, b: float,
-                       base_h: float, base_tau: float, levels: int, T: float,
-                       cg_tol: float | None = None) -> ErrorReport:
-    """Errors and observed orders over the refinement ladder (h, tau),
-    (h/2, tau/2), ...
+def convergence_ladder(problem: Problem, cfg: SchemeConfig, levels: int) -> ErrorReport:
+    """Errors and observed orders over the refinement ladder of cfg: level l
+    halves h and tau l times and keeps the rest (domain, alpha, T, cg_tol, solve).
 
     Exact-solution errors when alpha = 2 and the problem has one; otherwise
     self-comparison against the next refinement (one extra run).
     """
     if levels < 1:
         raise ValueError(f"need at least one ladder level, got {levels}")
-    base_M = subdivisions(b - a, base_h, "h")
-    base_N = subdivisions(T, base_tau, "tau")
-
-    exact_mode = alpha == 2.0 and problem.exact is not None
-    n_runs = levels if exact_mode else levels + 1
-    finals: list[np.ndarray] = []
-    grids: list[GridSpec] = []
-    for lvl in range(n_runs):
-        grid = GridSpec(a=a, b=b, M=base_M * 2 ** lvl)
-        cfg = SchemeConfig(grid=grid, alpha=alpha, T=T, N=base_N * 2 ** lvl, cg_tol=cg_tol)
-        finals.append(run(problem, cfg).state.U)
-        grids.append(grid)
-
-    errors: list[float] = []
-    for lvl in range(levels):
-        if exact_mode:
-            exact = problem.exact(grids[lvl].interior_nodes(), T)
-            errors.append(float(np.max(np.abs(exact - finals[lvl]))))
-        else:
-            errors.append(max_norm_error_self(finals[lvl], finals[lvl + 1]))
-    orders = orders_from_errors(errors)
-    rows = [
-        LadderRow(h=grids[lvl].h, tau=T / (base_N * 2 ** lvl), error=errors[lvl],
-                  order=None if lvl == 0 else orders[lvl - 1])
-        for lvl in range(levels)
-    ]
+    exact_mode = cfg.alpha == 2.0 and problem.exact is not None
+    ladder = [replace(cfg, grid=replace(cfg.grid, M=cfg.grid.M * 2 ** lvl), N=cfg.N * 2 ** lvl)
+              for lvl in range(levels if exact_mode else levels + 1)]
+    finals = [run(problem, c).state.U for c in ladder]
+    if exact_mode:
+        errors = [float(np.max(np.abs(problem.exact(c.grid.interior_nodes(), c.T) - u)))
+                  for c, u in zip(ladder, finals)]
+    else:
+        errors = [max_norm_error_self(u, fine) for u, fine in zip(finals, finals[1:])]
+    rows = [LadderRow(h=c.grid.h, tau=c.tau, error=e, order=p)
+            for c, e, p in zip(ladder, errors, [None, *orders_from_errors(errors)])]
     return ErrorReport(mode="exact" if exact_mode else "self", rows=rows)

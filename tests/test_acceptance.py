@@ -80,8 +80,8 @@ def hump_ladder():
 
 
 def test_criterion_01_classical_errors_and_orders():
-    report = convergence_ladder(get_problem("5.1", omega=1.1), 2.0, *DOMAIN,
-                                base_h=0.2, base_tau=0.02, levels=4, T=FINAL_T)
+    root = SchemeConfig(grid=GridSpec(*DOMAIN, M=BASE_M), alpha=2.0, T=FINAL_T, N=BASE_N)
+    report = convergence_ladder(get_problem("5.1", omega=1.1), root, levels=4)
     assert report.mode == "exact"
     errors = [row.error for row in report.rows]
     orders = [row.order for row in report.rows[1:]]

@@ -3,6 +3,7 @@ precedence, and byte-stable output."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -104,6 +105,19 @@ def test_nondivisible_mesh_exits_one(tmp_path, capsys):
     assert "divide" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("setting, value", [("base_h", "0.3"), ("base_tau", "0.03")])
+def test_nondivisible_base_step_names_the_setting(tmp_path, capsys, source, setting, value):
+    cfg = tmp_path / "settings.txt"
+    cfg.write_text(f"{setting} = {value}\n")
+    extra = (["--" + setting.replace("_", "-"), value] if source == "flag"
+             else ["--config", str(cfg)])
+    out = tmp_path / "x"
+    assert main(["convergence", "--preset", "table1", "--out", str(out)] + extra) == 1
+    assert capsys.readouterr().err.startswith(f"error: {setting}={value} does not divide")
+    assert not out.exists()
+
+
 def test_missing_required_setting_exits_one(tmp_path, capsys):
     code = main(["run", "--alpha", "1.5", "--out", str(tmp_path / "x")])
     assert code == 1
@@ -116,6 +130,17 @@ def test_unknown_subcommand_exits_one(capsys):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+
+
+@pytest.mark.parametrize("command", ["run", "convergence", "energy", "bench"])
+def test_help_states_one_default_per_option(capsys, command):
+    assert main([command, "--help"]) == 0
+    options = {block.split()[0]: " ".join(block.split())
+               for block in re.split(r"\n  (?=-)", capsys.readouterr().out)[1:]}
+    assert all(text.count("default") <= 1 for text in options.values()), options
+    if command == "bench":
+        assert "(default 1.0)" in options["--omega"] and "1.1" not in options["--omega"]
+        assert "(default 1e-14)" in options["--cg-tol"] and "max(" not in options["--cg-tol"]
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -356,6 +381,22 @@ def test_unwritable_out_exits_one(tmp_path, capsys, argv, out):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(tmp_path / "file") in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["energy", "--preset", "fig2"],
+    ["convergence", "--preset", "table1"],
+], ids=["energy", "convergence"])
+@pytest.mark.parametrize("out", ["file", "file/x"], ids=["an-existing-file", "under-a-file"])
+def test_out_that_cannot_be_a_directory_exits_one_before_any_run(tmp_path, capsys, monkeypatch,
+                                                                 argv, out):
+    monkeypatch.setattr("fracsg.cli.run", None)  # a run would fail with TypeError
+    monkeypatch.setattr("fracsg.cli.convergence_ladder", None)
+    (tmp_path / "file").write_text("")
+    assert main(argv + ["--out", str(tmp_path / out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{tmp_path / 'file'} is not a directory" in err
+    assert (tmp_path / "file").read_text() == ""
 
 
 @pytest.mark.parametrize("argv", [

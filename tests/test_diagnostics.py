@@ -14,6 +14,7 @@ from fracsg import (
     initial_state,
     run,
 )
+from fracsg import solvers
 from fracsg.diagnostics import max_norm_error_self, orders_from_errors, w_projection_drift
 from fracsg.scheme import IeqState
 
@@ -107,36 +108,39 @@ def test_orders_on_synthetic_sequence():
     assert orders_from_errors([1.0, 0.25, 0.0625]) == pytest.approx([2.0, 2.0])
 
 
+def ladder_root(alpha, M, N, **kwargs):
+    return SchemeConfig(grid=GridSpec(a=-20.0, b=20.0, M=M), alpha=alpha, T=1.0, N=N, **kwargs)
+
+
 class TestLadder:
     def test_mode_selection(self):
-        kwargs = dict(a=-20.0, b=20.0, base_h=2.0, base_tau=0.5, levels=1, T=1.0)
-        assert convergence_ladder(get_problem("5.1"), 2.0, **kwargs).mode == "exact"
-        assert convergence_ladder(get_problem("5.1"), 1.5, **kwargs).mode == "self"
-        assert convergence_ladder(get_problem("5.2"), 2.0, **kwargs).mode == "self"
+        assert convergence_ladder(get_problem("5.1"), ladder_root(2.0, 20, 2), 1).mode == "exact"
+        assert convergence_ladder(get_problem("5.1"), ladder_root(1.5, 20, 2), 1).mode == "self"
+        assert convergence_ladder(get_problem("5.2"), ladder_root(2.0, 20, 2), 1).mode == "self"
 
     def test_rejects_nondivisible_mesh(self):
+        # the ladder takes whole M and N; step sizes that do not divide are
+        # refused where settings become a config (tests/test_cli.py)
         with pytest.raises(ValueError):
-            convergence_ladder(get_problem("5.1"), 2.0, -20.0, 20.0,
-                               base_h=0.3, base_tau=0.5, levels=1, T=1.0)
-        with pytest.raises(ValueError):
-            convergence_ladder(get_problem("5.1"), 2.0, -20.0, 20.0,
-                               base_h=0.5, base_tau=0.3, levels=1, T=1.0)
-        with pytest.raises(ValueError):
-            convergence_ladder(get_problem("5.1"), 2.0, -20.0, 20.0,
-                               base_h=0.5, base_tau=0.5, levels=0, T=1.0)
-
-    @pytest.mark.parametrize("a, b", [(-np.inf, 20.0), (-20.0, np.nan)])
-    def test_rejects_non_finite_domain(self, a, b):
-        with pytest.raises(ValueError):
-            convergence_ladder(get_problem("5.1"), 2.0, a, b,
-                               base_h=0.5, base_tau=0.5, levels=1, T=1.0)
+            convergence_ladder(get_problem("5.1"), ladder_root(2.0, 80, 2), 0)
 
     def test_row_structure_and_second_order(self):
-        report = convergence_ladder(get_problem("5.1", 1.1), 2.0, -20.0, 20.0,
-                                    base_h=0.5, base_tau=0.1, levels=2, T=1.0)
+        report = convergence_ladder(get_problem("5.1", 1.1), ladder_root(2.0, 80, 10), 2)
         assert [r.order is None for r in report.rows] == [True, False]
         assert report.rows[0].h == 0.5
         assert report.rows[1].h == 0.25
         assert report.rows[1].tau == pytest.approx(0.05)
         assert report.rows[1].error < report.rows[0].error
         assert 1.7 < report.rows[1].order < 2.3
+
+    @pytest.mark.parametrize("alpha, runs", [(2.0, 2), (1.5, 3)])  # self mode: one extra run
+    def test_every_level_steps_with_the_config_solve_and_tolerance(self, alpha, runs):
+        tolerances = []
+
+        def counting(mat, rhs, cg_tol=None, **kwargs):
+            tolerances.append(cg_tol)
+            return solvers.solve(mat, rhs, cg_tol, **kwargs)
+
+        cfg = ladder_root(alpha, 20, 2, cg_tol=1e-10, solve=counting)
+        convergence_ladder(get_problem("5.1"), cfg, 2)
+        assert tolerances == [1e-10] * sum(2 * 2 ** lvl for lvl in range(runs))

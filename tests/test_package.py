@@ -42,6 +42,23 @@ def test_production_modules_import_no_scipy():
     assert offenders == []
 
 
+def test_only_cli_scheme_config_builds_scheme_configs():
+    # settings become a discretisation in one place; everything else refines
+    # a SchemeConfig with dataclasses.replace
+    offenders = []
+    for path in sorted(Path(fracsg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = [top for top in tree.body if path.name == "cli.py"
+                 and isinstance(top, ast.FunctionDef) and top.name == "_scheme_config"]
+        allowed = {id(node) for top in owner for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in allowed:
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("subdivisions", "SchemeConfig"):
+                    offenders.append(f"{path.name}:{node.lineno} calls {name}")
+    assert offenders == []
+
+
 def readme_blocks(lang):
     return re.findall(rf"```{lang}\n(.*?)```", README.read_text(), re.DOTALL)
 
