@@ -1,11 +1,11 @@
 """Command-line front end of the fracsg solver.
 
-Settings come from flags, then a --config file, then a --preset, then the
-subcommand's defaults.  All real numbers in CSV output are written as Python's
-"%.15e" writes them, and every output except bench timings is byte-stable
-across repeated runs.  Solution snapshots are formatted in numpy; their bytes
-still equal "%.15e" (see SnapshotWriter).  Exit codes: 0 success,
-1 configuration error, 2 numerical failure.
+Settings come from flags, then a --preset, then the subcommand's defaults.
+All real numbers in CSV output are written as Python's "%.15e" writes them,
+and every output except bench timings is byte-stable across repeated runs.
+Solution snapshots are formatted in numpy; their bytes still equal "%.15e"
+(see SnapshotWriter).  Exit codes: 0 success, 1 configuration error,
+2 numerical failure.
 """
 
 from __future__ import annotations
@@ -67,9 +67,9 @@ def _list(conv: Callable[[str], Any], length: int | None = None) -> Callable[[st
 
 
 class Option(NamedTuple):
-    """An option of the subcommands in ``commands``.  ``conv`` turns its text,
-    from a flag or a config-file line, into a setting; an option without one
-    (where settings come from, where output goes) is no config-file key."""
+    """An option of the subcommands in ``commands``.  ``conv`` turns its flag's
+    text into a setting; an option without one (where settings come from,
+    where output goes) is no setting."""
 
     name: str
     commands: tuple[str, ...]
@@ -109,53 +109,25 @@ OPTIONS = (
     Option("snapshot_stride", ("run",),
            "write solution_<n>.csv every this many steps (default N/100)", _COUNT),
     Option("out", ALL, "output directory", extra={"required": True}),
-    Option("config", ALL, "flat key = value config file; flags take precedence"),
 )
 
 
 def _convert(opt: Option, text: str | list[str]) -> Any:
     text = " ".join(text) if isinstance(text, list) else text  # a flag taking several words
     try:
-        if opt.choices and text not in opt.choices:
-            raise ValueError(f"choose from {', '.join(opt.choices)}")
         return opt.conv(text)
     except ValueError as exc:
         raise ValueError(f"invalid {opt.name} {text!r}: {exc}") from None
 
 
-def _read_config(path: str) -> dict[str, str]:
-    """Flat key = value lines; blank lines and # comments ignored; keys match
-    long option names with dashes replaced by underscores."""
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise ValueError(f"cannot read config file: {exc}") from None
-    entries, line_of = {}, {}
-    for lineno, raw in enumerate(lines, start=1):
-        key, eq, value = raw.split("#", 1)[0].partition("=")
-        key = key.strip().replace("-", "_")
-        if eq and key in line_of:
-            raise ValueError(f"{path}:{lineno}: {key} is already set on line {line_of[key]}")
-        if eq:
-            entries[key], line_of[key] = value.strip(), lineno
-        elif key:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-    return entries
-
-
 def resolve(ns: argparse.Namespace) -> dict[str, Any]:
     """Every setting of subcommand ``ns.command``, taken from its flags, then
-    its config file, then its preset, then the subcommand's defaults.  Raises
-    ValueError on an unknown config-file key, a bad value or a missing setting."""
+    its preset, then the subcommand's defaults.  Raises ValueError on a bad
+    value or a missing setting."""
     owned = {o.name: o for o in OPTIONS if ns.command in o.commands and o.conv}
     flags = {k: _convert(o, vars(ns)[k]) for k, o in owned.items() if vars(ns)[k] is not None}
-    entries = _read_config(ns.config) if ns.config else {}
-    unknown = sorted(set(entries) - set(owned))
-    if unknown:
-        raise ValueError(f"unknown config file keys: {', '.join(unknown)}")
-    from_file = {k: _convert(owned[k], v) for k, v in entries.items()}
     preset = PRESETS[ns.command][ns.preset].settings() if vars(ns).get("preset") else {}
-    merged = ChainMap(flags, from_file, preset, DEFAULTS[ns.command])
+    merged = ChainMap(flags, preset, DEFAULTS[ns.command])
     missing = [k for k in owned if k not in merged]
     if missing:
         raise ValueError(f"missing required settings: {', '.join(missing)}")
@@ -166,9 +138,11 @@ def _scheme_config(s: dict, alpha: float, h: str = "h", tau: str = "tau") -> Sch
     """The one SchemeConfig maker: settings ``s`` at ``alpha``, with the step
     sizes read from (and errors naming) the settings ``h`` and ``tau``."""
     a, b = s["domain"]
-    return SchemeConfig(grid=GridSpec(a=a, b=b, M=subdivisions(b - a, s[h], h)),
-                        alpha=alpha, T=s["T"], N=subdivisions(s["T"], s[tau], tau),
-                        cg_tol=s["cg_tol"])
+    M = subdivisions(b - a, s[h], h)
+    if M < 2:
+        raise ValueError(f"{h}={s[h]} divides {b - a} into {M} step; need M >= 2 subintervals")
+    return SchemeConfig(grid=GridSpec(a=a, b=b, M=M), alpha=alpha, T=s["T"],
+                        N=subdivisions(s["T"], s[tau], tau), cg_tol=s["cg_tol"])
 
 
 def _write_csv(path: Path, header: str, rows) -> None:

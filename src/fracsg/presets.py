@@ -4,8 +4,8 @@ Convergence presets cover the two benchmark tables (refinement ladder from
 (h, tau) = (1/5, 1/50), four levels, T = 1); energy presets cover the
 long-time conservation runs; run presets cover the wide-domain soliton
 evolutions.  Each subcommand also has defaults, the values it uses when no
-flag, config file or preset sets them; those of bench drive the timing of
-the FFT-CG solve against the dense direct one of _dense.
+flag or preset sets them; those of bench drive the timing of the FFT-CG
+solve against the dense direct one of _dense.
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ PRESETS: dict[str, dict[str, Preset]] = {
     "energy": ENERGY_PRESETS,
 }
 
-# what a subcommand falls back on when no flag, config file or preset sets a
-# value; every other setting the subcommand owns is required
+# what a subcommand falls back on when no flag or preset sets a value;
+# every other setting the subcommand owns is required
 # None: the problem's own omega (problems.get_problem), solvers.cg_tolerance's default
 _SOLVE_DEFAULTS = {"omega": None, "cg_tol": None}
 DEFAULTS: dict[str, dict] = {

@@ -137,11 +137,11 @@ def solve(mat: StepMatrix, rhs: np.ndarray, cg_tol: float | None = None,
     if rhs.shape != (m,):
         raise ValueError(f"rhs length {rhs.shape} does not match system size {m}")
     bnorm = _finite(float(np.linalg.norm(rhs)), "right-hand side")
+    rel_tol = cg_tolerance(cg_tol, mat.op, mat.tau)  # refused even for a zero rhs
     if bnorm == 0.0:
         return np.zeros(m), SolveStats(iterations=0, residual=0.0)
 
     bound = condition_bound(mat.op, mat.tau)  # the plain bound caps both paths
-    rel_tol = cg_tolerance(cg_tol, mat.op, mat.tau)
     pre = None
     if choose_preconditioner(mat.op, mat.tau) == "circulant":
         pre = build_circulant_preconditioner(mat)

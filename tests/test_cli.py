@@ -1,4 +1,4 @@
-"""Command-line interface tests: artifact layout, exit codes, config-file
+"""Command-line interface tests: artifact layout, exit codes, flag and preset
 precedence, and byte-stable output."""
 
 import json
@@ -72,17 +72,13 @@ def test_run_preset_with_overrides(tmp_path):
     assert meta["h"] == 0.5
 
 
-@pytest.mark.parametrize("argv, config", [
-    (["--preset", "soliton2", "--omega", "2"], ""),
-    (["--preset", "soliton2"], "omega = 2\n"),
-    (["--preset", "soliton1", "--example", "5.2"], ""),  # the preset's own omega 1.0
-], ids=["flag", "file", "soliton1-preset"])
-def test_omega_for_the_hump_at_rest_exits_one(tmp_path, capsys, argv, config):
-    cfg = tmp_path / "settings.txt"
-    cfg.write_text(config)
+@pytest.mark.parametrize("argv", [
+    ["--preset", "soliton2", "--omega", "2"],
+    ["--preset", "soliton1", "--example", "5.2"],  # the preset's own omega 1.0
+], ids=["flag", "soliton1-preset"])
+def test_omega_for_the_hump_at_rest_exits_one(tmp_path, capsys, argv):
     out = tmp_path / "x"
-    code = main(["run", "--alpha", "1.5", "--T", "0.1", "--config", str(cfg), "--out", str(out)]
-                + argv)
+    code = main(["run", "--alpha", "1.5", "--T", "0.1", "--out", str(out)] + argv)
     assert code == 1
     err = capsys.readouterr().err
     assert "5.2" in err and "omega" in err
@@ -105,16 +101,25 @@ def test_nondivisible_mesh_exits_one(tmp_path, capsys):
     assert "divide" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("source", ["flag", "file"])
 @pytest.mark.parametrize("setting, value", [("base_h", "0.3"), ("base_tau", "0.03")])
-def test_nondivisible_base_step_names_the_setting(tmp_path, capsys, source, setting, value):
-    cfg = tmp_path / "settings.txt"
-    cfg.write_text(f"{setting} = {value}\n")
-    extra = (["--" + setting.replace("_", "-"), value] if source == "flag"
-             else ["--config", str(cfg)])
+def test_nondivisible_base_step_names_the_setting(tmp_path, capsys, setting, value):
     out = tmp_path / "x"
-    assert main(["convergence", "--preset", "table1", "--out", str(out)] + extra) == 1
+    assert main(["convergence", "--preset", "table1", "--out", str(out),
+                 "--" + setting.replace("_", "-"), value]) == 1
     assert capsys.readouterr().err.startswith(f"error: {setting}={value} does not divide")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, setting", [
+    (["run", "--example", "5.2", "--alpha", "1.5", "--domain", "-20", "20", "--h", "40",
+      "--tau", "0.1", "--T", "1"], "h"),
+    (["convergence", "--preset", "table1", "--base-h", "40"], "base_h"),
+])
+def test_step_leaving_one_subinterval_names_the_setting(tmp_path, capsys, argv, setting):
+    out = tmp_path / "x"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {setting}=40.0 divides 40.0 into 1 step; need M >= 2 subintervals\n")
     assert not out.exists()
 
 
@@ -141,43 +146,6 @@ def test_help_states_one_default_per_option(capsys, command):
     if command == "bench":
         assert "(default 1.0)" in options["--omega"] and "1.1" not in options["--omega"]
         assert "(default 1e-14)" in options["--cg-tol"] and "max(" not in options["--cg-tol"]
-
-
-def test_config_file_with_flag_override(tmp_path):
-    cfg = tmp_path / "settings.txt"
-    cfg.write_text(
-        "# benchmark configuration\n"
-        "example = 5.2\n"
-        "alpha = 1.5\n"
-        "domain = -20 20\n"
-        "h = 0.5\n"
-        "tau = 0.1\n"
-        "T = 0.5\n")
-    out = tmp_path / "out"
-    code = main(["run", "--config", str(cfg), "--alpha", "1.9", "--out", str(out)])
-    assert code == 0
-    meta = json.loads((out / "meta.json").read_text())
-    assert meta["alpha"] == 1.9  # flag wins
-    assert meta["example"] == "5.2"  # file supplies the rest
-
-
-def test_config_file_rejects_unknown_keys(tmp_path, capsys):
-    cfg = tmp_path / "settings.txt"
-    cfg.write_text("alpha = 1.5\nwavelength = 3\n")
-    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")])
-    assert code == 1
-    assert "wavelength" in capsys.readouterr().err
-
-
-def test_config_file_rejects_a_key_set_twice(tmp_path, capsys):
-    cfg = tmp_path / "settings.txt"
-    cfg.write_text("h = 0.5\n# finer\nh = 0.25\n")
-    out = tmp_path / "x"
-    code = main(["run", "--example", "5.1", "--alpha", "2", "--domain", "-20", "20",
-                 "--tau", "0.02", "--T", "1", "--config", str(cfg), "--out", str(out)])
-    assert code == 1
-    assert f"{cfg}:3: h is already set on line 1" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_convergence_single_level_has_empty_order(tmp_path):
@@ -287,21 +255,18 @@ def test_bench_rejects_empty_sizes(tmp_path, capsys):
     assert "nonempty" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, config", [
-    (["energy", "--example", "5.2", "--domain", "-10", "10", "--h", "0.5", "--tau", "0.1",
-      "--T", "1", "--alphas", "1.5,2.5"], ""),
-    (["energy", "--preset", "fig2"], "alphas = 1.5, 1\n"),
-    (["convergence", "--preset", "table1", "--alphas", "1.5,2.0000001"], ""),
-    (["bench", "--alphas", "1.5,nan"], ""),
-], ids=["energy-flag", "energy-file", "convergence", "bench"])
-def test_alphas_out_of_range_exit_one_before_any_run(tmp_path, capsys, monkeypatch, argv,
-                                                     config):
+@pytest.mark.parametrize("argv", [
+    ["energy", "--example", "5.2", "--domain", "-10", "10", "--h", "0.5", "--tau", "0.1",
+     "--T", "1", "--alphas", "1.5,2.5"],
+    ["energy", "--preset", "fig2", "--alphas", "1.5, 1"],
+    ["convergence", "--preset", "table1", "--alphas", "1.5,2.0000001"],
+    ["bench", "--alphas", "1.5,nan"],
+], ids=["energy-flag", "energy-preset", "convergence", "bench"])
+def test_alphas_out_of_range_exit_one_before_any_run(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr("fracsg.cli.run", None)  # a run would fail with TypeError
     monkeypatch.setattr("fracsg.cli.convergence_ladder", None)
-    cfg = tmp_path / "settings.txt"
-    cfg.write_text(config)
     out = tmp_path / "x"
-    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+    assert main(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "invalid alphas " in err and "(1, 2]" in err
     assert not out.exists()
@@ -356,21 +321,6 @@ def test_nonpositive_step_exits_one(tmp_path, capsys, argv, setting):
     assert f"invalid {setting} " in capsys.readouterr().err
 
 
-def test_nonpositive_step_in_config_file_exits_one(tmp_path, capsys):
-    cfg = tmp_path / "settings.txt"
-    cfg.write_text("h = 0\n")
-    code = main(["run", "--example", "5.1", "--alpha", "2", "--domain", "-20", "20",
-                 "--tau", "0.02", "--T", "1", "--config", str(cfg), "--out", str(tmp_path / "x")])
-    assert code == 1
-    assert "invalid h " in capsys.readouterr().err
-
-
-def test_unreadable_config_file_exits_one(tmp_path, capsys):
-    code = main(["run", "--config", str(tmp_path / "missing.txt"), "--out", str(tmp_path / "x")])
-    assert code == 1
-    assert "missing.txt" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("argv, out", [
     (RUN_ARGS, "file/x"),
     (["energy", "--preset", "fig2", "--alphas", "2", "--T", "0.1"], "file"),
@@ -411,12 +361,8 @@ def test_empty_list_exits_one(tmp_path, capsys, argv):
     assert not out.exists() or not any(out.iterdir())
 
 
-@pytest.mark.parametrize("source", ["flag", "file"])
-def test_zero_snapshot_stride_exits_one(tmp_path, capsys, source):
-    cfg = tmp_path / "settings.txt"
-    cfg.write_text("snapshot_stride = 0\n")
-    extra = ["--snapshot-stride", "0"] if source == "flag" else ["--config", str(cfg)]
-    code = main(RUN_ARGS + extra + ["--out", str(tmp_path / "x")])
+def test_zero_snapshot_stride_exits_one(tmp_path, capsys):
+    code = main(RUN_ARGS + ["--snapshot-stride", "0", "--out", str(tmp_path / "x")])
     assert code == 1
     assert "invalid snapshot_stride " in capsys.readouterr().err
 
@@ -424,6 +370,20 @@ def test_zero_snapshot_stride_exits_one(tmp_path, capsys, source):
 def test_removed_method_flag_is_rejected(tmp_path):
     for flag in (["--method", "direct"], ["--precond", "none"]):
         assert main(RUN_ARGS + flag + ["--out", str(tmp_path / "x")]) == 1, flag
+
+
+@pytest.mark.parametrize("argv", [
+    RUN_ARGS, ["convergence", "--preset", "table1"], ["energy", "--preset", "fig2"], ["bench"],
+], ids=["run", "convergence", "energy", "bench"])
+def test_removed_config_flag_is_rejected(tmp_path, capsys, argv):
+    settings = tmp_path / "settings.txt"
+    settings.write_text("T = 0.1\n")
+    out = tmp_path / "x"
+    assert main(argv + ["--config", str(settings), "--out", str(out)]) == 1
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert main([argv[0], "--help"]) == 0
+    assert "--config" not in capsys.readouterr().out
+    assert not out.exists()
 
 
 def test_unattainable_cg_tolerance_exits_two(tmp_path, capsys):
@@ -434,13 +394,9 @@ def test_unattainable_cg_tolerance_exits_two(tmp_path, capsys):
     assert "condition bound" in err
 
 
-@pytest.mark.parametrize("source", ["flag", "file"])
-def test_cg_tolerance_outside_unit_interval_names_the_setting(tmp_path, capsys, source):
-    cfg = tmp_path / "settings.txt"
-    cfg.write_text("cg_tol = 2\n")
-    extra = ["--cg-tol", "2"] if source == "flag" else ["--config", str(cfg)]
+def test_cg_tolerance_outside_unit_interval_names_the_setting(tmp_path, capsys):
     out = tmp_path / "x"
-    assert main(RUN_ARGS + extra + ["--out", str(out)]) == 1
+    assert main(RUN_ARGS + ["--cg-tol", "2", "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: invalid cg_tol '2': must lie in (0, 1)\n"
     assert not out.exists()
 
@@ -480,25 +436,20 @@ def test_default_cg_tolerance_above_its_ceiling_exits_two(tmp_path, capsys):
     assert json.loads((out / "meta.json").read_text())["cg_rel_tol"] == 0.6
 
 
-RUN_WITHOUT_DOMAIN = ["run", "--example", "5.1", "--alpha", "2", "--h", "0.2", "--tau", "0.02",
-                      "--T", "1"]
-
-
-@pytest.mark.parametrize("argv, config, setting", [
-    (RUN_ARGS + ["--omega", "inf"], "", "omega"),
-    (RUN_ARGS + ["--omega", "nan"], "", "omega"),
-    (["convergence", "--preset", "table1", "--omega", "inf"], "", "omega"),
-    (RUN_ARGS + ["--cg-tol", "inf"], "", "cg_tol"),
-    (RUN_ARGS + ["--cg-tol", "nan"], "", "cg_tol"),
-    (RUN_WITHOUT_DOMAIN, "domain = -inf, 20\n", "domain"),
-    (RUN_WITHOUT_DOMAIN, "domain = -20, nan\n", "domain"),
+@pytest.mark.parametrize("argv, setting", [
+    (RUN_ARGS + ["--omega", "inf"], "omega"),
+    (RUN_ARGS + ["--omega", "nan"], "omega"),
+    (["convergence", "--preset", "table1", "--omega", "inf"], "omega"),
+    (RUN_ARGS + ["--cg-tol", "inf"], "cg_tol"),
+    (RUN_ARGS + ["--cg-tol", "nan"], "cg_tol"),
+    # argparse reads "-inf" as an option, so the infinite endpoint is the right one
+    (RUN_ARGS + ["--domain", "0", "inf"], "domain"),
+    (RUN_ARGS + ["--domain", "nan", "20"], "domain"),
 ], ids=["omega-inf", "omega-nan", "convergence-omega-inf", "cg_tol-inf", "cg_tol-nan",
         "domain-inf", "domain-nan"])
-def test_non_finite_setting_exits_one(tmp_path, capsys, argv, config, setting):
-    cfg = tmp_path / "settings.txt"
-    cfg.write_text(config)
+def test_non_finite_setting_exits_one(tmp_path, capsys, argv, setting):
     out = tmp_path / "x"
-    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+    assert main(argv + ["--out", str(out)]) == 1
     assert f"invalid {setting} " in capsys.readouterr().err
     assert not out.exists()
 
@@ -513,35 +464,6 @@ def test_stiff_run_records_circulant_preconditioner(tmp_path):
     meta = json.loads((out / "meta.json").read_text())
     assert meta["precond"] == "circulant"
     assert meta["condition_bound"] > CIRCULANT_MIN_BOUND
-
-
-def test_energy_config_file_beats_preset(tmp_path):
-    from fracsg import FracOperator, GridSpec, discrete_energy, get_problem, initial_state
-
-    cfg = tmp_path / "settings.txt"
-    cfg.write_text("T = 0.1\nh = 0.5\nalphas = 1.5\n")
-    out = tmp_path / "en"
-    assert main(["energy", "--preset", "fig2", "--config", str(cfg), "--out", str(out)]) == 0
-    assert [p.name for p in out.iterdir()] == ["energy_1.5.csv"]
-    series = read_csv(out / "energy_1.5.csv")
-    assert series.shape == (3, 4)  # T = 0.1 at the preset's tau = 0.05
-    # the preset's domain (-40, 40) at the file's h = 0.5
-    grid = GridSpec(a=-40.0, b=40.0, M=160)
-    e0 = discrete_energy(initial_state(get_problem("5.1", omega=1.1), grid),
-                         FracOperator(1.5, grid))
-    assert series[0, 2] == pytest.approx(e0, rel=1e-15)
-
-
-def test_convergence_config_file_beats_preset(tmp_path):
-    cfg = tmp_path / "settings.txt"
-    cfg.write_text("T = 0.5\nbase_h = 2\nbase_tau = 0.25\nlevels = 2\nalphas = 1.5\n")
-    out = tmp_path / "conv"
-    code = main(["convergence", "--preset", "table1", "--config", str(cfg),
-                 "--out", str(out)])
-    assert code == 0
-    rows = [line.split(",") for line in (out / "convergence.csv").read_text().splitlines()[1:]]
-    assert len(rows) == 2  # one order, two levels
-    assert [(float(r[1]), float(r[2])) for r in rows] == [(2.0, 0.25), (1.0, 0.125)]
 
 
 def test_import_loads_no_scipy():

@@ -1,6 +1,7 @@
 """The package's top-level names, its SciPy-free production modules, and the
 README examples that use them."""
 
+import argparse
 import ast
 import inspect
 import re
@@ -63,19 +64,32 @@ def readme_blocks(lang):
     return re.findall(rf"```{lang}\n(.*?)```", README.read_text(), re.DOTALL)
 
 
+def readme_commands():
+    return [shlex.split(line)[1:] for block in readme_blocks("sh")
+            for line in block.replace("\\\n", " ").splitlines() if line.startswith("fracsg ")]
+
+
 def test_readme_commands_resolve(tmp_path, monkeypatch):
-    # every fracsg command of the README, and its config-file example, parse and
-    # resolve to a full set of settings; nothing runs and nothing is written
+    # every fracsg command of the README parses and resolves to a full set of
+    # settings; nothing runs and nothing is written
     monkeypatch.chdir(tmp_path)
-    commands = [shlex.split(line)[1:] for block in readme_blocks("sh")
-                for line in block.replace("\\\n", " ").splitlines() if line.startswith("fracsg ")]
+    commands = readme_commands()
     assert len(commands) >= 9
-    config = tmp_path / "settings.txt"
-    config.write_text(readme_blocks("ini")[0])
-    commands.append(["run", "--config", str(config), "--out", "out/config"])
     for argv in commands:
         assert resolve(build_parser().parse_args(argv)), argv
-    assert list(tmp_path.iterdir()) == [config]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_names_only_real_flags():
+    parser = build_parser()
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {flag for p in (parser, *commands.values()) for a in p._actions
+             for flag in a.option_strings}
+    prose = re.sub(r"```.*?```", "", README.read_text(), flags=re.DOTALL)
+    named = re.findall(r"--[\w-]+", " ".join(re.findall(r"`([^`]+)`", prose)
+                                            + [" ".join(argv) for argv in readme_commands()]))
+    assert len(named) >= 20
+    assert sorted(set(named) - flags) == []
 
 
 def test_readme_library_example_runs(capsys):

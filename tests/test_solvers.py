@@ -89,6 +89,9 @@ def test_zero_rhs_short_circuits():
     assert np.array_equal(x, np.zeros(len(mat.diag)))
     assert stats.iterations == 0
     assert stats.residual == 0.0
+    # the tolerance is checked first, as for any other right-hand side
+    with pytest.raises(SolveFailure, match="1e-30 lies below the attainable floor"):
+        solve(mat, np.zeros(len(mat.diag)), 1e-30)
 
 
 def test_warm_start_converges_immediately():
