@@ -55,15 +55,20 @@ def _bench_size(text: str) -> int:
     return value
 
 
-def _list(conv: Callable[[str], Any], length: int | None = None) -> Callable[[str], tuple]:
+def _list(conv: Callable[[str], Any]) -> Callable[[str], tuple]:
     def convert(text: str) -> tuple:
         values = tuple(conv(p) for p in text.replace(",", " ").split())
         if not values:
             raise ValueError("needs a nonempty comma-separated list")
-        if length is not None and len(values) != length:
-            raise ValueError(f"needs {length} values")
         return values
     return convert
+
+
+def _interval(text: str) -> tuple[float, float]:
+    values = _list(_between(-math.inf, math.inf))(text)
+    if len(values) != 2 or not values[0] < values[1]:
+        raise ValueError("needs two values A < B")
+    return values
 
 
 class Option(NamedTuple):
@@ -75,7 +80,6 @@ class Option(NamedTuple):
     commands: tuple[str, ...]
     help: str
     conv: Callable[[str], Any] | None = None
-    choices: tuple[str, ...] | None = None
     extra: dict = {}  # further add_argument keywords
 
 
@@ -86,15 +90,15 @@ OPTIONS = (
     Option("version", ("fracsg",), "show the version and exit",  # the top-level parser
            extra={"action": "version", "version": __version__}),
     Option("preset", SIM, "named experiment settings"),
-    Option("example", SIM, "benchmark problem", str, ("5.1", "5.2")),
+    Option("example", SIM, "benchmark problem", str, {"choices": ("5.1", "5.2")}),
     Option("alpha", ("run",), "fractional order in (1, 2]", check_alpha),
     Option("alphas", ("convergence", "energy", "bench"),
            "comma-separated fractional orders in (1, 2]", _list(check_alpha)),
-    Option("omega", ALL, "width parameter of example 5.1, which alone takes one (default 1.1)",
+    Option("omega", SIM, "width parameter of example 5.1, which alone takes one (default 1.1)",
            _POSITIVE),
-    Option("domain", SIM, "interval endpoints", _list(_between(-math.inf, math.inf), 2),
+    Option("domain", SIM, "interval endpoints A < B", _interval,
            extra={"nargs": 2, "metavar": ("A", "B")}),
-    Option("h", ("run", "energy", "bench"), "mesh size", _POSITIVE),
+    Option("h", ("run", "energy"), "mesh size", _POSITIVE),
     Option("tau", ("run", "energy"), "time step (must divide T)", _POSITIVE),
     Option("base_h", ("convergence",), "coarsest mesh size", _POSITIVE),
     Option("base_tau", ("convergence",), "coarsest time step", _POSITIVE),
@@ -103,11 +107,6 @@ OPTIONS = (
     Option("sizes", ("bench",), "comma-separated subinterval counts M >= 2 (M-1 unknowns, "
            "within the dense direct solve's limit)", _list(_bench_size)),
     Option("taus", ("bench",), "comma-separated time steps", _list(_POSITIVE)),
-    Option("reps", ("bench",), "repetitions per timing (median reported)", _COUNT),
-    Option("cg_tol", ALL, "CG relative residual tolerance in (0, 1) (default max(1e-12, "
-           "10 eps times the condition bound))", _between(0, 1)),
-    Option("snapshot_stride", ("run",),
-           "write solution_<n>.csv every this many steps (default N/100)", _COUNT),
     Option("out", ALL, "output directory", extra={"required": True}),
 )
 
@@ -122,8 +121,8 @@ def _convert(opt: Option, text: str | list[str]) -> Any:
 
 def resolve(ns: argparse.Namespace) -> dict[str, Any]:
     """Every setting of subcommand ``ns.command``, taken from its flags, then
-    its preset, then the subcommand's defaults.  Raises ValueError on a bad
-    value or a missing setting."""
+    its preset, then the subcommand's defaults, which also hold the settings
+    no flag sets.  Raises ValueError on a bad value or a missing setting."""
     owned = {o.name: o for o in OPTIONS if ns.command in o.commands and o.conv}
     flags = {k: _convert(o, vars(ns)[k]) for k, o in owned.items() if vars(ns)[k] is not None}
     preset = PRESETS[ns.command][ns.preset].settings() if vars(ns).get("preset") else {}
@@ -131,7 +130,7 @@ def resolve(ns: argparse.Namespace) -> dict[str, Any]:
     missing = [k for k in owned if k not in merged]
     if missing:
         raise ValueError(f"missing required settings: {', '.join(missing)}")
-    return {k: merged[k] for k in owned}
+    return dict(merged)
 
 
 def _scheme_config(s: dict, alpha: float, h: str = "h", tau: str = "tau") -> SchemeConfig:
@@ -142,7 +141,7 @@ def _scheme_config(s: dict, alpha: float, h: str = "h", tau: str = "tau") -> Sch
     if M < 2:
         raise ValueError(f"{h}={s[h]} divides {b - a} into {M} step; need M >= 2 subintervals")
     return SchemeConfig(grid=GridSpec(a=a, b=b, M=M), alpha=alpha, T=s["T"],
-                        N=subdivisions(s["T"], s[tau], tau), cg_tol=s["cg_tol"])
+                        N=subdivisions(s["T"], s[tau], tau), cg_tol=s.get("cg_tol"))
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -190,7 +189,7 @@ def cmd_run(s: dict, out_dir: Path) -> int:
     """single simulation with snapshots and energy series"""
     cfg = _scheme_config(s, s["alpha"])
     grid = cfg.grid
-    stride = max(1, cfg.N // 100) if s["snapshot_stride"] is None else s["snapshot_stride"]
+    stride = max(1, cfg.N // 100)
     problem = get_problem(s["example"], omega=s["omega"])
     op = FracOperator(cfg.alpha, grid)
     recorder = EnergyRecorder(op)
@@ -260,9 +259,10 @@ def cmd_bench(s: dict, out_dir: Path) -> int:
     from . import _dense  # loads SciPy here, before the first timed run
     problem = get_problem("5.1", omega=s["omega"])
     rows, violations = [], []
-    for alpha, M, tau in itertools.product(s["alphas"], s["sizes"], s["taus"]):
-        cfg = _scheme_config({**s, "domain": (-0.5 * M * s["h"], 0.5 * M * s["h"]), "tau": tau},
-                             alpha)
+    runs = [(alpha, M, tau, _scheme_config(
+        {**s, "domain": (-0.5 * M * s["h"], 0.5 * M * s["h"]), "tau": tau}, alpha))
+        for alpha, M, tau in itertools.product(s["alphas"], s["sizes"], s["taus"])]
+    for alpha, M, tau, cfg in runs:  # every config is built, so checked, before any timing
         t_direct, u_direct = _timed_run(problem, replace(cfg, solve=_dense.solve), s["reps"])
         t_fft, u_fft = _timed_run(problem, cfg, s["reps"])
         diff = float(np.max(np.abs(u_direct - u_fft)))
@@ -283,23 +283,23 @@ def cmd_bench(s: dict, out_dir: Path) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="fracsg", description=__doc__,
+    # no abbreviations: "bench --h" would otherwise read as --help
+    parser = argparse.ArgumentParser(prog="fracsg", description=__doc__, allow_abbrev=False,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     parsers = {"fracsg": parser}
     for func in (cmd_run, cmd_convergence, cmd_energy, cmd_bench):
         name = func.__name__.removeprefix("cmd_")
-        parsers[name] = sub.add_parser(name, help=func.__doc__)
+        parsers[name] = sub.add_parser(name, help=func.__doc__, allow_abbrev=False)
         parsers[name].set_defaults(func=func)
     for opt, cmd in ((o, c) for o in OPTIONS for c in o.commands):
         kwargs = dict(opt.extra, dest=opt.name, help=opt.help)
         default = DEFAULTS.get(cmd, {}).get(opt.name)
-        if default is not None:  # the subcommand's own default replaces the general one
+        if default is not None:
             text = ",".join(map(str, default)) if isinstance(default, tuple) else default
-            kwargs["help"] = f"{opt.help.partition(' (default ')[0]} (default {text})"
-        choices = sorted(PRESETS[cmd]) if opt.name == "preset" else opt.choices
-        if choices:
-            kwargs["choices"] = choices
+            kwargs["help"] = f"{opt.help} (default {text})"
+        if opt.name == "preset":
+            kwargs["choices"] = sorted(PRESETS[cmd])
         parsers[cmd].add_argument("--" + opt.name.replace("_", "-"), **kwargs)
     return parser
 

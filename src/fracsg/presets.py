@@ -26,7 +26,6 @@ class Preset:
     alphas: tuple[float, ...] | None = None
     base_h: float | None = None
     base_tau: float | None = None
-    levels: int | None = None
     omega: float | None = None
 
     def settings(self) -> dict:
@@ -38,9 +37,9 @@ class Preset:
 
 CONVERGENCE_PRESETS: dict[str, Preset] = {
     "table1": Preset(example="5.1", a=-20.0, b=20.0, base_h=0.2, base_tau=0.02,
-                     levels=4, T=1.0, alphas=(1.3, 1.75, 1.99, 2.0)),
+                     T=1.0, alphas=(1.3, 1.75, 1.99, 2.0)),
     "table2": Preset(example="5.2", a=-20.0, b=20.0, base_h=0.2, base_tau=0.02,
-                     levels=4, T=1.0, alphas=(1.3, 1.6, 1.9, 2.0)),
+                     T=1.0, alphas=(1.3, 1.6, 1.9, 2.0)),
 }
 
 # the long-time energy runs; final time is not dictated by the benchmark
@@ -67,23 +66,23 @@ PRESETS: dict[str, dict[str, Preset]] = {
 
 # what a subcommand falls back on when no flag or preset sets a value;
 # every other setting the subcommand owns is required
-# None: the problem's own omega (problems.get_problem), solvers.cg_tolerance's default
-_SOLVE_DEFAULTS = {"omega": None, "cg_tol": None}
 DEFAULTS: dict[str, dict] = {
-    "run": {**_SOLVE_DEFAULTS, "snapshot_stride": None},  # None: N // 100
-    "convergence": {**_SOLVE_DEFAULTS, "levels": 4},
-    "energy": _SOLVE_DEFAULTS,
+    "run": {"omega": None},  # None: the problem's own (problems.get_problem)
+    "convergence": {"omega": None, "levels": 4},
+    "energy": {"omega": None},
     "bench": {
         "sizes": (200, 400),
         "alphas": (1.3, 2.0),
         "taus": (0.1, 0.05, 0.025, 0.0125),
-        "h": 0.1,
         "T": 10.0,
+        # no flag sets the rest: the mesh, the soliton width, the repetitions
+        # per reported median, and a CG tolerance tighter than the derived
+        # one, because per-step CG error accumulates over the longest sweep
+        # (800 steps) and the bench contract checks the CG solution against
+        # the dense direct one at 1e-8
+        "h": 0.1,
+        "omega": 1.0,
         "reps": 3,
-        "omega": 1.0,  # soliton setting
-        # tighter than the general default: per-step CG error accumulates over
-        # the longest sweep (800 steps), and the bench contract checks the CG
-        # solution against the dense direct one at 1e-8
         "cg_tol": 1e-14,
     },
 }

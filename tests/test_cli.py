@@ -143,9 +143,6 @@ def test_help_states_one_default_per_option(capsys, command):
     options = {block.split()[0]: " ".join(block.split())
                for block in re.split(r"\n  (?=-)", capsys.readouterr().out)[1:]}
     assert all(text.count("default") <= 1 for text in options.values()), options
-    if command == "bench":
-        assert "(default 1.0)" in options["--omega"] and "1.1" not in options["--omega"]
-        assert "(default 1e-14)" in options["--cg-tol"] and "max(" not in options["--cg-tol"]
 
 
 def test_convergence_single_level_has_empty_order(tmp_path):
@@ -275,7 +272,7 @@ def test_alphas_out_of_range_exit_one_before_any_run(tmp_path, capsys, monkeypat
 def test_bench_sizes_below_two_exit_one_before_any_run(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("fracsg.cli.run", None)
     out = tmp_path / "b"
-    assert main(["bench", "--sizes", "20,0", "--taus", "0.5", "--T", "1", "--reps", "1",
+    assert main(["bench", "--sizes", "20,0", "--taus", "0.5", "--T", "1",
                  "--out", str(out)]) == 1
     assert "invalid sizes '20,0': needs M >= 2 subintervals" in capsys.readouterr().err
     assert not out.exists()
@@ -292,10 +289,19 @@ def test_bench_sizes_beyond_direct_limit_exit_one_before_any_run(tmp_path, capsy
     assert not out.exists()
 
 
+def test_bench_checks_every_config_before_any_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("fracsg.cli.run", None)  # a timed run would fail with TypeError
+    out = tmp_path / "b"
+    assert main(["bench", "--sizes", "64", "--alphas", "1.5", "--taus", "0.1,0.3", "--T", "1",
+                 "--out", str(out)]) == 1
+    assert "tau=0.3 does not divide 1.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_small_instance(tmp_path):
     out = tmp_path / "bench"
     code = main(["bench", "--sizes", "64", "--alphas", "1.5", "--taus", "0.1",
-                 "--T", "0.2", "--reps", "1", "--out", str(out)])
+                 "--T", "0.2", "--out", str(out)])
     assert code == 0
     rows = read_csv(out / "bench.csv")
     assert rows.shape == (1, 8)
@@ -361,12 +367,6 @@ def test_empty_list_exits_one(tmp_path, capsys, argv):
     assert not out.exists() or not any(out.iterdir())
 
 
-def test_zero_snapshot_stride_exits_one(tmp_path, capsys):
-    code = main(RUN_ARGS + ["--snapshot-stride", "0", "--out", str(tmp_path / "x")])
-    assert code == 1
-    assert "invalid snapshot_stride " in capsys.readouterr().err
-
-
 def test_removed_method_flag_is_rejected(tmp_path):
     for flag in (["--method", "direct"], ["--precond", "none"]):
         assert main(RUN_ARGS + flag + ["--out", str(tmp_path / "x")]) == 1, flag
@@ -386,38 +386,57 @@ def test_removed_config_flag_is_rejected(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-def test_unattainable_cg_tolerance_exits_two(tmp_path, capsys):
-    code = main(RUN_ARGS + ["--cg-tol", "1e-30", "--out", str(tmp_path / "x")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "1e-30 lies below the attainable floor" in err
-    assert "condition bound" in err
+SETTINGS_OF = {"run": RUN_ARGS, "convergence": ["convergence", "--preset", "table1"],
+               "energy": ["energy", "--preset", "fig2"], "bench": ["bench"]}
 
 
-def test_cg_tolerance_outside_unit_interval_names_the_setting(tmp_path, capsys):
+@pytest.mark.parametrize("command, flag, value", [
+    *((command, "--cg-tol", "1e-6") for command in SETTINGS_OF),
+    ("run", "--snapshot-stride", "10"),
+    ("bench", "--reps", "1"),
+    ("bench", "--omega", "1.1"),
+    ("bench", "--h", "0.2"),  # not read as --help
+])
+def test_removed_setting_flag_is_rejected(tmp_path, capsys, command, flag, value):
     out = tmp_path / "x"
-    assert main(RUN_ARGS + ["--cg-tol", "2", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: invalid cg_tol '2': must lie in (0, 1)\n"
+    assert main(SETTINGS_OF[command] + [flag, value, "--out", str(out)]) == 1
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert main([command, "--help"]) == 0
+    assert flag + " " not in capsys.readouterr().out
     assert not out.exists()
 
 
-def test_default_cg_tolerance_follows_condition_bound(tmp_path, capsys):
+@pytest.mark.parametrize("argv, domain", [
+    (["run", "--example", "5.2", "--alpha", "1.5", "--domain", "20", "-20", "--h", "0.2",
+      "--tau", "0.1", "--T", "1"], "20 -20"),
+    (["run", "--example", "5.2", "--alpha", "1.5", "--domain", "5", "5", "--h", "0.2",
+      "--tau", "0.1", "--T", "1"], "5 5"),
+    (["convergence", "--preset", "table1", "--domain", "20", "-20"], "20 -20"),
+], ids=["run-reversed", "run-empty", "convergence-reversed"])
+def test_reversed_or_empty_domain_names_the_domain(tmp_path, capsys, monkeypatch, argv, domain):
+    monkeypatch.setattr("fracsg.cli.run", None)  # a run would fail with TypeError
+    monkeypatch.setattr("fracsg.cli.convergence_ladder", None)
+    out = tmp_path / "x"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: invalid domain '{domain}': needs two values A < B\n"
+    assert not out.exists()
+
+
+def test_default_cg_tolerance_follows_condition_bound(tmp_path):
     # kappa = 40001, whose floor eps * kappa = 8.9e-12 lies above 1e-12
     stiff_args = ["run", "--example", "5.1", "--alpha", "2", "--domain", "-5", "5",
                   "--h", "0.0025", "--tau", "0.5", "--T", "1"]
     meta = {}
     for name, argv in (("plain", RUN_ARGS), ("stiff", stiff_args)):
         out = tmp_path / name
-        assert main(argv + ["--snapshot-stride", "100", "--out", str(out)]) == 0, name
+        assert main(argv + ["--out", str(out)]) == 0, name
         meta[name] = json.loads((out / "meta.json").read_text())
     assert meta["plain"]["cg_rel_tol"] == 1e-12
     stiff = meta["stiff"]
     assert stiff["condition_bound"] > 4e4
     assert stiff["cg_rel_tol"] == 10.0 * np.finfo(np.float64).eps * stiff["condition_bound"]
     assert stiff["residual_max"] <= stiff["cg_rel_tol"]
-    # a tolerance set below the floor is still refused
-    assert main(stiff_args + ["--cg-tol", "1e-12", "--out", str(tmp_path / "x")]) == 2
-    assert "lies below the attainable floor" in capsys.readouterr().err
 
 
 def test_default_cg_tolerance_above_its_ceiling_exits_two(tmp_path, capsys):
@@ -430,23 +449,16 @@ def test_default_cg_tolerance_above_its_ceiling_exits_two(tmp_path, capsys):
     assert "condition bound 2.25e+14 at h=2e-07, tau=3" in err
     assert f"exceeds its ceiling {solvers.CG_DEFAULT_TOL_CEILING:g}" in err
     assert not (tmp_path / "default").exists()  # refused before any output
-    # an explicit tolerance keeps its own rules: at or above eps kappa it runs
-    out = tmp_path / "explicit"
-    assert main(probe + ["--cg-tol", "0.6", "--out", str(out)]) == 0
-    assert json.loads((out / "meta.json").read_text())["cg_rel_tol"] == 0.6
 
 
 @pytest.mark.parametrize("argv, setting", [
     (RUN_ARGS + ["--omega", "inf"], "omega"),
     (RUN_ARGS + ["--omega", "nan"], "omega"),
     (["convergence", "--preset", "table1", "--omega", "inf"], "omega"),
-    (RUN_ARGS + ["--cg-tol", "inf"], "cg_tol"),
-    (RUN_ARGS + ["--cg-tol", "nan"], "cg_tol"),
     # argparse reads "-inf" as an option, so the infinite endpoint is the right one
     (RUN_ARGS + ["--domain", "0", "inf"], "domain"),
     (RUN_ARGS + ["--domain", "nan", "20"], "domain"),
-], ids=["omega-inf", "omega-nan", "convergence-omega-inf", "cg_tol-inf", "cg_tol-nan",
-        "domain-inf", "domain-nan"])
+], ids=["omega-inf", "omega-nan", "convergence-omega-inf", "domain-inf", "domain-nan"])
 def test_non_finite_setting_exits_one(tmp_path, capsys, argv, setting):
     out = tmp_path / "x"
     assert main(argv + ["--out", str(out)]) == 1
@@ -484,7 +496,7 @@ def test_bench_loads_scipy_before_the_first_timed_run(tmp_path, sizes):
             "    loaded.append('scipy.linalg' in sys.modules)\n"
             "    return real(*args, **kwargs)\n"
             "cli.run = spy\n"
-            "cli.main(['bench', '--alphas', '1.5', '--taus', '0.1', '--T', '0.2', '--reps', '1',"
+            "cli.main(['bench', '--alphas', '1.5', '--taus', '0.1', '--T', '0.2',"
             " '--out', sys.argv[1]] + sys.argv[2:])\n"
             "print(loaded[0])\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -500,7 +512,7 @@ def test_bench_beyond_direct_size_limit_exits_one(tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(_dense, "step_matrix", never)
     monkeypatch.setattr(_dense, "operator_matrix", never)
     code = main(["bench", "--sizes", "20000", "--alphas", "1.5", "--taus", "0.1",
-                 "--T", "0.2", "--reps", "1", "--out", str(tmp_path / "b")])
+                 "--T", "0.2", "--out", str(tmp_path / "b")])
     assert code == 1
     err = capsys.readouterr().err
     assert f"limited to {_dense.DIRECT_MAX_SIZE} unknowns, got 19999" in err

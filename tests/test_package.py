@@ -1,5 +1,5 @@
-"""The package's top-level names, its SciPy-free production modules, and the
-README examples that use them."""
+"""The package's top-level names, its SciPy-free production modules, the
+flags of each command, and the README examples that use them."""
 
 import argparse
 import ast
@@ -80,11 +80,27 @@ def test_readme_commands_resolve(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_readme_names_only_real_flags():
+def flags_of_each_parser():
     parser = build_parser()
     (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    flags = {flag for p in (parser, *commands.values()) for a in p._actions
-             for flag in a.option_strings}
+    return {name: {flag for a in p._actions for flag in a.option_strings}
+            for name, p in {"fracsg": parser, **commands}.items()}
+
+
+def test_each_parser_takes_exactly_its_flags():
+    # a new setting is a deliberate edit here, not a side effect of OPTIONS
+    sim = {"-h", "--help", "--preset", "--example", "--omega", "--domain", "--T", "--out"}
+    assert flags_of_each_parser() == {
+        "fracsg": {"-h", "--help", "--version"},
+        "run": sim | {"--alpha", "--h", "--tau"},
+        "convergence": sim | {"--alphas", "--base-h", "--base-tau", "--levels"},
+        "energy": sim | {"--alphas", "--h", "--tau"},
+        "bench": {"-h", "--help", "--alphas", "--sizes", "--taus", "--T", "--out"},
+    }
+
+
+def test_readme_names_only_real_flags():
+    flags = set().union(*flags_of_each_parser().values())
     prose = re.sub(r"```.*?```", "", README.read_text(), flags=re.DOTALL)
     named = re.findall(r"--[\w-]+", " ".join(re.findall(r"`([^`]+)`", prose)
                                             + [" ".join(argv) for argv in readme_commands()]))
