@@ -30,9 +30,9 @@ from .operator import FracOperator, GridSpec, check_alpha, subdivisions
 from .presets import DEFAULTS, PRESETS
 from .problems import get_problem
 from .scheme import IeqState, SchemeConfig, run
-from .solvers import NumericalFailure, cg_tolerance, choose_preconditioner, condition_bound
+from .solvers import (CG_DEFAULT_TOL_CEILING, NumericalFailure, cg_tolerance,
+                      choose_preconditioner, condition_bound)
 
-_REAL = "{:.15e}".format
 _BLOCK = 500  # rows per csv_lines call
 
 
@@ -44,15 +44,6 @@ def _between(low: float, high: float, conv: Callable[[str], Any] = float):
             raise ValueError(f"must lie in ({low:g}, {high:g})")
         return value
     return convert
-
-
-def _bench_size(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise ValueError("needs M >= 2 subintervals")
-    from . import _dense  # here, so importing the cli loads no SciPy
-    _dense.check_size(value - 1)  # bench times the dense direct solve too
-    return value
 
 
 def _list(conv: Callable[[str], Any]) -> Callable[[str], tuple]:
@@ -83,31 +74,26 @@ class Option(NamedTuple):
     extra: dict = {}  # further add_argument keywords
 
 
-_POSITIVE, _COUNT = _between(0, math.inf), _between(0, math.inf, int)
+_POSITIVE = _between(0, math.inf)
 SIM = ("run", "convergence", "energy")
-ALL = SIM + ("bench",)
 OPTIONS = (
     Option("version", ("fracsg",), "show the version and exit",  # the top-level parser
            extra={"action": "version", "version": __version__}),
     Option("preset", SIM, "named experiment settings"),
     Option("example", SIM, "benchmark problem", str, {"choices": ("5.1", "5.2")}),
     Option("alpha", ("run",), "fractional order in (1, 2]", check_alpha),
-    Option("alphas", ("convergence", "energy", "bench"),
-           "comma-separated fractional orders in (1, 2]", _list(check_alpha)),
-    Option("omega", SIM, "width parameter of example 5.1, which alone takes one (default 1.1)",
-           _POSITIVE),
+    Option("alphas", ("convergence", "energy"), "comma-separated fractional orders in (1, 2]",
+           _list(check_alpha)),
+    Option("omega", ("run",), "width parameter of example 5.1, which alone takes one "
+           "(default 1.1)", _POSITIVE),
     Option("domain", SIM, "interval endpoints A < B", _interval,
            extra={"nargs": 2, "metavar": ("A", "B")}),
     Option("h", ("run", "energy"), "mesh size", _POSITIVE),
     Option("tau", ("run", "energy"), "time step (must divide T)", _POSITIVE),
     Option("base_h", ("convergence",), "coarsest mesh size", _POSITIVE),
     Option("base_tau", ("convergence",), "coarsest time step", _POSITIVE),
-    Option("levels", ("convergence",), "ladder depth", _COUNT),
-    Option("T", ALL, "final time", _POSITIVE),
-    Option("sizes", ("bench",), "comma-separated subinterval counts M >= 2 (M-1 unknowns, "
-           "within the dense direct solve's limit)", _list(_bench_size)),
-    Option("taus", ("bench",), "comma-separated time steps", _list(_POSITIVE)),
-    Option("out", ALL, "output directory", extra={"required": True}),
+    Option("T", SIM, "final time", _POSITIVE),
+    Option("out", SIM + ("bench",), "output directory", extra={"required": True}),
 )
 
 
@@ -144,16 +130,16 @@ def _scheme_config(s: dict, alpha: float, h: str = "h", tau: str = "tau") -> Sch
                         N=subdivisions(s["T"], s[tau], tau), cg_tol=s.get("cg_tol"))
 
 
+def _cell(value) -> str:
+    return "" if value is None else str(value) if isinstance(value, int) else f"{value:.15e}"
+
+
 def _write_csv(path: Path, header: str, rows) -> None:
+    """Rows of values, each cell an int by str, a real as "%.15e", None empty."""
     path.parent.mkdir(parents=True, exist_ok=True)  # here, so a refused run leaves no --out
     with path.open("w") as f:
         f.write(header + "\n")
-        f.writelines(",".join(row) + "\n" for row in rows)
-
-
-def _write_energy(path: Path, recorder: EnergyRecorder) -> None:
-    _write_csv(path, "n,t,E,RE",
-               ((str(n), _REAL(t), _REAL(e), _REAL(re)) for n, t, e, re in recorder.rows))
+        f.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
 
 
 class SnapshotWriter:
@@ -198,7 +184,7 @@ def cmd_run(s: dict, out_dir: Path) -> int:
     result = run(problem, cfg, op=op, observers=(recorder, snapshots, lambda state, stats:
                  levels.append((w_projection_drift(state), abs(state.U[[0, -1]]).max()))))
     w_drift_max, boundary_max = np.max(levels, axis=0)
-    _write_energy(out_dir / "energy.csv", recorder)
+    _write_csv(out_dir / "energy.csv", "n,t,E,RE", recorder.rows)
     bound = condition_bound(op, cfg.tau)
     meta = dict(
         example=problem.key, omega=problem.omega, alpha=cfg.alpha, domain=[grid.a, grid.b],
@@ -220,8 +206,7 @@ def cmd_convergence(s: dict, out_dir: Path) -> int:
     for alpha in s["alphas"]:
         report = convergence_ladder(problem, _scheme_config(s, alpha, "base_h", "base_tau"),
                                     s["levels"])
-        rows.extend((_REAL(alpha), _REAL(row.h), _REAL(row.tau), _REAL(row.error),
-                     "" if row.order is None else _REAL(row.order)) for row in report.rows)
+        rows.extend((alpha, row.h, row.tau, row.error, row.order) for row in report.rows)
     _write_csv(out_dir / "convergence.csv", "alpha,h,tau,error,order", rows)
     return 0
 
@@ -241,7 +226,7 @@ def cmd_energy(s: dict, out_dir: Path) -> int:
         op = FracOperator(alpha, cfg.grid)
         recorder = EnergyRecorder(op)
         run(problem, cfg, observers=(recorder,), op=op)
-        _write_energy(out_dir / name, recorder)
+        _write_csv(out_dir / name, "n,t,E,RE", recorder.rows)
     return 0
 
 
@@ -255,7 +240,7 @@ def _timed_run(problem, cfg: SchemeConfig, reps: int) -> tuple[float, np.ndarray
 
 
 def cmd_bench(s: dict, out_dir: Path) -> int:
-    """dense-direct vs FFT-CG wall-clock comparison (default settings take a few minutes)"""
+    """dense-direct vs FFT-CG wall-clock comparison at fixed sizes and steps (minutes)"""
     from . import _dense  # loads SciPy here, before the first timed run
     problem = get_problem("5.1", omega=s["omega"])
     rows, violations = [], []
@@ -266,14 +251,13 @@ def cmd_bench(s: dict, out_dir: Path) -> int:
         t_direct, u_direct = _timed_run(problem, replace(cfg, solve=_dense.solve), s["reps"])
         t_fft, u_fft = _timed_run(problem, cfg, s["reps"])
         diff = float(np.max(np.abs(u_direct - u_fft)))
-        if diff > 1e-8:
+        if diff > CG_DEFAULT_TOL_CEILING:
             raise NumericalFailure(f"direct and FFT solution paths disagree by {diff:.3e} "
                                    f"(alpha={alpha}, M={M}, tau={tau})")
         if M >= 400 and t_fft > t_direct:
             violations.append(f"alpha={alpha} M={M} tau={tau}: "
                               f"fft {t_fft:.3f}s > direct {t_direct:.3f}s")
-        rows.append((_REAL(alpha), str(M), _REAL(cfg.grid.h), _REAL(tau), str(cfg.N),
-                     _REAL(t_direct), _REAL(t_fft), _REAL(diff)))
+        rows.append((alpha, M, cfg.grid.h, tau, cfg.N, t_direct, t_fft, diff))
     _write_csv(out_dir / "bench.csv",
                "alpha,M,h,tau,steps,direct_seconds,fft_seconds,solution_diff", rows)
     if violations:
@@ -294,10 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
         parsers[name].set_defaults(func=func)
     for opt, cmd in ((o, c) for o in OPTIONS for c in o.commands):
         kwargs = dict(opt.extra, dest=opt.name, help=opt.help)
-        default = DEFAULTS.get(cmd, {}).get(opt.name)
-        if default is not None:
-            text = ",".join(map(str, default)) if isinstance(default, tuple) else default
-            kwargs["help"] = f"{opt.help} (default {text})"
         if opt.name == "preset":
             kwargs["choices"] = sorted(PRESETS[cmd])
         parsers[cmd].add_argument("--" + opt.name.replace("_", "-"), **kwargs)
@@ -307,6 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         ns = build_parser().parse_args(argv)
+        if not ns.out:  # Path("") would be the working directory
+            raise ValueError("--out '' names no directory")
         settings, out = resolve(ns), Path(ns.out)
         # an --out that cannot be a directory fails here, before any run
         existing = next(p for p in (out, *out.parents) if p.exists())

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from fracsg import GridSpec, SchemeConfig, _dense, get_problem, run, solvers
 from fracsg.cli import SnapshotWriter, main
 from fracsg.diagnostics import w_projection_drift
+from fracsg.presets import DEFAULTS
 from fracsg.scheme import IeqState
 
 
@@ -145,11 +146,12 @@ def test_help_states_one_default_per_option(capsys, command):
     assert all(text.count("default") <= 1 for text in options.values()), options
 
 
-def test_convergence_single_level_has_empty_order(tmp_path):
+def test_convergence_single_level_has_empty_order(tmp_path, monkeypatch):
+    monkeypatch.setitem(DEFAULTS["convergence"], "levels", 1)
     out = tmp_path / "conv"
-    code = main(["convergence", "--example", "5.1", "--alphas", "2", "--omega", "1.1",
+    code = main(["convergence", "--example", "5.1", "--alphas", "2",
                  "--domain", "-20", "20", "--base-h", "1", "--base-tau", "0.25",
-                 "--levels", "1", "--T", "1", "--out", str(out)])
+                 "--T", "1", "--out", str(out)])
     assert code == 0
     lines = (out / "convergence.csv").read_text().splitlines()
     assert lines[0] == "alpha,h,tau,error,order"
@@ -157,11 +159,11 @@ def test_convergence_single_level_has_empty_order(tmp_path):
     assert lines[1].endswith(",")  # no order on the first ladder level
 
 
-def test_convergence_preset_scaled_down(tmp_path):
+def test_convergence_preset_scaled_down(tmp_path, monkeypatch):
+    monkeypatch.setitem(DEFAULTS["convergence"], "levels", 2)
     out = tmp_path / "conv"
     code = main(["convergence", "--preset", "table2", "--alphas", "1.6,2",
-                 "--base-h", "2", "--base-tau", "0.25", "--levels", "2",
-                 "--T", "0.5", "--out", str(out)])
+                 "--base-h", "2", "--base-tau", "0.25", "--T", "0.5", "--out", str(out)])
     assert code == 0
     rows = (out / "convergence.csv").read_text().splitlines()
     assert len(rows) == 5  # header + 2 levels x 2 orders
@@ -246,19 +248,12 @@ def test_run_meta_boundary_max_is_the_largest_edge_value(tmp_path):
     assert float(f"{boundary_max:.15e}") == max(edges) > 0.0
 
 
-def test_bench_rejects_empty_sizes(tmp_path, capsys):
-    code = main(["bench", "--sizes", "", "--out", str(tmp_path / "b")])
-    assert code == 1
-    assert "nonempty" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("argv", [
     ["energy", "--example", "5.2", "--domain", "-10", "10", "--h", "0.5", "--tau", "0.1",
      "--T", "1", "--alphas", "1.5,2.5"],
     ["energy", "--preset", "fig2", "--alphas", "1.5, 1"],
     ["convergence", "--preset", "table1", "--alphas", "1.5,2.0000001"],
-    ["bench", "--alphas", "1.5,nan"],
-], ids=["energy-flag", "energy-preset", "convergence", "bench"])
+], ids=["energy-flag", "energy-preset", "convergence"])
 def test_alphas_out_of_range_exit_one_before_any_run(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr("fracsg.cli.run", None)  # a run would fail with TypeError
     monkeypatch.setattr("fracsg.cli.convergence_ladder", None)
@@ -269,43 +264,31 @@ def test_alphas_out_of_range_exit_one_before_any_run(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
-def test_bench_sizes_below_two_exit_one_before_any_run(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("fracsg.cli.run", None)
-    out = tmp_path / "b"
-    assert main(["bench", "--sizes", "20,0", "--taus", "0.5", "--T", "1",
-                 "--out", str(out)]) == 1
-    assert "invalid sizes '20,0': needs M >= 2 subintervals" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_bench_sizes_beyond_direct_limit_exit_one_before_any_run(tmp_path, capsys,
-                                                                  monkeypatch):
-    monkeypatch.setattr("fracsg.cli.run", None)
-    out = tmp_path / "b"
-    assert main(["bench", "--sizes", "4000,5000", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert ("invalid sizes '4000,5000': dense direct solve limited to "
-            f"{_dense.DIRECT_MAX_SIZE} unknowns, got 4999") in err
-    assert not out.exists()
+def bench_at(monkeypatch, **settings):
+    """Makes bench, which takes no setting flags, run at ``settings`` instead of its defaults."""
+    monkeypatch.setitem(DEFAULTS, "bench", {**DEFAULTS["bench"], **settings})
 
 
 def test_bench_checks_every_config_before_any_run(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("fracsg.cli.run", None)  # a timed run would fail with TypeError
+    bench_at(monkeypatch, sizes=(64,), alphas=(1.5,), taus=(0.1, 0.3), T=1.0)
     out = tmp_path / "b"
-    assert main(["bench", "--sizes", "64", "--alphas", "1.5", "--taus", "0.1,0.3", "--T", "1",
-                 "--out", str(out)]) == 1
+    assert main(["bench", "--out", str(out)]) == 1
     assert "tau=0.3 does not divide 1.0" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_bench_small_instance(tmp_path):
+def test_bench_small_instance(tmp_path, monkeypatch):
+    bench_at(monkeypatch, sizes=(64,), alphas=(1.5,), taus=(0.1,), T=0.2)
     out = tmp_path / "bench"
-    code = main(["bench", "--sizes", "64", "--alphas", "1.5", "--taus", "0.1",
-                 "--T", "0.2", "--out", str(out)])
-    assert code == 0
+    assert main(["bench", "--out", str(out)]) == 0
+    lines = (out / "bench.csv").read_text().splitlines()
+    assert lines[0] == "alpha,M,h,tau,steps,direct_seconds,fft_seconds,solution_diff"
+    assert lines[1].startswith("1.500000000000000e+00,64,1.000000000000000e-01,"
+                               "1.000000000000000e-01,2,")
     rows = read_csv(out / "bench.csv")
     assert rows.shape == (1, 8)
-    assert rows[0, 7] <= 1e-8  # direct and FFT paths agree
+    assert rows[0, 7] <= solvers.CG_DEFAULT_TOL_CEILING  # direct and FFT paths agree
 
 
 RUN_ARGS = ["run", "--example", "5.1", "--alpha", "2", "--domain", "-20", "20",
@@ -320,7 +303,6 @@ RUN_ARGS = ["run", "--example", "5.1", "--alpha", "2", "--domain", "-20", "20",
     (["energy", "--preset", "fig2", "--tau", "0"], "tau"),
     (["convergence", "--preset", "table1", "--base-h", "0"], "base_h"),
     (["convergence", "--preset", "table1", "--base-tau", "inf"], "base_tau"),
-    (["bench", "--taus", "0.1,0"], "taus"),
 ])
 def test_nonpositive_step_exits_one(tmp_path, capsys, argv, setting):
     assert main(argv + ["--out", str(tmp_path / "x")]) == 1
@@ -358,7 +340,7 @@ def test_out_that_cannot_be_a_directory_exits_one_before_any_run(tmp_path, capsy
 @pytest.mark.parametrize("argv", [
     ["energy", "--preset", "fig2", "--alphas", ""],
     ["convergence", "--preset", "table1", "--alphas", " "],
-    ["bench", "--taus", ","],
+    ["energy", "--preset", "fig4", "--alphas", ","],
 ])
 def test_empty_list_exits_one(tmp_path, capsys, argv):
     out = tmp_path / "x"
@@ -396,6 +378,13 @@ SETTINGS_OF = {"run": RUN_ARGS, "convergence": ["convergence", "--preset", "tabl
     ("bench", "--reps", "1"),
     ("bench", "--omega", "1.1"),
     ("bench", "--h", "0.2"),  # not read as --help
+    ("bench", "--sizes", "64"),
+    ("bench", "--alphas", "1.5"),
+    ("bench", "--taus", "0.1"),
+    ("bench", "--T", "1"),
+    ("convergence", "--levels", "2"),
+    ("convergence", "--omega", "1.1"),
+    ("energy", "--omega", "1.1"),
 ])
 def test_removed_setting_flag_is_rejected(tmp_path, capsys, command, flag, value):
     out = tmp_path / "x"
@@ -404,6 +393,16 @@ def test_removed_setting_flag_is_rejected(tmp_path, capsys, command, flag, value
     assert main([command, "--help"]) == 0
     assert flag + " " not in capsys.readouterr().out
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", SETTINGS_OF)
+def test_empty_out_exits_one_before_any_run(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr("fracsg.cli.run", None)  # a run would fail with TypeError
+    monkeypatch.setattr("fracsg.cli.convergence_ladder", None)
+    monkeypatch.chdir(tmp_path)  # Path("") is the working directory
+    assert main(SETTINGS_OF[command] + ["--out", ""]) == 1
+    assert capsys.readouterr().err == "error: --out '' names no directory\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, domain", [
@@ -454,11 +453,10 @@ def test_default_cg_tolerance_above_its_ceiling_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize("argv, setting", [
     (RUN_ARGS + ["--omega", "inf"], "omega"),
     (RUN_ARGS + ["--omega", "nan"], "omega"),
-    (["convergence", "--preset", "table1", "--omega", "inf"], "omega"),
     # argparse reads "-inf" as an option, so the infinite endpoint is the right one
     (RUN_ARGS + ["--domain", "0", "inf"], "domain"),
     (RUN_ARGS + ["--domain", "nan", "20"], "domain"),
-], ids=["omega-inf", "omega-nan", "convergence-omega-inf", "domain-inf", "domain-nan"])
+], ids=["omega-inf", "omega-nan", "domain-inf", "domain-nan"])
 def test_non_finite_setting_exits_one(tmp_path, capsys, argv, setting):
     out = tmp_path / "x"
     assert main(argv + ["--out", str(out)]) == 1
@@ -486,21 +484,20 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
-@pytest.mark.parametrize("sizes", [["--sizes", "16"], []], ids=["flag", "default"])
-def test_bench_loads_scipy_before_the_first_timed_run(tmp_path, sizes):
+def test_bench_loads_scipy_before_the_first_timed_run(tmp_path):
     # a fresh interpreter, so that no other test has loaded SciPy; the spy
     # runs inside the timed interval, when the first run starts
     code = ("import sys, fracsg.cli as cli\n"
+            "cli.DEFAULTS['bench'].update(sizes=(16,), alphas=(1.5,), taus=(0.1,), T=0.2)\n"
             "real, loaded = cli.run, []\n"
             "def spy(*args, **kwargs):\n"
             "    loaded.append('scipy.linalg' in sys.modules)\n"
             "    return real(*args, **kwargs)\n"
             "cli.run = spy\n"
-            "cli.main(['bench', '--alphas', '1.5', '--taus', '0.1', '--T', '0.2',"
-            " '--out', sys.argv[1]] + sys.argv[2:])\n"
+            "assert cli.main(['bench', '--out', sys.argv[1]]) == 0\n"
             "print(loaded[0])\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "b"), *sizes], env=env,
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "b")], env=env,
                          check=True, capture_output=True, text=True).stdout
     assert out.strip() == "True"
 
@@ -511,11 +508,12 @@ def test_bench_beyond_direct_size_limit_exits_one(tmp_path, capsys, monkeypatch)
 
     monkeypatch.setattr(_dense, "step_matrix", never)
     monkeypatch.setattr(_dense, "operator_matrix", never)
-    code = main(["bench", "--sizes", "20000", "--alphas", "1.5", "--taus", "0.1",
-                 "--T", "0.2", "--out", str(tmp_path / "b")])
-    assert code == 1
+    bench_at(monkeypatch, sizes=(20000,), alphas=(1.5,), taus=(0.1,), T=0.2)
+    out = tmp_path / "b"
+    assert main(["bench", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert f"limited to {_dense.DIRECT_MAX_SIZE} unknowns, got 19999" in err
+    assert not out.exists()
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

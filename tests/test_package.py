@@ -1,5 +1,5 @@
 """The package's top-level names, its SciPy-free production modules, the
-flags of each command, and the README examples that use them."""
+flags of each command, the presets and README examples that use them."""
 
 import argparse
 import ast
@@ -9,7 +9,8 @@ import shlex
 from pathlib import Path
 
 import fracsg
-from fracsg.cli import build_parser, resolve
+from fracsg.cli import OPTIONS, build_parser, resolve
+from fracsg.presets import DEFAULTS, PRESETS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -89,14 +90,34 @@ def flags_of_each_parser():
 
 def test_each_parser_takes_exactly_its_flags():
     # a new setting is a deliberate edit here, not a side effect of OPTIONS
-    sim = {"-h", "--help", "--preset", "--example", "--omega", "--domain", "--T", "--out"}
+    sim = {"-h", "--help", "--preset", "--example", "--domain", "--T", "--out"}
     assert flags_of_each_parser() == {
         "fracsg": {"-h", "--help", "--version"},
-        "run": sim | {"--alpha", "--h", "--tau"},
-        "convergence": sim | {"--alphas", "--base-h", "--base-tau", "--levels"},
+        "run": sim | {"--alpha", "--omega", "--h", "--tau"},
+        "convergence": sim | {"--alphas", "--base-h", "--base-tau"},
         "energy": sim | {"--alphas", "--h", "--tau"},
-        "bench": {"-h", "--help", "--alphas", "--sizes", "--taus", "--T", "--out"},
+        "bench": {"-h", "--help", "--out"},
     }
+
+
+def test_every_setting_flag_is_set_by_a_preset_or_readme_command():
+    # a flag that no preset and no documented command sets is a knob to remove
+    used = {(argv[0], name) for argv in readme_commands()
+            for name, value in vars(build_parser().parse_args(argv)).items() if value is not None}
+    used |= {(command, name) for command, presets in PRESETS.items()
+             for preset in presets.values() for name in preset.settings()}
+    unused = [f"{command} --{opt.name.replace('_', '-')}" for opt in OPTIONS if opt.conv
+              for command in opt.commands if (command, opt.name) not in used]
+    assert unused == []
+
+
+def test_presets_set_only_settings_of_their_subcommand():
+    # a preset value its subcommand has no setting for would be ignored without a word
+    for command, presets in PRESETS.items():
+        settings = {o.name for o in OPTIONS if command in o.commands and o.conv}
+        settings |= set(DEFAULTS[command])
+        for name, preset in presets.items():
+            assert set(preset.settings()) <= settings, (command, name)
 
 
 def test_readme_names_only_real_flags():
