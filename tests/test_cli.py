@@ -484,7 +484,12 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
-def test_bench_loads_scipy_before_the_first_timed_run(tmp_path):
+# flag: main is handed the flags; default: main reads its default argv,
+# sys.argv, as the fracsg console script does
+@pytest.mark.parametrize("call", ["code = cli.main(['bench', '--out', out])",
+                                  "sys.argv[1:] = ['bench', '--out', out]; code = cli.main()"],
+                         ids=["flag", "default"])
+def test_bench_loads_scipy_before_the_first_timed_run(tmp_path, call):
     # a fresh interpreter, so that no other test has loaded SciPy; the spy
     # runs inside the timed interval, when the first run starts
     code = ("import sys, fracsg.cli as cli\n"
@@ -494,7 +499,9 @@ def test_bench_loads_scipy_before_the_first_timed_run(tmp_path):
             "    loaded.append('scipy.linalg' in sys.modules)\n"
             "    return real(*args, **kwargs)\n"
             "cli.run = spy\n"
-            "assert cli.main(['bench', '--out', sys.argv[1]]) == 0\n"
+            "out = sys.argv[1]\n"
+            f"{call}\n"
+            "assert code == 0\n"
             "print(loaded[0])\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "b")], env=env,
