@@ -1,6 +1,6 @@
 """Command-line front end of the fracsg solver.
 
-Settings come from flags, then a --preset, then the subcommand's defaults.
+A setting comes from its flag, else from the --preset; bench has none.
 All real numbers in CSV output are written as Python's "%.15e" writes them,
 and every output except bench timings is byte-stable across repeated runs.
 Solution snapshots are formatted in numpy; their bytes still equal "%.15e"
@@ -16,7 +16,6 @@ import json
 import math
 import sys
 import time
-from collections import ChainMap
 from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -27,7 +26,7 @@ from . import __version__
 from ._format import csv_lines, format_slots
 from .diagnostics import EnergyRecorder, convergence_ladder, w_projection_drift
 from .operator import FracOperator, GridSpec, check_alpha, subdivisions
-from .presets import DEFAULTS, PRESETS
+from .presets import PRESETS
 from .problems import get_problem
 from .scheme import IeqState, SchemeConfig, run
 from .solvers import (CG_DEFAULT_TOL_CEILING, NumericalFailure, cg_tolerance,
@@ -63,29 +62,26 @@ def _interval(text: str) -> tuple[float, float]:
 
 
 class Option(NamedTuple):
-    """An option of the subcommands in ``commands``.  ``conv`` turns its flag's
-    text into a setting; an option without one (where settings come from,
-    where output goes) is no setting."""
+    """A setting of the subcommands in ``commands``, which ``conv`` reads from its
+    flag's text; an optional one is None where neither flag nor preset sets it."""
 
     name: str
     commands: tuple[str, ...]
     help: str
-    conv: Callable[[str], Any] | None = None
+    conv: Callable[[str], Any]
     extra: dict = {}  # further add_argument keywords
+    required: bool = True
 
 
 _POSITIVE = _between(0, math.inf)
 SIM = ("run", "convergence", "energy")
 OPTIONS = (
-    Option("version", ("fracsg",), "show the version and exit",  # the top-level parser
-           extra={"action": "version", "version": __version__}),
-    Option("preset", SIM, "named experiment settings"),
     Option("example", SIM, "benchmark problem", str, {"choices": ("5.1", "5.2")}),
     Option("alpha", ("run",), "fractional order in (1, 2]", check_alpha),
     Option("alphas", ("convergence", "energy"), "comma-separated fractional orders in (1, 2]",
            _list(check_alpha)),
     Option("omega", ("run",), "width parameter of example 5.1, which alone takes one "
-           "(default 1.1)", _POSITIVE),
+           "(default 1.1)", _POSITIVE, required=False),
     Option("domain", SIM, "interval endpoints A < B", _interval,
            extra={"nargs": 2, "metavar": ("A", "B")}),
     Option("h", ("run", "energy"), "mesh size", _POSITIVE),
@@ -93,7 +89,6 @@ OPTIONS = (
     Option("base_h", ("convergence",), "coarsest mesh size", _POSITIVE),
     Option("base_tau", ("convergence",), "coarsest time step", _POSITIVE),
     Option("T", SIM, "final time", _POSITIVE),
-    Option("out", SIM + ("bench",), "output directory", extra={"required": True}),
 )
 
 
@@ -106,17 +101,16 @@ def _convert(opt: Option, text: str | list[str]) -> Any:
 
 
 def resolve(ns: argparse.Namespace) -> dict[str, Any]:
-    """Every setting of subcommand ``ns.command``, taken from its flags, then
-    its preset, then the subcommand's defaults, which also hold the settings
-    no flag sets.  Raises ValueError on a bad value or a missing setting."""
-    owned = {o.name: o for o in OPTIONS if ns.command in o.commands and o.conv}
-    flags = {k: _convert(o, vars(ns)[k]) for k, o in owned.items() if vars(ns)[k] is not None}
+    """The settings of subcommand ``ns.command``, each from its flag, else its
+    preset.  Raises ValueError on a bad value or a missing required setting."""
+    owned = [o for o in OPTIONS if ns.command in o.commands]
     preset = PRESETS[ns.command][ns.preset].settings() if vars(ns).get("preset") else {}
-    merged = ChainMap(flags, preset, DEFAULTS[ns.command])
-    missing = [k for k in owned if k not in merged]
+    settings = {o.name: preset.get(o.name) if vars(ns)[o.name] is None
+                else _convert(o, vars(ns)[o.name]) for o in owned}
+    missing = [o.name for o in owned if o.required and settings[o.name] is None]
     if missing:
         raise ValueError(f"missing required settings: {', '.join(missing)}")
-    return dict(merged)
+    return settings
 
 
 def _scheme_config(s: dict, alpha: float, h: str = "h", tau: str = "tau") -> SchemeConfig:
@@ -127,7 +121,7 @@ def _scheme_config(s: dict, alpha: float, h: str = "h", tau: str = "tau") -> Sch
     if M < 2:
         raise ValueError(f"{h}={s[h]} divides {b - a} into {M} step; need M >= 2 subintervals")
     return SchemeConfig(grid=GridSpec(a=a, b=b, M=M), alpha=alpha, T=s["T"],
-                        N=subdivisions(s["T"], s[tau], tau), cg_tol=s.get("cg_tol"))
+                        N=subdivisions(s["T"], s[tau], tau))
 
 
 def _cell(value) -> str:
@@ -199,13 +193,16 @@ def cmd_run(s: dict, out_dir: Path) -> int:
     return 0
 
 
+LADDER_LEVELS = 4  # refinement levels of each ladder, as in the paper's tables
+
+
 def cmd_convergence(s: dict, out_dir: Path) -> int:
     """refinement-ladder error table"""
-    problem = get_problem(s["example"], omega=s["omega"])
+    problem = get_problem(s["example"])
     rows = []
     for alpha in s["alphas"]:
         report = convergence_ladder(problem, _scheme_config(s, alpha, "base_h", "base_tau"),
-                                    s["levels"])
+                                    LADDER_LEVELS)
         rows.extend((alpha, row.h, row.tau, row.error, row.order) for row in report.rows)
     _write_csv(out_dir / "convergence.csv", "alpha,h,tau,error,order", rows)
     return 0
@@ -220,7 +217,7 @@ def cmd_energy(s: dict, out_dir: Path) -> int:
                for name, alphas in alphas_of.items() if len(alphas) > 1]
     if clashes:
         raise ValueError(f"invalid alphas: {'; '.join(clashes)}")
-    problem = get_problem(s["example"], omega=s["omega"])
+    problem = get_problem(s["example"])
     for name, (alpha,) in alphas_of.items():
         cfg = _scheme_config(s, alpha)
         op = FracOperator(alpha, cfg.grid)
@@ -239,17 +236,28 @@ def _timed_run(problem, cfg: SchemeConfig, reps: int) -> tuple[float, np.ndarray
     return float(np.median(times)), final
 
 
-def cmd_bench(s: dict, out_dir: Path) -> int:
+# bench, the paper's timing experiment: example 5.1 at fixed sizes and steps
+BENCH_SIZES, BENCH_ALPHAS, BENCH_TAUS = (200, 400), (1.3, 2.0), (0.1, 0.05, 0.025, 0.0125)
+BENCH_T, BENCH_H, BENCH_OMEGA = 10.0, 0.1, 1.0
+BENCH_REPS = 3  # timings per reported median
+# tighter than the derived tolerance: per-step CG error accumulates over the
+# longest sweep (800 steps), and bench holds CG to the dense direct solution
+# within CG_DEFAULT_TOL_CEILING; at 1e-12, 8 of its 16 runs would not be
+BENCH_CG_TOL = 1e-14
+
+
+def cmd_bench(_: dict, out_dir: Path) -> int:
     """dense-direct vs FFT-CG wall-clock comparison at fixed sizes and steps (minutes)"""
     from . import _dense  # loads SciPy here, before the first timed run
-    problem = get_problem("5.1", omega=s["omega"])
+    problem = get_problem("5.1", omega=BENCH_OMEGA)
     rows, violations = [], []
-    runs = [(alpha, M, tau, _scheme_config(
-        {**s, "domain": (-0.5 * M * s["h"], 0.5 * M * s["h"]), "tau": tau}, alpha))
-        for alpha, M, tau in itertools.product(s["alphas"], s["sizes"], s["taus"])]
+    runs = [(alpha, M, tau, replace(_scheme_config({
+        "domain": (-0.5 * M * BENCH_H, 0.5 * M * BENCH_H), "h": BENCH_H, "tau": tau,
+        "T": BENCH_T}, alpha), cg_tol=BENCH_CG_TOL))
+        for alpha, M, tau in itertools.product(BENCH_ALPHAS, BENCH_SIZES, BENCH_TAUS)]
     for alpha, M, tau, cfg in runs:  # every config is built, so checked, before any timing
-        t_direct, u_direct = _timed_run(problem, replace(cfg, solve=_dense.solve), s["reps"])
-        t_fft, u_fft = _timed_run(problem, cfg, s["reps"])
+        t_direct, u_direct = _timed_run(problem, replace(cfg, solve=_dense.solve), BENCH_REPS)
+        t_fft, u_fft = _timed_run(problem, cfg, BENCH_REPS)
         diff = float(np.max(np.abs(u_direct - u_fft)))
         if diff > CG_DEFAULT_TOL_CEILING:
             raise NumericalFailure(f"direct and FFT solution paths disagree by {diff:.3e} "
@@ -270,17 +278,22 @@ def build_parser() -> argparse.ArgumentParser:
     # no abbreviations: "bench --h" would otherwise read as --help
     parser = argparse.ArgumentParser(prog="fracsg", description=__doc__, allow_abbrev=False,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--version", action="version", version=__version__,
+                        help="show the version and exit")
     sub = parser.add_subparsers(dest="command", required=True)
-    parsers = {"fracsg": parser}
+    parsers = {}
     for func in (cmd_run, cmd_convergence, cmd_energy, cmd_bench):
         name = func.__name__.removeprefix("cmd_")
-        parsers[name] = sub.add_parser(name, help=func.__doc__, allow_abbrev=False)
-        parsers[name].set_defaults(func=func)
+        p = parsers[name] = sub.add_parser(name, help=func.__doc__, allow_abbrev=False)
+        p.set_defaults(func=func)
+        if name in PRESETS:
+            p.add_argument("--preset", choices=sorted(PRESETS[name]),
+                           help="named experiment settings")
     for opt, cmd in ((o, c) for o in OPTIONS for c in o.commands):
-        kwargs = dict(opt.extra, dest=opt.name, help=opt.help)
-        if opt.name == "preset":
-            kwargs["choices"] = sorted(PRESETS[cmd])
-        parsers[cmd].add_argument("--" + opt.name.replace("_", "-"), **kwargs)
+        parsers[cmd].add_argument("--" + opt.name.replace("_", "-"), dest=opt.name,
+                                  help=opt.help, **opt.extra)
+    for p in parsers.values():
+        p.add_argument("--out", required=True, help="output directory")
     return parser
 
 

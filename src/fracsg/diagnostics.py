@@ -18,6 +18,7 @@ import numpy as np
 from .operator import FracOperator
 from .problems import Problem
 from .scheme import IeqState, SchemeConfig, level_product, run
+from .solvers import NumericalFailure
 
 
 def discrete_energy(state: IeqState, op: FracOperator) -> float:
@@ -41,7 +42,8 @@ def w_projection_drift(state: IeqState) -> float:
 
 
 class EnergyRecorder:
-    """Run observer accumulating (n, t, E, RE) rows, RE = |(E^n - E^0)/E^0|."""
+    """Run observer accumulating (n, t, E, RE) rows, RE = |(E^n - E^0)/E^0|;
+    a non-finite E^n is a NumericalFailure."""
 
     def __init__(self, op: FracOperator):
         self.op = op
@@ -50,6 +52,8 @@ class EnergyRecorder:
 
     def __call__(self, state: IeqState, stats) -> None:
         e = discrete_energy(state, self.op)
+        if not np.isfinite(e):
+            raise NumericalFailure(f"non-finite discrete energy {e} at level {state.n}")
         if self._e0 is None:
             self._e0 = e
         self.rows.append((state.n, state.t, e, abs((e - self._e0) / self._e0)))

@@ -119,10 +119,10 @@ class GridSpec:
 
 
 def subdivisions(span: float, step: float, what: str) -> int:
-    """The whole number of steps of size ``step`` in ``span``; ValueError
-    naming the setting ``what`` when there is none (up to rounding)."""
+    """The whole number, at least 1, of steps of size ``step`` in ``span``;
+    ValueError naming the setting ``what`` when there is none (up to rounding)."""
     count = span / step
-    if not np.isfinite(count) or abs(count - round(count)) > 1e-9 * max(1.0, abs(count)):
+    if not np.isfinite(count) or count < 0.5 or abs(count - round(count)) > 1e-9 * max(1.0, count):
         raise ValueError(f"{what}={step} does not divide {span} into whole steps")
     return round(count)
 

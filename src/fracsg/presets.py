@@ -3,9 +3,7 @@
 Convergence presets cover the two benchmark tables (refinement ladder from
 (h, tau) = (1/5, 1/50), four levels, T = 1); energy presets cover the
 long-time conservation runs; run presets cover the wide-domain soliton
-evolutions.  Each subcommand also has defaults, the values it uses when no
-flag or preset sets them; those of bench, which takes no setting flag, fix
-the timing of the FFT-CG solve against the dense direct one of _dense.
+evolutions.  A flag overrides a preset's value (cli.resolve).
 """
 
 from __future__ import annotations
@@ -62,26 +60,4 @@ PRESETS: dict[str, dict[str, Preset]] = {
     "run": RUN_PRESETS,
     "convergence": CONVERGENCE_PRESETS,
     "energy": ENERGY_PRESETS,
-}
-
-# what a subcommand falls back on when no flag or preset sets a value;
-# every other setting the subcommand owns is required.  No flag sets the
-# ladder depth, convergence's and energy's omega, or any of bench's values.
-DEFAULTS: dict[str, dict] = {
-    "run": {"omega": None},  # None: the problem's own (problems.get_problem)
-    "convergence": {"omega": None, "levels": 4},
-    "energy": {"omega": None},
-    "bench": {  # the paper's timing experiment: example 5.1 at fixed sizes and steps
-        "sizes": (200, 400),
-        "alphas": (1.3, 2.0),
-        "taus": (0.1, 0.05, 0.025, 0.0125),
-        "T": 10.0,
-        "h": 0.1,
-        "omega": 1.0,
-        "reps": 3,  # timings per reported median
-        # tighter than the derived tolerance, because per-step CG error
-        # accumulates over the longest sweep (800 steps) and bench checks the
-        # CG solution against the dense direct one at CG_DEFAULT_TOL_CEILING
-        "cg_tol": 1e-14,
-    },
 }

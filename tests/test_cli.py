@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from fracsg import GridSpec, SchemeConfig, _dense, get_problem, run, solvers
 from fracsg.cli import SnapshotWriter, main
 from fracsg.diagnostics import w_projection_drift
-from fracsg.presets import DEFAULTS
 from fracsg.scheme import IeqState
 
 
@@ -147,7 +146,7 @@ def test_help_states_one_default_per_option(capsys, command):
 
 
 def test_convergence_single_level_has_empty_order(tmp_path, monkeypatch):
-    monkeypatch.setitem(DEFAULTS["convergence"], "levels", 1)
+    monkeypatch.setattr("fracsg.cli.LADDER_LEVELS", 1)
     out = tmp_path / "conv"
     code = main(["convergence", "--example", "5.1", "--alphas", "2",
                  "--domain", "-20", "20", "--base-h", "1", "--base-tau", "0.25",
@@ -160,7 +159,7 @@ def test_convergence_single_level_has_empty_order(tmp_path, monkeypatch):
 
 
 def test_convergence_preset_scaled_down(tmp_path, monkeypatch):
-    monkeypatch.setitem(DEFAULTS["convergence"], "levels", 2)
+    monkeypatch.setattr("fracsg.cli.LADDER_LEVELS", 2)
     out = tmp_path / "conv"
     code = main(["convergence", "--preset", "table2", "--alphas", "1.6,2",
                  "--base-h", "2", "--base-tau", "0.25", "--T", "0.5", "--out", str(out)])
@@ -265,8 +264,10 @@ def test_alphas_out_of_range_exit_one_before_any_run(tmp_path, capsys, monkeypat
 
 
 def bench_at(monkeypatch, **settings):
-    """Makes bench, which takes no setting flags, run at ``settings`` instead of its defaults."""
-    monkeypatch.setitem(DEFAULTS, "bench", {**DEFAULTS["bench"], **settings})
+    """Makes bench, which takes no setting flags, run at ``settings`` instead of its
+    fixed ones: ``sizes=`` patches ``cli.BENCH_SIZES``, and so on."""
+    for name, value in settings.items():
+        monkeypatch.setattr(f"fracsg.cli.BENCH_{name.upper()}", value)
 
 
 def test_bench_checks_every_config_before_any_run(tmp_path, capsys, monkeypatch):
@@ -307,6 +308,19 @@ RUN_ARGS = ["run", "--example", "5.1", "--alpha", "2", "--domain", "-20", "20",
 def test_nonpositive_step_exits_one(tmp_path, capsys, argv, setting):
     assert main(argv + ["--out", str(tmp_path / "x")]) == 1
     assert f"invalid {setting} " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, setting", [
+    (RUN_ARGS + ["--tau", "0.1", "--T", "1e-11"], "tau"),
+    (["convergence", "--preset", "table1", "--base-tau", "0.1", "--T", "1e-11"], "base_tau"),
+], ids=["run", "convergence"])
+def test_step_longer_than_its_interval_names_the_setting(tmp_path, capsys, argv, setting):
+    # 1e-11 / 0.1 rounds to no step at all
+    out = tmp_path / "x"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {setting}=0.1 does not divide 1e-11 into whole steps\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, out", [
@@ -464,6 +478,20 @@ def test_non_finite_setting_exits_one(tmp_path, capsys, argv, setting):
     assert not out.exists()
 
 
+def test_non_finite_energy_exits_two(tmp_path):
+    # a step of 1e-300 overflows V; in a child interpreter, because the
+    # overflow's RuntimeWarning is an error under this suite's warning filter
+    out = tmp_path / "x"
+    argv = ["run", "--example", "5.2", "--alpha", "1.5", "--domain", "-5", "5", "--h", "0.5",
+            "--tau", "1e-300", "--T", "1e-299", "--out", str(out)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-m", "fracsg.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "numerical failure: non-finite discrete energy inf at level 2\n" in proc.stderr
+    assert not (out / "meta.json").exists() and not (out / "energy.csv").exists()
+
+
 def test_stiff_run_records_circulant_preconditioner(tmp_path):
     from fracsg.solvers import CIRCULANT_MIN_BOUND
 
@@ -493,7 +521,8 @@ def test_bench_loads_scipy_before_the_first_timed_run(tmp_path, call):
     # a fresh interpreter, so that no other test has loaded SciPy; the spy
     # runs inside the timed interval, when the first run starts
     code = ("import sys, fracsg.cli as cli\n"
-            "cli.DEFAULTS['bench'].update(sizes=(16,), alphas=(1.5,), taus=(0.1,), T=0.2)\n"
+            "cli.BENCH_SIZES, cli.BENCH_ALPHAS, cli.BENCH_TAUS, cli.BENCH_T = "
+            "(16,), (1.5,), (0.1,), 0.2\n"
             "real, loaded = cli.run, []\n"
             "def spy(*args, **kwargs):\n"
             "    loaded.append('scipy.linalg' in sys.modules)\n"

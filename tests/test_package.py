@@ -10,7 +10,7 @@ from pathlib import Path
 
 import fracsg
 from fracsg.cli import OPTIONS, build_parser, resolve
-from fracsg.presets import DEFAULTS, PRESETS
+from fracsg.presets import PRESETS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -72,13 +72,30 @@ def readme_commands():
 
 def test_readme_commands_resolve(tmp_path, monkeypatch):
     # every fracsg command of the README parses and resolves to a full set of
-    # settings; nothing runs and nothing is written
+    # settings (bench's is empty); nothing runs and nothing is written
     monkeypatch.chdir(tmp_path)
     commands = readme_commands()
     assert len(commands) >= 9
     for argv in commands:
-        assert resolve(build_parser().parse_args(argv)), argv
+        assert isinstance(resolve(build_parser().parse_args(argv)), dict), argv
     assert list(tmp_path.iterdir()) == []
+
+
+def test_resolve_returns_exactly_the_subcommands_settings():
+    # no value rides along that no flag or preset sets
+    presets = [[command, "--preset", name] + (["--alpha", "1.5"] if command == "run" else [])
+               for command, names in PRESETS.items() for name in names]
+    hump = ["run", "--example", "5.2", "--alpha", "1.5", "--domain", "-20", "20", "--h", "0.5",
+            "--tau", "0.1", "--T", "1"]
+    resolved = {}
+    for argv in readme_commands() + [a + ["--out", "x"] for a in presets + [hump]]:
+        settings = resolve(build_parser().parse_args(argv))
+        assert set(settings) == {o.name for o in OPTIONS if argv[0] in o.commands}, argv
+        resolved[" ".join(argv[:3])] = settings
+    assert resolved["bench --out out/bench"] == {}
+    assert resolved["run --preset soliton1"]["omega"] == 1.0
+    assert resolved["run --preset soliton2"]["omega"] is None
+    assert resolved["run --example 5.2"]["omega"] is None
 
 
 def flags_of_each_parser():
@@ -106,7 +123,7 @@ def test_every_setting_flag_is_set_by_a_preset_or_readme_command():
             for name, value in vars(build_parser().parse_args(argv)).items() if value is not None}
     used |= {(command, name) for command, presets in PRESETS.items()
              for preset in presets.values() for name in preset.settings()}
-    unused = [f"{command} --{opt.name.replace('_', '-')}" for opt in OPTIONS if opt.conv
+    unused = [f"{command} --{opt.name.replace('_', '-')}" for opt in OPTIONS
               for command in opt.commands if (command, opt.name) not in used]
     assert unused == []
 
@@ -114,8 +131,7 @@ def test_every_setting_flag_is_set_by_a_preset_or_readme_command():
 def test_presets_set_only_settings_of_their_subcommand():
     # a preset value its subcommand has no setting for would be ignored without a word
     for command, presets in PRESETS.items():
-        settings = {o.name for o in OPTIONS if command in o.commands and o.conv}
-        settings |= set(DEFAULTS[command])
+        settings = {o.name for o in OPTIONS if command in o.commands}
         for name, preset in presets.items():
             assert set(preset.settings()) <= settings, (command, name)
 
