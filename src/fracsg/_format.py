@@ -21,14 +21,13 @@ is decided exactly, so the output equals ``%.15e`` for every float64.  Where
 0.5 and every value takes the exact ``%`` path: correct, only slow.
 
 Each value fills a fixed slot ``[-]d.ddddddddddddddde+dd[d],`` together with a
-mask of the bytes it keeps, so a table of slots becomes text by one boolean
-gather.
+mask of the bytes it keeps; the separator ending each row becomes a newline,
+and the table of slots becomes text by one boolean gather.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -49,11 +48,11 @@ def _tables() -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-def format_slots(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(chars, keep), both of shape (len(values), SLOT): the kept chars of
-    row i spell ``"%.15e" % values[i]`` followed by a comma."""
+def csv_lines(table: np.ndarray) -> bytes:
+    """One line of comma-separated ``"%.15e"`` cells per row of a 2-D float64
+    table."""
     pow10, quads = _tables()
-    v = np.asarray(values, dtype=np.float64)
+    v = np.asarray(table, dtype=np.float64).ravel()
     a = np.abs(v)
     fast = np.isfinite(a) & (a > 0)
     a = np.where(fast, a, 1.0)  # keeps the arithmetic below free of nan, inf and log10(0)
@@ -83,17 +82,5 @@ def format_slots(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         text = b"%-23.15e," * slow.size % tuple(v[slow].tolist())  # SLOT bytes, space-padded
         chars[slow] = np.frombuffer(text, np.uint8).reshape(-1, SLOT)
         keep[slow] = chars[slow] != ord(" ")
-    return chars, keep
-
-
-def csv_lines(table: np.ndarray, lead: Sequence[np.ndarray] = ()) -> bytes:
-    """One line of comma-separated ``"%.15e"`` cells per row of a 2-D float64
-    table.  ``lead``, the (chars, keep) of a column formatted beforehand by
-    ``format_slots``, puts that column first."""
-    rows, cols = table.shape
-    slots = [a.reshape(rows, cols, SLOT) for a in format_slots(table.ravel())]
-    if lead:
-        slots = [np.concatenate([first[:, None], a], axis=1) for first, a in zip(lead, slots)]
-    chars, keep = slots
-    chars[:, -1, -1] = ord("\n")
+    chars.reshape(*table.shape, SLOT)[:, -1, -1] = ord("\n")  # a view: chars is contiguous
     return chars[keep].tobytes()

@@ -4,13 +4,14 @@ A setting comes from its flag, else from the --preset; bench has none.
 All real numbers in CSV output are written as Python's "%.15e" writes them,
 and every output except bench timings is byte-stable across repeated runs.
 Solution snapshots are formatted in numpy; their bytes still equal "%.15e"
-(see SnapshotWriter).  Exit codes: 0 success, 1 configuration error,
-2 numerical failure.
+(see _format).  Exit codes: 0 success, 1 configuration error, 2 numerical
+failure, after which run and energy leave none of the CSV files they wrote.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -23,7 +24,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from ._format import csv_lines, format_slots
+from ._format import csv_lines
 from .diagnostics import EnergyRecorder, convergence_ladder, w_projection_drift
 from .operator import FracOperator, GridSpec, check_alpha, subdivisions
 from .presets import PRESETS
@@ -35,10 +36,10 @@ from .solvers import (CG_DEFAULT_TOL_CEILING, NumericalFailure, cg_tolerance,
 _BLOCK = 500  # rows per csv_lines call
 
 
-def _between(low: float, high: float, conv: Callable[[str], Any] = float):
-    """A converter of text by ``conv`` that admits values in (low, high) only."""
-    def convert(text: str):
-        value = conv(text)
+def _between(low: float, high: float) -> Callable[[str], float]:
+    """A converter of text to float that admits values in (low, high) only."""
+    def convert(text: str) -> float:
+        value = float(text)
         if not low < value < high:  # also rejects NaN
             raise ValueError(f"must lie in ({low:g}, {high:g})")
         return value
@@ -81,7 +82,7 @@ OPTIONS = (
     Option("alphas", ("convergence", "energy"), "comma-separated fractional orders in (1, 2]",
            _list(check_alpha)),
     Option("omega", ("run",), "width parameter of example 5.1, which alone takes one "
-           "(default 1.1)", _POSITIVE, required=False),
+           f"(default {get_problem('5.1').omega:g})", _POSITIVE, required=False),
     Option("domain", SIM, "interval endpoints A < B", _interval,
            extra={"nargs": 2, "metavar": ("A", "B")}),
     Option("h", ("run", "energy"), "mesh size", _POSITIVE),
@@ -136,33 +137,41 @@ def _write_csv(path: Path, header: str, rows) -> None:
         f.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
 
 
-class SnapshotWriter:
-    """Writes solution_<n>.csv at the configured stride plus the final level.
+@contextlib.contextmanager
+def _removed_on_failure(written: list[Path]):
+    """Removes the files in ``written``, which the block appends to, if the
+    block fails numerically, so that a failed command leaves no partial output."""
+    try:
+        yield written
+    except NumericalFailure:
+        for path in written:
+            path.unlink()
+        raise
 
-    The cells are formatted by ``_format.csv_lines``, _BLOCK rows at a time so
-    that its work arrays stay small, and the x column only once.  It computes
-    each cell's 16 digits in ``np.longdouble`` and hands every cell whose
-    rounding that precision cannot settle to Python's ``"%.15e"``, so the
-    bytes equal ``"%.15e" % v`` for every float64.  Where ``np.longdouble``
-    is plain double, every cell takes that path: the same bytes, at no more
-    than the speed of formatting each value in Python.
+
+class SnapshotWriter:
+    """Writes solution_<n>.csv at the configured stride plus the final level,
+    each cell as ``"%.15e"`` by ``_format.csv_lines``, _BLOCK rows at a time
+    so that its work arrays stay small.  ``written`` lists the files so far.
     """
 
     def __init__(self, out_dir: Path, x: np.ndarray, stride: int, last: int):
         self.out_dir = out_dir
+        self.x = x
         self.stride = stride
         self.last = last
-        self._x = format_slots(x)
+        self.written: list[Path] = []
 
     def __call__(self, state: IeqState, stats) -> None:
         if state.n % self.stride == 0 or state.n == self.last:
-            table = np.stack([state.U, state.V, state.W], axis=1)
+            table = np.stack([self.x, state.U, state.V, state.W], axis=1)
+            path = self.out_dir / f"solution_{state.n}.csv"
             self.out_dir.mkdir(parents=True, exist_ok=True)
-            with (self.out_dir / f"solution_{state.n}.csv").open("wb") as f:
+            self.written.append(path)
+            with path.open("wb") as f:
                 f.write(b"x,U,V,W\n")
                 for lo in range(0, len(table), _BLOCK):
-                    block = slice(lo, lo + _BLOCK)
-                    f.write(csv_lines(table[block], lead=[a[block] for a in self._x]))
+                    f.write(csv_lines(table[lo:lo + _BLOCK]))
 
 
 def cmd_run(s: dict, out_dir: Path) -> int:
@@ -175,8 +184,9 @@ def cmd_run(s: dict, out_dir: Path) -> int:
     recorder = EnergyRecorder(op)
     snapshots = SnapshotWriter(out_dir, grid.interior_nodes(), stride, cfg.N)
     levels = []  # per level: W drift, largest |U| at the two outermost interior nodes
-    result = run(problem, cfg, op=op, observers=(recorder, snapshots, lambda state, stats:
-                 levels.append((w_projection_drift(state), abs(state.U[[0, -1]]).max()))))
+    with _removed_on_failure(snapshots.written):
+        result = run(problem, cfg, op=op, observers=(recorder, snapshots, lambda state, stats:
+                     levels.append((w_projection_drift(state), abs(state.U[[0, -1]]).max()))))
     w_drift_max, boundary_max = np.max(levels, axis=0)
     _write_csv(out_dir / "energy.csv", "n,t,E,RE", recorder.rows)
     bound = condition_bound(op, cfg.tau)
@@ -218,12 +228,14 @@ def cmd_energy(s: dict, out_dir: Path) -> int:
     if clashes:
         raise ValueError(f"invalid alphas: {'; '.join(clashes)}")
     problem = get_problem(s["example"])
-    for name, (alpha,) in alphas_of.items():
-        cfg = _scheme_config(s, alpha)
-        op = FracOperator(alpha, cfg.grid)
-        recorder = EnergyRecorder(op)
-        run(problem, cfg, observers=(recorder,), op=op)
-        _write_csv(out_dir / name, "n,t,E,RE", recorder.rows)
+    with _removed_on_failure([]) as written:
+        for name, (alpha,) in alphas_of.items():
+            cfg = _scheme_config(s, alpha)
+            op = FracOperator(alpha, cfg.grid)
+            recorder = EnergyRecorder(op)
+            run(problem, cfg, observers=(recorder,), op=op)
+            written.append(out_dir / name)
+            _write_csv(out_dir / name, "n,t,E,RE", recorder.rows)
     return 0
 
 

@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fracsg import GridSpec, SchemeConfig, _dense, get_problem, run, solvers
+from fracsg import cli
 from fracsg.cli import SnapshotWriter, main
 from fracsg.diagnostics import w_projection_drift
 from fracsg.scheme import IeqState
@@ -489,7 +490,25 @@ def test_non_finite_energy_exits_two(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 2
     assert "numerical failure: non-finite discrete energy inf at level 2\n" in proc.stderr
-    assert not (out / "meta.json").exists() and not (out / "energy.csv").exists()
+    assert not list(out.glob("*"))  # nor the snapshots of levels 0 and 1, written before
+
+
+def test_energy_failing_at_a_later_alpha_leaves_no_series(tmp_path, monkeypatch, capsys):
+    real, alphas = cli.run, []
+
+    def fail_at_second(problem, cfg, **kwargs):
+        alphas.append(cfg.alpha)
+        if len(alphas) == 2:
+            raise solvers.NumericalFailure("injected")
+        return real(problem, cfg, **kwargs)
+
+    monkeypatch.setattr(cli, "run", fail_at_second)
+    out = tmp_path / "e"
+    assert main(["energy", "--example", "5.2", "--alphas", "1.5,2", "--domain", "-5", "5",
+                 "--h", "0.5", "--tau", "0.1", "--T", "0.2", "--out", str(out)]) == 2
+    assert alphas == [1.5, 2.0]
+    assert "numerical failure: injected" in capsys.readouterr().err
+    assert not list(out.glob("*"))
 
 
 def test_stiff_run_records_circulant_preconditioner(tmp_path):
@@ -560,10 +579,12 @@ columns = finite | extreme
 
 
 @given(rows=st.lists(st.tuples(finite, columns, columns, columns), min_size=1, max_size=40),
-       stride=st.integers(1, 7), last=st.integers(0, 20))
-def test_snapshot_bytes_match_row_by_row_format(rows, stride, last):
+       stride=st.integers(1, 7), last=st.integers(0, 20), block=st.integers(1, 9))
+def test_snapshot_bytes_match_row_by_row_format(rows, stride, last, block):
     x, U, V, W = (np.array(col) for col in zip(*rows))
-    with tempfile.TemporaryDirectory() as tmp:
+    # blocks of a few rows, so that files span several and most end in a partial one
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_BLOCK", block)
         out = Path(tmp)
         writer = SnapshotWriter(out, x, stride, last)
         for n in range(last + 1):

@@ -9,8 +9,9 @@ import shlex
 from pathlib import Path
 
 import fracsg
-from fracsg.cli import OPTIONS, build_parser, resolve
+from fracsg.cli import OPTIONS, build_parser, main, resolve
 from fracsg.presets import PRESETS
+from fracsg.problems import get_problem
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -143,6 +144,15 @@ def test_readme_names_only_real_flags():
                                             + [" ".join(argv) for argv in readme_commands()]))
     assert len(named) >= 20
     assert sorted(set(named) - flags) == []
+
+
+def test_omega_default_is_stated_as_get_problem_sets_it(capsys):
+    omega = f"{get_problem('5.1').omega:g}"
+    assert main(["run", "--help"]) == 0
+    assert f"(default {omega})" in " ".join(capsys.readouterr().out.split())
+    readme = " ".join(README.read_text().split())
+    assert f"apart from `run`'s `--omega`, which example 5.1 then takes as its own {omega}." \
+        in readme
 
 
 def test_readme_library_example_runs(capsys):
