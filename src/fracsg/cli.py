@@ -4,8 +4,9 @@ A setting comes from its flag, else from the --preset; bench has none.
 All real numbers in CSV output are written as Python's "%.15e" writes them,
 and every output except bench timings is byte-stable across repeated runs.
 Solution snapshots are formatted in numpy; their bytes still equal "%.15e"
-(see _format).  Exit codes: 0 success, 1 configuration error, 2 numerical
-failure, after which run and energy leave none of the CSV files they wrote.
+(see _format).  Exit codes: 0 success, 1 configuration or I/O error, 2
+numerical failure.  A run or energy that fails in I/O or numerically leaves
+none of the files it wrote.
 """
 
 from __future__ import annotations
@@ -85,10 +86,8 @@ OPTIONS = (
            f"(default {get_problem('5.1').omega:g})", _POSITIVE, required=False),
     Option("domain", SIM, "interval endpoints A < B", _interval,
            extra={"nargs": 2, "metavar": ("A", "B")}),
-    Option("h", ("run", "energy"), "mesh size", _POSITIVE),
-    Option("tau", ("run", "energy"), "time step (must divide T)", _POSITIVE),
-    Option("base_h", ("convergence",), "coarsest mesh size", _POSITIVE),
-    Option("base_tau", ("convergence",), "coarsest time step", _POSITIVE),
+    Option("h", SIM, "mesh size (convergence: of the coarsest level)", _POSITIVE),
+    Option("tau", SIM, "time step, dividing T (convergence: of the coarsest level)", _POSITIVE),
     Option("T", SIM, "final time", _POSITIVE),
 )
 
@@ -114,15 +113,14 @@ def resolve(ns: argparse.Namespace) -> dict[str, Any]:
     return settings
 
 
-def _scheme_config(s: dict, alpha: float, h: str = "h", tau: str = "tau") -> SchemeConfig:
-    """The one SchemeConfig maker: settings ``s`` at ``alpha``, with the step
-    sizes read from (and errors naming) the settings ``h`` and ``tau``."""
+def _scheme_config(s: dict, alpha: float) -> SchemeConfig:
+    """The one SchemeConfig maker: settings ``s`` at ``alpha``."""
     a, b = s["domain"]
-    M = subdivisions(b - a, s[h], h)
+    M = subdivisions(b - a, s["h"], "h")
     if M < 2:
-        raise ValueError(f"{h}={s[h]} divides {b - a} into {M} step; need M >= 2 subintervals")
+        raise ValueError(f"h={s['h']} divides {b - a} into {M} step; need M >= 2 subintervals")
     return SchemeConfig(grid=GridSpec(a=a, b=b, M=M), alpha=alpha, T=s["T"],
-                        N=subdivisions(s["T"], s[tau], tau))
+                        N=subdivisions(s["T"], s["tau"], "tau"))
 
 
 def _cell(value) -> str:
@@ -139,13 +137,13 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 @contextlib.contextmanager
 def _removed_on_failure(written: list[Path]):
-    """Removes the files in ``written``, which the block appends to, if the
-    block fails numerically, so that a failed command leaves no partial output."""
+    """Removes the files in ``written``, which the block lists before opening each,
+    if the block fails numerically or in I/O: a failed command leaves no output."""
     try:
         yield written
-    except NumericalFailure:
+    except (NumericalFailure, OSError):
         for path in written:
-            path.unlink()
+            path.unlink(missing_ok=True)  # the last may have failed to open
         raise
 
 
@@ -188,7 +186,6 @@ def cmd_run(s: dict, out_dir: Path) -> int:
         result = run(problem, cfg, op=op, observers=(recorder, snapshots, lambda state, stats:
                      levels.append((w_projection_drift(state), abs(state.U[[0, -1]]).max()))))
     w_drift_max, boundary_max = np.max(levels, axis=0)
-    _write_csv(out_dir / "energy.csv", "n,t,E,RE", recorder.rows)
     bound = condition_bound(op, cfg.tau)
     meta = dict(
         example=problem.key, omega=problem.omega, alpha=cfg.alpha, domain=[grid.a, grid.b],
@@ -199,7 +196,9 @@ def cmd_run(s: dict, out_dir: Path) -> int:
         cg_iterations_mean=result.cg_iterations_mean, residual_max=result.residual_max,
         energy_drift_max=recorder.max_relative_drift(), w_drift_max=w_drift_max,
         boundary_max=boundary_max, version=__version__)
-    (out_dir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    with _removed_on_failure(snapshots.written + [out_dir / "energy.csv", out_dir / "meta.json"]):
+        _write_csv(out_dir / "energy.csv", "n,t,E,RE", recorder.rows)
+        (out_dir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -211,8 +210,7 @@ def cmd_convergence(s: dict, out_dir: Path) -> int:
     problem = get_problem(s["example"])
     rows = []
     for alpha in s["alphas"]:
-        report = convergence_ladder(problem, _scheme_config(s, alpha, "base_h", "base_tau"),
-                                    LADDER_LEVELS)
+        report = convergence_ladder(problem, _scheme_config(s, alpha), LADDER_LEVELS)
         rows.extend((alpha, row.h, row.tau, row.error, row.order) for row in report.rows)
     _write_csv(out_dir / "convergence.csv", "alpha,h,tau,error,order", rows)
     return 0

@@ -19,11 +19,9 @@ class Preset:
     a: float
     b: float
     T: float
-    h: float | None = None
-    tau: float | None = None
+    h: float
+    tau: float
     alphas: tuple[float, ...] | None = None
-    base_h: float | None = None
-    base_tau: float | None = None
     omega: float | None = None
 
     def settings(self) -> dict:
@@ -34,9 +32,9 @@ class Preset:
 
 
 CONVERGENCE_PRESETS: dict[str, Preset] = {
-    "table1": Preset(example="5.1", a=-20.0, b=20.0, base_h=0.2, base_tau=0.02,
+    "table1": Preset(example="5.1", a=-20.0, b=20.0, h=0.2, tau=0.02,
                      T=1.0, alphas=(1.3, 1.75, 1.99, 2.0)),
-    "table2": Preset(example="5.2", a=-20.0, b=20.0, base_h=0.2, base_tau=0.02,
+    "table2": Preset(example="5.2", a=-20.0, b=20.0, h=0.2, tau=0.02,
                      T=1.0, alphas=(1.3, 1.6, 1.9, 2.0)),
 }
 

@@ -142,21 +142,18 @@ def solve(mat: StepMatrix, rhs: np.ndarray, cg_tol: float | None = None,
         return np.zeros(m), SolveStats(iterations=0, residual=0.0)
 
     bound = condition_bound(mat.op, mat.tau)  # the plain bound caps both paths
-    pre = None
-    if choose_preconditioner(mat.op, mat.tau) == "circulant":
-        pre = build_circulant_preconditioner(mat)
+    pre = (build_circulant_preconditioner(mat)
+           if choose_preconditioner(mat.op, mat.tau) == "circulant" else lambda r: r)
     max_iter = CG_CAP_FACTOR * math.ceil(
         0.5 * math.sqrt(bound) * math.log(2.0 / rel_tol))
     x = np.zeros(m) if x0 is None else np.array(x0, dtype=np.float64)
     r = rhs - (mat.matvec(x) if x0_product is None else mat.matvec_from_product(x, x0_product))
-    z = pre(r) if pre is not None else r
+    z = pre(r)
     p = z.copy()
     rz = float(np.dot(r, z))
     iterations = 0
     tol = rel_tol * bnorm
-    # unpreconditioned, z is r, so sqrt(r.z) is ||r||_2 to the bit
-    while _finite(math.sqrt(rz) if pre is None else float(np.linalg.norm(r)),
-                  "residual") > tol:
+    while _finite(math.sqrt(np.dot(r, r)), "residual") > tol:  # ||r||_2, cheaper than norm
         if iterations >= max_iter:
             res = float(np.linalg.norm(r)) / bnorm
             raise SolveFailure(
@@ -166,7 +163,7 @@ def solve(mat: StepMatrix, rhs: np.ndarray, cg_tol: float | None = None,
         alpha = rz / float(np.dot(p, Ap))
         x += alpha * p
         r -= alpha * Ap
-        z = pre(r) if pre is not None else r
+        z = pre(r)
         rz_new = float(np.dot(r, z))
         p *= rz_new / rz
         p += z

@@ -1,4 +1,4 @@
-"""Acceptance gate: eleven end-to-end verification criteria.
+"""Acceptance gate: twelve end-to-end verification criteria.
 
 One test per criterion, so the verbose pytest status line is the per-criterion
 pass/fail record; every test also prints a one-line summary with the measured
@@ -8,6 +8,7 @@ shared through module-scoped fixtures; the whole module runs in a few minutes.
 
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.linalg import toeplitz
@@ -51,6 +52,26 @@ HUMP_ERRORS = {
     1.6: [5.1079e-03, 1.2689e-03, 3.1678e-04, 7.9175e-05],
     1.9: [5.1156e-03, 1.2667e-03, 3.1601e-04, 7.8969e-05],
     2.0: [4.9566e-03, 1.2273e-03, 3.0617e-04, 7.6510e-05],
+}
+
+# max-norm errors of the operator on exp(-x^2) at |x| <= 3, on (-12, 12)
+# (criterion 12)
+GAUSSIAN_M = (240, 480, 960, 1920)
+GAUSSIAN_ERRORS = {
+    1.1: [2.2636e-03, 5.6642e-04, 1.4164e-04, 3.5411e-05],
+    1.3: [3.2244e-03, 8.0709e-04, 2.0183e-04, 5.0462e-05],
+    1.5: [4.5107e-03, 1.1294e-03, 2.8247e-04, 7.0623e-05],
+    1.75: [6.7471e-03, 1.6902e-03, 4.2275e-04, 1.0570e-04],
+    1.99: [9.8142e-03, 2.4596e-03, 6.1529e-04, 1.5385e-04],
+    2.0: [9.9667e-03, 2.4979e-03, 6.2487e-04, 1.5624e-04],
+}
+# relative errors of example 5.2's initial seminorm on DOMAIN (criterion 12)
+SEMINORM_M = (200, 400, 800, 1600)
+SEMINORM_ERRORS = {
+    1.3: [2.0683e-03, 5.1778e-04, 1.2949e-04, 3.2375e-05],
+    1.6: [3.0221e-03, 7.5708e-04, 1.8937e-04, 4.7348e-05],
+    1.9: [4.2004e-03, 1.0531e-03, 2.6346e-04, 6.5878e-05],
+    2.0: [4.6471e-03, 1.1654e-03, 2.9159e-04, 7.2912e-05],
 }
 
 ORDER_WINDOW = (1.9, 2.1)
@@ -293,3 +314,50 @@ def test_criterion_11_fft_faster_than_direct():
         print(f"criterion 11: M={M}: direct {timings['direct']:.3f}s, "
               f"fft {timings['cg']:.3f}s, solution diff {diff:.2e}")
     print("criterion 11: PASS")
+
+
+def _fractional_laplacian_of_gaussian(alpha, x):
+    """(-Delta)^{alpha/2} exp(-x^2) = 2^alpha Gamma((1+alpha)/2) / Gamma(1/2)
+    1F1((1+alpha)/2; 1/2; -x^2), from the Fourier transform of the Gaussian."""
+    c = 2.0 ** alpha * mp.gamma((1 + alpha) / 2) / mp.gamma(0.5)
+    return np.array([float(c * mp.hyp1f1((1 + alpha) / 2, 0.5, -xi * xi)) for xi in x])
+
+
+def _hump_seminorm_sq(alpha):
+    """(1/2pi) int |xi|^alpha |phi^(xi)|^2 dxi for example 5.2's phi = 3.2 sech x,
+    whose Fourier transform is 3.2 pi sech(pi xi / 2); the integrand is even."""
+    half_line = mp.quad(lambda xi: xi ** alpha * (3.2 * mp.pi * mp.sech(mp.pi * xi / 2)) ** 2,
+                        [0, mp.inf])
+    return float(half_line / mp.pi)
+
+
+def test_criterion_12_operator_and_energy_against_continuous_limits():
+    # the continuous fractional Laplacian, not the code's own finer grids,
+    # is the reference: a wrongly normalised operator would still converge
+    for alpha, refs in GAUSSIAN_ERRORS.items():
+        errors = []
+        for M in GAUSSIAN_M:
+            op = FracOperator(alpha, GridSpec(a=-12.0, b=12.0, M=M))
+            x = op.grid.interior_nodes()
+            near = np.abs(x) <= 3.0
+            exact = _fractional_laplacian_of_gaussian(alpha, x[near])
+            errors.append(float(np.max(np.abs(op.apply(np.exp(-x * x))[near] - exact))))
+        orders = orders_from_errors(errors)
+        assert all(_within(errors, refs)), (alpha, errors)
+        assert all(ORDER_WINDOW[0] <= p <= ORDER_WINDOW[1] for p in orders), (alpha, orders)
+        print(f"criterion 12: operator, alpha={alpha}: errors",
+              [f"{e:.4e}" for e in errors], "orders", [f"{p:.4f}" for p in orders])
+    hump = get_problem("5.2")
+    for alpha, refs in SEMINORM_ERRORS.items():
+        exact = _hump_seminorm_sq(alpha)
+        errors = []
+        for M in SEMINORM_M:
+            op = FracOperator(alpha, GridSpec(*DOMAIN, M=M))
+            seminorm = energy_seminorm_sq(op, hump.phi(op.grid.interior_nodes()))
+            errors.append(abs(seminorm - exact) / exact)
+        orders = orders_from_errors(errors)
+        assert all(_within(errors, refs)), (alpha, errors)
+        assert all(ORDER_WINDOW[0] <= p <= ORDER_WINDOW[1] for p in orders), (alpha, orders)
+        print(f"criterion 12: seminorm, alpha={alpha}: limit {exact:.10g}, errors",
+              [f"{e:.4e}" for e in errors], "orders", [f"{p:.4f}" for p in orders])
+    print("criterion 12: PASS")

@@ -1,6 +1,7 @@
 """Command-line interface tests: artifact layout, exit codes, flag and preset
 precedence, and byte-stable output."""
 
+import errno
 import json
 import os
 import re
@@ -102,11 +103,11 @@ def test_nondivisible_mesh_exits_one(tmp_path, capsys):
     assert "divide" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("setting, value", [("base_h", "0.3"), ("base_tau", "0.03")])
+@pytest.mark.parametrize("setting, value", [("h", "0.3"), ("tau", "0.03")])
 def test_nondivisible_base_step_names_the_setting(tmp_path, capsys, setting, value):
     out = tmp_path / "x"
     assert main(["convergence", "--preset", "table1", "--out", str(out),
-                 "--" + setting.replace("_", "-"), value]) == 1
+                 "--" + setting, value]) == 1
     assert capsys.readouterr().err.startswith(f"error: {setting}={value} does not divide")
     assert not out.exists()
 
@@ -114,7 +115,7 @@ def test_nondivisible_base_step_names_the_setting(tmp_path, capsys, setting, val
 @pytest.mark.parametrize("argv, setting", [
     (["run", "--example", "5.2", "--alpha", "1.5", "--domain", "-20", "20", "--h", "40",
       "--tau", "0.1", "--T", "1"], "h"),
-    (["convergence", "--preset", "table1", "--base-h", "40"], "base_h"),
+    (["convergence", "--preset", "table1", "--h", "40"], "h"),
 ])
 def test_step_leaving_one_subinterval_names_the_setting(tmp_path, capsys, argv, setting):
     out = tmp_path / "x"
@@ -150,7 +151,7 @@ def test_convergence_single_level_has_empty_order(tmp_path, monkeypatch):
     monkeypatch.setattr("fracsg.cli.LADDER_LEVELS", 1)
     out = tmp_path / "conv"
     code = main(["convergence", "--example", "5.1", "--alphas", "2",
-                 "--domain", "-20", "20", "--base-h", "1", "--base-tau", "0.25",
+                 "--domain", "-20", "20", "--h", "1", "--tau", "0.25",
                  "--T", "1", "--out", str(out)])
     assert code == 0
     lines = (out / "convergence.csv").read_text().splitlines()
@@ -163,7 +164,7 @@ def test_convergence_preset_scaled_down(tmp_path, monkeypatch):
     monkeypatch.setattr("fracsg.cli.LADDER_LEVELS", 2)
     out = tmp_path / "conv"
     code = main(["convergence", "--preset", "table2", "--alphas", "1.6,2",
-                 "--base-h", "2", "--base-tau", "0.25", "--T", "0.5", "--out", str(out)])
+                 "--h", "2", "--tau", "0.25", "--T", "0.5", "--out", str(out)])
     assert code == 0
     rows = (out / "convergence.csv").read_text().splitlines()
     assert len(rows) == 5  # header + 2 levels x 2 orders
@@ -303,8 +304,8 @@ RUN_ARGS = ["run", "--example", "5.1", "--alpha", "2", "--domain", "-20", "20",
     (RUN_ARGS + ["--T", "-1"], "T"),
     (RUN_ARGS + ["--h", "nan"], "h"),
     (["energy", "--preset", "fig2", "--tau", "0"], "tau"),
-    (["convergence", "--preset", "table1", "--base-h", "0"], "base_h"),
-    (["convergence", "--preset", "table1", "--base-tau", "inf"], "base_tau"),
+    (["convergence", "--preset", "table1", "--h", "0"], "h"),
+    (["convergence", "--preset", "table1", "--tau", "inf"], "tau"),
 ])
 def test_nonpositive_step_exits_one(tmp_path, capsys, argv, setting):
     assert main(argv + ["--out", str(tmp_path / "x")]) == 1
@@ -313,7 +314,7 @@ def test_nonpositive_step_exits_one(tmp_path, capsys, argv, setting):
 
 @pytest.mark.parametrize("argv, setting", [
     (RUN_ARGS + ["--tau", "0.1", "--T", "1e-11"], "tau"),
-    (["convergence", "--preset", "table1", "--base-tau", "0.1", "--T", "1e-11"], "base_tau"),
+    (["convergence", "--preset", "table1", "--tau", "0.1", "--T", "1e-11"], "tau"),
 ], ids=["run", "convergence"])
 def test_step_longer_than_its_interval_names_the_setting(tmp_path, capsys, argv, setting):
     # 1e-11 / 0.1 rounds to no step at all
@@ -399,6 +400,8 @@ SETTINGS_OF = {"run": RUN_ARGS, "convergence": ["convergence", "--preset", "tabl
     ("bench", "--T", "1"),
     ("convergence", "--levels", "2"),
     ("convergence", "--omega", "1.1"),
+    ("convergence", "--base-h", "0.2"),
+    ("convergence", "--base-tau", "0.02"),
     ("energy", "--omega", "1.1"),
 ])
 def test_removed_setting_flag_is_rejected(tmp_path, capsys, command, flag, value):
@@ -509,6 +512,33 @@ def test_energy_failing_at_a_later_alpha_leaves_no_series(tmp_path, monkeypatch,
     assert alphas == [1.5, 2.0]
     assert "numerical failure: injected" in capsys.readouterr().err
     assert not list(out.glob("*"))
+
+
+RUN_5_2 = ["run", "--example", "5.2", "--alpha", "1.5", "--domain", "-10", "10",
+           "--h", "0.5", "--tau", "0.1", "--T", "1"]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (RUN_5_2, "solution_3.csv"),  # the fourth snapshot: the stride is 1
+    (RUN_5_2, "energy.csv"),
+    (RUN_5_2, "meta.json"),
+    (["energy", "--example", "5.2", "--alphas", "1.5,2", "--domain", "-5", "5",
+      "--h", "0.5", "--tau", "0.1", "--T", "0.2"], "energy_2.csv"),
+], ids=["run-snapshot", "run-energy", "run-meta", "energy-second-order"])
+def test_write_error_mid_run_leaves_no_output(tmp_path, monkeypatch, capsys, argv, name):
+    # a full disk, simulated: opening the named file fails with ENOSPC
+    real_open = Path.open
+
+    def open_or_fail(path, *args, **kwargs):
+        if path.name == name:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", open_or_fail)
+    out = tmp_path / "x"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: [Errno {errno.ENOSPC}]")
+    assert out.is_dir() and not list(out.glob("*"))
 
 
 def test_stiff_run_records_circulant_preconditioner(tmp_path):

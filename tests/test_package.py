@@ -112,7 +112,7 @@ def test_each_parser_takes_exactly_its_flags():
     assert flags_of_each_parser() == {
         "fracsg": {"-h", "--help", "--version"},
         "run": sim | {"--alpha", "--omega", "--h", "--tau"},
-        "convergence": sim | {"--alphas", "--base-h", "--base-tau"},
+        "convergence": sim | {"--alphas", "--h", "--tau"},
         "energy": sim | {"--alphas", "--h", "--tau"},
         "bench": {"-h", "--help", "--out"},
     }
