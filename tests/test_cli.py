@@ -541,6 +541,102 @@ def test_write_error_mid_run_leaves_no_output(tmp_path, monkeypatch, capsys, arg
     assert out.is_dir() and not list(out.glob("*"))
 
 
+def full_disk(monkeypatch, name, writes):
+    """Simulates a disk that fills up in the file ``name``: opening it fails with
+    ENOSPC if ``writes`` is 0, else its write after the first ``writes`` does."""
+    real_open = Path.open
+
+    def enospc(path):
+        return OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+    class Filling:
+        def __init__(self, path, f):
+            self.path, self.f, self.left = path, f, writes
+
+        def write(self, data):
+            if not self.left:
+                raise enospc(self.path)
+            self.left -= 1
+            return self.f.write(data)
+
+        def writelines(self, lines):
+            for line in lines:
+                self.write(line)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+    def open_filling(path, *args, **kwargs):
+        if path.name != name:
+            return real_open(path, *args, **kwargs)
+        if not writes:
+            raise enospc(path)
+        return Filling(path, real_open(path, *args, **kwargs))
+
+    monkeypatch.setattr(Path, "open", open_filling)
+
+
+def stub_timed_run(monkeypatch, t_direct=1.0, t_fft=0.5, u_direct=0.0):
+    """Makes bench's timed runs return at once: the direct path ``t_direct`` s and
+    a solution of ``u_direct``, the FFT path ``t_fft`` s and a solution of 0."""
+    def timed_run(problem, cfg, reps):
+        if cfg.solve is _dense.solve:
+            return t_direct, np.full(cfg.grid.M - 1, u_direct)
+        return t_fft, np.zeros(cfg.grid.M - 1)
+
+    monkeypatch.setattr(cli, "_timed_run", timed_run)
+    bench_at(monkeypatch, sizes=(400,), alphas=(1.5,), taus=(0.1,), T=0.2)
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["convergence", "--example", "5.2", "--alphas", "1.5", "--domain", "-5", "5",
+      "--h", "0.5", "--tau", "0.1", "--T", "0.2"], "convergence.csv"),
+    (["bench"], "bench.csv"),
+], ids=["convergence", "bench"])
+def test_write_error_partway_through_a_file_leaves_no_output(tmp_path, monkeypatch, capsys,
+                                                              argv, name):
+    stub_timed_run(monkeypatch)
+    full_disk(monkeypatch, name, writes=1)  # the header goes through, the first row fails
+    out = tmp_path / "x"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: [Errno {errno.ENOSPC}]")
+    assert out.is_dir() and not list(out.iterdir())
+
+
+def test_failed_command_removes_only_the_files_it_opened(tmp_path, monkeypatch):
+    out = tmp_path / "x"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n")
+    full_disk(monkeypatch, "solution_3.csv", writes=0)  # the fourth snapshot: the stride is 1
+    assert main(RUN_5_2 + ["--out", str(out)]) == 1
+    assert [p.name for p in out.iterdir()] == ["notes.txt"]
+    assert (out / "notes.txt").read_text() == "kept\n"
+
+
+def test_bench_paths_disagreeing_exits_two_without_output(tmp_path, monkeypatch, capsys):
+    stub_timed_run(monkeypatch, u_direct=1e-6)
+    out = tmp_path / "b"
+    assert main(["bench", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("numerical failure: direct and FFT solution paths "
+                                       "disagree by 1.000e-06 (alpha=1.5, M=400, tau=0.1)\n")
+    assert not out.exists()
+
+
+def test_bench_fft_slower_exits_two_and_keeps_its_csv(tmp_path, monkeypatch, capsys):
+    stub_timed_run(monkeypatch, t_direct=1.0, t_fft=2.0)
+    out = tmp_path / "b"
+    assert main(["bench", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("numerical failure: FFT path slower than direct at "
+                                       "M >= 400:\n  alpha=1.5 M=400 tau=0.1: "
+                                       "fft 2.000s > direct 1.000s\n")
+    lines = (out / "bench.csv").read_text().splitlines()
+    assert lines[0] == "alpha,M,h,tau,steps,direct_seconds,fft_seconds,solution_diff"
+    assert len(lines) == 2 and lines[1].startswith("1.500000000000000e+00,400,")
+
+
 def test_stiff_run_records_circulant_preconditioner(tmp_path):
     from fracsg.solvers import CIRCULANT_MIN_BOUND
 
@@ -616,7 +712,7 @@ def test_snapshot_bytes_match_row_by_row_format(rows, stride, last, block):
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "_BLOCK", block)
         out = Path(tmp)
-        writer = SnapshotWriter(out, x, stride, last)
+        writer = SnapshotWriter(cli.Outputs(tmp), x, stride, last)
         for n in range(last + 1):
             writer(IeqState(U=U, V=V, W=W, t=0.0, n=n), None)
         expected = {f"solution_{n}.csv" for n in range(last + 1)
