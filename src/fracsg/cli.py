@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from ._format import csv_lines
 from .diagnostics import EnergyRecorder, convergence_ladder, w_projection_drift
-from .operator import FracOperator, GridSpec, check_alpha, subdivisions
+from .operator import FracOperator, GridSpec, OperatorStack, check_alpha, subdivisions
 from .presets import PRESETS
 from .problems import get_problem
 from .scheme import IeqState, SchemeConfig, run
@@ -112,8 +112,8 @@ def resolve(ns: argparse.Namespace) -> dict[str, Any]:
     return settings
 
 
-def _scheme_config(s: dict, alpha: float) -> SchemeConfig:
-    """The one SchemeConfig maker: settings ``s`` at ``alpha``."""
+def _scheme_config(s: dict, alpha: float | tuple[float, ...]) -> SchemeConfig:
+    """The one SchemeConfig maker: settings ``s`` at ``alpha`` (a tuple: a stack)."""
     a, b = s["domain"]
     M = subdivisions(b - a, s["h"], "h")
     if M < 2:
@@ -226,12 +226,11 @@ def cmd_energy(s: dict, out: Outputs) -> int:
                for name, alphas in alphas_of.items() if len(alphas) > 1]
     if clashes:
         raise ValueError(f"invalid alphas: {'; '.join(clashes)}")
-    problem = get_problem(s["example"])
-    for name, (alpha,) in alphas_of.items():
-        cfg = _scheme_config(s, alpha)
-        op = FracOperator(alpha, cfg.grid)
-        recorder = EnergyRecorder(op)
-        run(problem, cfg, observers=(recorder,), op=op)
+    cfg = _scheme_config(s, tuple(alpha for alpha, in alphas_of.values()))
+    op = OperatorStack([FracOperator(alpha, cfg.grid) for alpha in cfg.alpha])
+    recorders = [EnergyRecorder(op, row) for row in range(len(cfg.alpha))]
+    run(get_problem(s["example"]), cfg, observers=recorders, op=op)  # all orders as one stack
+    for name, recorder in zip(alphas_of, recorders):
         _write_csv(out, name, "n,t,E,RE", recorder.rows)
     return 0
 

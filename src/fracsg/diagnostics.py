@@ -21,17 +21,20 @@ from .scheme import IeqState, SchemeConfig, level_product, run
 from .solvers import NumericalFailure
 
 
-def discrete_energy(state: IeqState, op: FracOperator) -> float:
+def discrete_energy(state: IeqState, op: FracOperator, row: int | None = None) -> float:
     """E^n = 1/2 (||V||^2 + ||Lambda^alpha U||^2 + 2 ||W||^2) with the
-    discrete inner product h * sum over interior nodes.  The seminorm term
-    ||Lambda^alpha U||^2 = h^{1-alpha} U^T C U is h (op.apply(U), U), with the
-    level's operator product, which the stepper and this function share:
-    whichever reads it first computes it."""
+    discrete inner product h * sum over interior nodes, of row ``row`` of a
+    stack.  The seminorm term ||Lambda^alpha U||^2 = h^{1-alpha} U^T C U is
+    h (op.apply(U), U), with the level's operator product, which the stepper
+    and this function share: whichever reads it first computes it."""
     h = op.grid.h
+    U, V, W, CU = state.U, state.V, state.W, level_product(state, op)
+    if row is not None:
+        U, V, W, CU = U[row], V[row], W[row], CU[row]
     return 0.5 * (
-        h * float(np.dot(state.V, state.V))
-        + h * float(np.dot(level_product(state, op), state.U))
-        + 2.0 * h * float(np.dot(state.W, state.W))
+        h * float(np.dot(V, V))
+        + h * float(np.dot(CU, U))
+        + 2.0 * h * float(np.dot(W, W))
     )
 
 
@@ -42,16 +45,16 @@ def w_projection_drift(state: IeqState) -> float:
 
 
 class EnergyRecorder:
-    """Run observer accumulating (n, t, E, RE) rows, RE = |(E^n - E^0)/E^0|;
-    a non-finite E^n is a NumericalFailure."""
+    """Run observer accumulating (n, t, E, RE) rows, RE = |(E^n - E^0)/E^0|,
+    of row ``row`` of a stack; a non-finite E^n is a NumericalFailure."""
 
-    def __init__(self, op: FracOperator):
-        self.op = op
+    def __init__(self, op: FracOperator, row: int | None = None):
+        self.op, self.row = op, row
         self.rows: list[tuple[int, float, float, float]] = []
         self._e0: float | None = None
 
     def __call__(self, state: IeqState, stats) -> None:
-        e = discrete_energy(state, self.op)
+        e = discrete_energy(state, self.op, self.row)
         if not np.isfinite(e):
             raise NumericalFailure(f"non-finite discrete energy {e} at level {state.n}")
         if self._e0 is None:

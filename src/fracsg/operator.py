@@ -154,20 +154,40 @@ class FracOperator:
     def size(self) -> int:
         return self.grid.M - 1
 
+    rows = property(lambda self: (self,), doc="The operators of its rows: itself alone.")
+
     def _check(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=np.float64)
-        if u.shape != (self.size,):
+        if u.shape != self.symbol.shape[:-1] + (self.size,):
             raise ValueError(f"expected interior vector of length {self.size}, got shape {u.shape}")
         return u
 
     def circulant_product(self, spectrum: np.ndarray, u: np.ndarray) -> np.ndarray:
         """First M-1 entries of the embed_size circulant with rfft spectrum
-        ``spectrum`` applied to u padded with zeros."""
-        conv = np.fft.irfft(np.fft.rfft(u, n=self.embed_size) * spectrum, n=self.embed_size)
-        return conv[:self.size]
+        ``spectrum`` applied to u padded with zeros, row by row for a stack."""
+        transform = np.fft.rfft(u, n=self.embed_size)
+        transform *= spectrum
+        return np.fft.irfft(transform, n=self.embed_size)[..., :self.size]
 
     def apply_fft(self, u: np.ndarray) -> np.ndarray:
         return self.scale * self.circulant_product(self.symbol, self._check(u))
 
     # one action under both names
     apply = apply_fft
+
+
+class OperatorStack(FracOperator):
+    """Operators ``ops`` of one grid, op i acting on row i of (k, M-1) arrays,
+    all rows through one batched FFT pair, which equals the rows' own bit for
+    bit.  The symbols are kept once: an op's own becomes a view of its row,
+    unless it is already a row of another stack."""
+
+    def __init__(self, ops):
+        self.ops, self.grid, self.embed_size = tuple(ops), ops[0].grid, ops[0].embed_size
+        self.alpha, self.scale = tuple(op.alpha for op in ops), np.array([[op.scale] for op in ops])
+        self.symbol = np.stack([op.symbol for op in ops])
+        for op, row in zip(ops, self.symbol):
+            if op.symbol.base is None:
+                op.symbol = row
+
+    rows = property(lambda self: self.ops)

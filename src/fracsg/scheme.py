@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .operator import FracOperator, GridSpec, check_alpha
+from .operator import FracOperator, GridSpec, OperatorStack, check_alpha
 from .solvers import SolveStats, StepMatrix, cg_tolerance, solve
 
 
@@ -53,14 +53,15 @@ class IeqState:
 @dataclass
 class SchemeConfig:
     grid: GridSpec
-    alpha: float
+    alpha: float | tuple[float, ...]  # a tuple: its orders step as one stack
     T: float
     N: int
     cg_tol: float | None = None  # None: the default of solvers.cg_tolerance
     solve: Callable | None = None  # like solvers.solve; None: the module's solve when called
 
     def __post_init__(self) -> None:
-        check_alpha(self.alpha)
+        for alpha in np.atleast_1d(self.alpha):
+            check_alpha(alpha)
         if self.cg_tol is not None and not 0.0 < self.cg_tol < 1.0:
             raise ValueError(f"cg_tol must lie in (0, 1), got {self.cg_tol}")
         if not self.T > 0:
@@ -82,10 +83,12 @@ class RunResult:
     residual_max: float
 
 
-def initial_state(problem, grid: GridSpec) -> IeqState:
+def initial_state(problem, grid: GridSpec, rows: int = 0) -> IeqState:
     x = grid.interior_nodes()
     U = np.asarray(problem.phi(x), dtype=np.float64)
     V = np.asarray(problem.psi(x), dtype=np.float64)
+    if rows:  # a stack of that many equal rows
+        U, V = np.tile(U, (rows, 1)), np.tile(V, (rows, 1))
     W = np.sqrt(2.0 - np.cos(U))
     return IeqState(U=U, V=V, W=W, t=0.0, n=0)
 
@@ -137,9 +140,13 @@ def cn_step(state_nm1: IeqState, state_n: IeqState, op: FracOperator,
     x0 = (3 U^n - U^{n-1})/2 inside the coefficient b, which also warm-starts
     the solve from the two levels' products, with no further operator
     application.  It costs its CG iterations, one true-residual matvec and
-    the product of U^n, unless an observer has already read that one."""
+    the product of U^n, unless an observer has already read that one.  A
+    previous level without V, which run makes, is emptied once read, so
+    that the solve does not hold its arrays."""
     x0 = 1.5 * state_n.U - 0.5 * state_nm1.U
     x0_product = 1.5 * level_product(state_n, op) - 0.5 * level_product(state_nm1, op)
+    if state_nm1.V is None:
+        state_nm1.U = state_nm1.product = None
     return _step(op, cfg, state_n, b_func(x0), x0=x0, x0_product=x0_product)
 
 
@@ -148,12 +155,16 @@ def run(problem, cfg: SchemeConfig, observers=(), op: FracOperator | None = None
 
     Observers are callables ``observer(state, stats)`` invoked at every
     level, with stats None at level 0 only.  An already constructed operator
-    for the same (alpha, grid) may be passed to share it with observers.
+    for the same (alpha, grid) may be passed to share it with observers.  A
+    tuple cfg.alpha steps its orders as one stack: op is an OperatorStack,
+    states hold one row per order, and stats are the largest over the rows.
     """
     if op is None:
-        op = FracOperator(cfg.alpha, cfg.grid)
-    cg_tolerance(cfg.cg_tol, op, cfg.tau)  # refuses an unusable tolerance before any step
-    state = initial_state(problem, cfg.grid)
+        op = (OperatorStack([FracOperator(alpha, cfg.grid) for alpha in cfg.alpha])
+              if isinstance(cfg.alpha, tuple) else FracOperator(cfg.alpha, cfg.grid))
+    for row in op.rows:  # refuses an unusable tolerance at any order before any step
+        cg_tolerance(cfg.cg_tol, row, cfg.tau)
+    state = initial_state(problem, cfg.grid, len(op.rows) if isinstance(op, OperatorStack) else 0)
     for obs in observers:
         obs(state, None)
 
@@ -165,6 +176,8 @@ def run(problem, cfg: SchemeConfig, observers=(), op: FracOperator | None = None
             nxt, stats = startup_step(state, op, cfg)
         else:
             nxt, stats = cn_step(prev, state, op, cfg)
+            # the next step reads only U and the product, now stored, of this level
+            state = IeqState(state.U, None, None, state.t, state.n, state.product)
         prev, state = state, nxt
         iters.append(stats.iterations)
         res_max = max(res_max, stats.residual)

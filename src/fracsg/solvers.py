@@ -12,11 +12,12 @@ timed against, lives in the private module _dense.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .operator import FracOperator
+from .operator import FracOperator, OperatorStack
 
 # Condition bound above which CG runs with the circulant preconditioner; below
 # it the preconditioner's extra FFT pair per iteration costs more than it saves.
@@ -47,9 +48,9 @@ class StepMatrix:
     """Action of M_sys = I + (tau^2/4) * Dh^alpha + diag(d), applied without
     forming the matrix."""
 
-    op: FracOperator
+    op: FracOperator  # an OperatorStack: one system per row
     tau: float
-    diag: np.ndarray  # nonnegative, length M-1
+    diag: np.ndarray  # nonnegative, shaped like the vectors it acts on
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.matvec_from_product(v, self.op.apply(v))
@@ -60,7 +61,7 @@ class StepMatrix:
 
 
 @dataclass
-class SolveStats:
+class SolveStats:  # of a stack: the largest over its rows
     iterations: int
     residual: float  # true relative residual, recomputed a posteriori
 
@@ -90,7 +91,8 @@ def cg_tolerance(cg_tol: float | None, op: FracOperator, tau: float) -> float:
             raise SolveFailure(
                 f"default CG rel tol {10.0 * floor:.3g} (10 eps times condition bound "
                 f"{bound:.4g} at h={op.grid.h:g}, tau={tau:g}) exceeds its ceiling "
-                f"{CG_DEFAULT_TOL_CEILING:g}; a smaller tau lowers the bound")
+                f"{CG_DEFAULT_TOL_CEILING:g} for alpha={op.alpha:g}; a smaller tau lowers "
+                "the bound")
         return max(1e-12, 10.0 * floor)
     if cg_tol < floor:
         raise SolveFailure(
@@ -119,58 +121,90 @@ def build_circulant_preconditioner(mat: StepMatrix):
     return lambda r: op.circulant_product(spectrum, r)
 
 
+def _preconditioner(mat: StepMatrix):
+    """r -> z: the circulant preconditioner on the rows choose_preconditioner
+    gives one, the identity on the rest."""
+    on = [choose_preconditioner(op, mat.tau) == "circulant" for op in mat.op.rows]
+    pre = build_circulant_preconditioner(mat) if any(on) else lambda r: r
+    return pre if all(on) or not any(on) else lambda r: np.where(np.c_[on], pre(r), r)
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> list[float]:  # row by row: each row's own bits
+    return [float(np.dot(a, b))] if a.ndim == 1 else list(map(float, map(np.dot, a, b)))
+
+
+def _column(values, like: np.ndarray):  # per-row scalars, shaped to scale the rows of like
+    return next(values) if like.ndim == 1 else np.fromiter(values, np.float64)[:, None]
+
+
 def solve(mat: StepMatrix, rhs: np.ndarray, cg_tol: float | None = None,
           x0: np.ndarray | None = None,
           x0_product: np.ndarray | None = None) -> tuple[np.ndarray, SolveStats]:
-    """Solve M_sys x = rhs by CG to the relative tolerance cg_tolerance(cg_tol).
+    """Solve M_sys x = rhs by CG to the relative tolerance cg_tolerance(cg_tol),
+    each row of a stack (mat.op an OperatorStack) as its own system.
 
     CG starts from x0 (zero if None) and terminates when the recursive
     residual satisfies ||r||_2 <= cg_tolerance * ||rhs||_2, preconditioned as
-    choose_preconditioner decides.  Given x0_product = op.apply(x0), the
-    initial residual needs no operator application, so the solve costs its
-    CG iterations plus one matvec: the true residual the returned stats carry,
-    recomputed from x and never from x0_product.  Non-convergence, non-finite
-    data and a tolerance below eps * bound raise SolveFailure.
+    choose_preconditioner decides; a row of a stack that gets there leaves
+    it, so each row takes the steps of its own solve, bit for bit.  Given
+    x0_product = op.apply(x0), the initial residual needs no operator
+    application, so the solve costs its CG iterations plus one matvec: the
+    true residual the returned stats carry, recomputed from x and never from
+    x0_product.  Non-convergence, non-finite data and a tolerance below
+    eps * bound raise SolveFailure.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
-    m = len(mat.diag)
-    if rhs.shape != (m,):
-        raise ValueError(f"rhs length {rhs.shape} does not match system size {m}")
-    bnorm = _finite(float(np.linalg.norm(rhs)), "right-hand side")
-    rel_tol = cg_tolerance(cg_tol, mat.op, mat.tau)  # refused even for a zero rhs
-    if bnorm == 0.0:
-        return np.zeros(m), SolveStats(iterations=0, residual=0.0)
-
-    bound = condition_bound(mat.op, mat.tau)  # the plain bound caps both paths
-    pre = (build_circulant_preconditioner(mat)
-           if choose_preconditioner(mat.op, mat.tau) == "circulant" else lambda r: r)
-    max_iter = CG_CAP_FACTOR * math.ceil(
-        0.5 * math.sqrt(bound) * math.log(2.0 / rel_tol))
-    x = np.zeros(m) if x0 is None else np.array(x0, dtype=np.float64)
+    if rhs.shape != mat.diag.shape:
+        raise ValueError(f"rhs shape {rhs.shape} does not match system shape {mat.diag.shape}")
+    full, ops = mat, mat.op.rows
+    bnorms = [_finite(math.sqrt(v), "right-hand side") for v in _dots(rhs, rhs)]  # ||rhs||_2
+    rel_tols = [cg_tolerance(cg_tol, op, mat.tau) for op in ops]  # refused even for a zero rhs
+    bounds = [condition_bound(op, mat.tau) for op in ops]  # the plain bound caps both paths
+    caps = [CG_CAP_FACTOR * math.ceil(0.5 * math.sqrt(bound) * math.log(2.0 / rel_tol))
+            for bound, rel_tol in zip(bounds, rel_tols)]
+    tols = [rel_tol * bnorm if bnorm else math.inf for rel_tol, bnorm in zip(rel_tols, bnorms)]
+    x = np.zeros(rhs.shape) if x0 is None else np.array(x0, dtype=np.float64)
     r = rhs - (mat.matvec(x) if x0_product is None else mat.matvec_from_product(x, x0_product))
+    pre = _preconditioner(mat)
     z = pre(r)
     p = z.copy()
-    rz = float(np.dot(r, z))
-    iterations = 0
-    tol = rel_tol * bnorm
-    while _finite(math.sqrt(np.dot(r, r)), "residual") > tol:  # ||r||_2, cheaper than norm
-        if iterations >= max_iter:
-            res = float(np.linalg.norm(r)) / bnorm
+    rz = _dots(r, z)
+    live, solution, iterations, cap = list(range(len(ops))), [None] * len(ops), 0, min(caps)
+    while True:
+        norms = [_finite(math.sqrt(v), "residual") for v in _dots(r, r)]
+        if not all(map(operator.gt, norms, tols)):  # rows at their tolerance leave
+            stay = [j for j, (norm, tol) in enumerate(zip(norms, tols)) if norm > tol]
+            for j, xj in enumerate((x,) if x.ndim == 1 else x):
+                if j not in stay:  # a zero rhs's row leaves at once, with 0
+                    solution[live[j]] = xj if bnorms[live[j]] else np.zeros_like(xj)
+            if not stay:
+                break
+            x, r, p = x[stay], r[stay], p[stay]
+            mat = StepMatrix(OperatorStack([mat.op.rows[j] for j in stay]), mat.tau, mat.diag[stay])
+            live, norms, rz, caps, tols = ([v[j] for j in stay]
+                                           for v in (live, norms, rz, caps, tols))
+            pre, cap = _preconditioner(mat), min(caps)
+        if iterations >= cap:
+            j = caps.index(cap)
             raise SolveFailure(
-                f"CG failed to reach rel tol {rel_tol:g} within the cap of "
-                f"{max_iter} iterations at condition bound {bound:.4g} (residual {res:.3e})")
+                f"CG failed to reach rel tol {rel_tols[live[j]]:g} within the cap of {cap} "
+                f"iterations at condition bound {bounds[live[j]]:.4g} (residual "
+                f"{norms[j] / bnorms[live[j]]:.3e}) for alpha={ops[live[j]].alpha:g}")
         Ap = mat.matvec(p)
-        alpha = rz / float(np.dot(p, Ap))
+        alpha = _column(map(operator.truediv, rz, _dots(p, Ap)), x)
         x += alpha * p
         r -= alpha * Ap
+        del Ap  # freed before the next matvec, whose transforms set a stack's peak memory
         z = pre(r)
-        rz_new = float(np.dot(r, z))
-        p *= rz_new / rz
+        rz_new = _dots(r, z)
+        p *= _column(map(operator.truediv, rz_new, rz), p)
         p += z
         rz = rz_new
         iterations += 1
-    res = float(np.linalg.norm(rhs - mat.matvec(x))) / bnorm
-    return x, SolveStats(iterations=iterations, residual=res)
+    x = solution[0] if rhs.ndim == 1 else np.array(solution)
+    res = rhs - full.matvec(x)
+    return x, SolveStats(iterations=iterations, residual=max(
+        math.sqrt(v) / bnorm if bnorm else 0.0 for v, bnorm in zip(_dots(res, res), bnorms)))
 
 
 def _finite(norm: float, what: str) -> float:

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +16,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fracsg import GridSpec, SchemeConfig, _dense, get_problem, run, solvers
+from fracsg import FracOperator, GridSpec, SchemeConfig, _dense, get_problem, run, solvers
 from fracsg import cli
 from fracsg.cli import SnapshotWriter, main
-from fracsg.diagnostics import w_projection_drift
+from fracsg.diagnostics import EnergyRecorder, w_projection_drift
 from fracsg.scheme import IeqState
 
 
@@ -497,21 +498,89 @@ def test_non_finite_energy_exits_two(tmp_path):
 
 
 def test_energy_failing_at_a_later_alpha_leaves_no_series(tmp_path, monkeypatch, capsys):
-    real, alphas = cli.run, []
+    seen = []
 
-    def fail_at_second(problem, cfg, **kwargs):
-        alphas.append(cfg.alpha)
-        if len(alphas) == 2:
-            raise solvers.NumericalFailure("injected")
-        return real(problem, cfg, **kwargs)
+    class FailingAtSecondRow(EnergyRecorder):
+        def __call__(self, state, stats):
+            seen.append((self.row, state.n))
+            if self.row == 1 and state.n == 1:
+                raise solvers.NumericalFailure("injected")
+            super().__call__(state, stats)
 
-    monkeypatch.setattr(cli, "run", fail_at_second)
+    monkeypatch.setattr(cli, "EnergyRecorder", FailingAtSecondRow)
     out = tmp_path / "e"
     assert main(["energy", "--example", "5.2", "--alphas", "1.5,2", "--domain", "-5", "5",
                  "--h", "0.5", "--tau", "0.1", "--T", "0.2", "--out", str(out)]) == 2
-    assert alphas == [1.5, 2.0]
+    # the orders step as one stack: the first row has recorded level 1 already
+    assert seen == [(0, 0), (1, 0), (0, 1), (1, 1)]
     assert "numerical failure: injected" in capsys.readouterr().err
     assert not list(out.glob("*"))
+
+
+# kappa bar 2.6, 3.8 and 6.8: only alpha = 2 takes the circulant preconditioner
+MIXED_STACK = ["--example", "5.2", "--domain", "-10", "10", "--h", "0.25", "--tau", "0.6",
+               "--T", "6"]
+
+
+def test_energy_stack_equals_separate_runs_bit_for_bit(tmp_path, monkeypatch):
+    import fracsg.scheme
+
+    alphas = (1.3, 1.6, 2.0)
+    iterations, recorders, results = {}, [], []
+    solve, real_run = fracsg.scheme.solve, cli.run
+
+    def recording_solve(mat, rhs, *args, **kwargs):
+        x, stats = solve(mat, rhs, *args, **kwargs)
+        iterations.setdefault(mat.op.alpha, []).append(stats.iterations)
+        return x, stats
+
+    class KeptRecorder(EnergyRecorder):
+        def __init__(self, op, row):
+            super().__init__(op, row)
+            recorders.append(self)
+
+    monkeypatch.setattr(fracsg.scheme, "solve", recording_solve)
+    monkeypatch.setattr(cli, "EnergyRecorder", KeptRecorder)
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: results.append(
+        real_run(*args, **kwargs)))
+    assert main(["energy", "--alphas", "1.3,1.6,2", *MIXED_STACK,
+                 "--out", str(tmp_path / "e")]) == 0
+    (stack,), cfg = results, cli._scheme_config(
+        {"domain": (-10.0, 10.0), "h": 0.25, "tau": 0.6, "T": 6.0}, alphas)
+    for i, alpha in enumerate(alphas):
+        op = FracOperator(alpha, cfg.grid)
+        recorder = EnergyRecorder(op)
+        single = run(get_problem("5.2"), replace(cfg, alpha=alpha), observers=(recorder,), op=op)
+        assert recorders[i].op.alpha[recorders[i].row] == alpha
+        assert np.array_equal(np.array(recorders[i].rows), np.array(recorder.rows))
+        for name in ("U", "V", "W"):
+            assert np.array_equal(getattr(stack.state, name)[i], getattr(single.state, name))
+    # the rows left the stack's CG at different iterations, the last one ending it
+    per_step = list(zip(*(iterations[alpha] for alpha in alphas)))
+    assert any(len(set(counts)) == len(alphas) for counts in per_step)
+    assert iterations[alphas] == [max(counts) for counts in per_step]
+    assert np.array_equal(run(get_problem("5.2"), cfg).state.W, stack.state.W)  # op built by run
+
+
+def test_energy_refuses_an_unusable_tolerance_at_any_order_before_any_step(tmp_path, capsys,
+                                                                          monkeypatch):
+    import fracsg.scheme
+
+    calls = []
+
+    def solve(*args, **kwargs):
+        calls.append(1)
+        raise solvers.NumericalFailure("a step was taken")
+
+    monkeypatch.setattr(fracsg.scheme, "solve", solve)
+    out = tmp_path / "e"
+    # kappa bar 9e6 at alpha = 2 only, whose default tolerance exceeds its ceiling
+    assert main(["energy", "--example", "5.2", "--alphas", "1.5,2", "--domain", "-0.5", "0.5",
+                 "--h", "1e-3", "--tau", "3", "--T", "6", "--out", str(out)]) == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert "exceeds its ceiling" in err and "for alpha=2;" in err
+    assert not out.exists()
 
 
 RUN_5_2 = ["run", "--example", "5.2", "--alpha", "1.5", "--domain", "-10", "10",
