@@ -12,9 +12,12 @@ of the files it wrote, save the bench.csv of a bench that fails on timing.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
+import os
+import pickle
 import sys
 import time
 from dataclasses import replace
@@ -34,6 +37,7 @@ from .solvers import (CG_DEFAULT_TOL_CEILING, NumericalFailure, cg_tolerance,
                       choose_preconditioner, condition_bound)
 
 _BLOCK = 500  # rows per csv_lines call
+_PIPE_BYTES = 1 << 20  # room for about 21 soliton snapshots of 48 KB while the writer lags
 
 
 def _between(low: float, high: float) -> Callable[[str], float]:
@@ -156,22 +160,68 @@ def _write_csv(out: Outputs, name: str, header: str, rows) -> None:
 class SnapshotWriter:
     """Writes solution_<n>.csv at the configured stride plus the final level,
     each cell as ``"%.15e"`` by ``_format.csv_lines``, _BLOCK rows at a time
-    so that its work arrays stay small.
+    so that its work arrays stay small.  Entered, it forks one writer process
+    where os.fork exists, and hands it n, U, V, W as raw float64 over a pipe.
     """
 
     def __init__(self, out: Outputs, x: np.ndarray, stride: int, last: int):
-        self.out = out
-        self.x = x
-        self.stride = stride
-        self.last = last
+        self.out, self.x, self.stride, self.last = out, x, stride, last
+        self._send, self._pid = self._write, None  # in-process unless entered with os.fork
 
     def __call__(self, state: IeqState, stats) -> None:
         if state.n % self.stride == 0 or state.n == self.last:
-            table = np.stack([self.x, state.U, state.V, state.W], axis=1)
-            with self.out.open(f"solution_{state.n}.csv", "wb") as f:
-                f.write(b"x,U,V,W\n")
-                for lo in range(0, len(table), _BLOCK):
-                    f.write(csv_lines(table[lo:lo + _BLOCK]))
+            self._send(state.n, state.U, state.V, state.W)
+
+    def _write(self, n: int, *rows: np.ndarray) -> None:
+        table = np.stack([self.x, *rows], axis=1)
+        with self.out.open(f"solution_{n}.csv", "wb") as f:
+            f.write(b"x,U,V,W\n")
+            for lo in range(0, len(table), _BLOCK):
+                f.write(csv_lines(table[lo:lo + _BLOCK]))
+
+    def __enter__(self) -> SnapshotWriter:
+        if not hasattr(os, "fork"):
+            return self
+        import fcntl  # here: where os.fork is missing, so is fcntl
+        (data_r, self._data), (self._errors, err_w) = os.pipe(), os.pipe()
+        with contextlib.suppress(OSError, AttributeError):  # else the default size
+            fcntl.fcntl(self._data, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        self._pid = os.fork()
+        if self._pid == 0:  # the writer; os._exit flushes no inherited stdio buffer
+            try:
+                os.close(self._data)
+                with os.fdopen(data_r, "rb") as pipe:
+                    while level := pipe.read(8 * (1 + 3 * len(self.x))):
+                        values = np.frombuffer(level)
+                        self._write(int(values[0]), *values[1:].reshape(3, -1))
+                os._exit(0)
+            except BaseException as exc:  # sent back; the finally ends the writer
+                os.write(err_w, pickle.dumps(exc))
+            finally:
+                os._exit(1)
+        os.close(data_r)
+        os.close(err_w)
+        self._send = self._hand_off
+        return self
+
+    def _hand_off(self, n: int, *rows: np.ndarray) -> None:
+        self.out.opened.append(self.out.dir / f"solution_{n}.csv")  # the writer's list is a copy
+        view = memoryview(np.concatenate(([n], *rows))).cast("B")  # n < 2**53 is exact
+        while view:  # BrokenPipeError if the writer has left; __exit__ raises its error
+            view = view[os.write(self._data, view):]
+
+    def __exit__(self, exc_type, *exc) -> None:  # reaps the writer: its error beats a broken pipe
+        if self._pid is None:
+            return
+        os.close(self._data)
+        with os.fdopen(self._errors, "rb") as errors:
+            report = errors.read()  # until the writer exits
+        status = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
+        if exc_type is None or issubclass(exc_type, BrokenPipeError):
+            if report:
+                raise pickle.loads(report)
+            if status:
+                raise OSError(f"snapshot writer exited with status {status} and no error report")
 
 
 def cmd_run(s: dict, out: Outputs) -> int:
@@ -182,10 +232,10 @@ def cmd_run(s: dict, out: Outputs) -> int:
     problem = get_problem(s["example"], omega=s["omega"])
     op = FracOperator(cfg.alpha, grid)
     recorder = EnergyRecorder(op)
-    snapshots = SnapshotWriter(out, grid.interior_nodes(), stride, cfg.N)
     levels = []  # per level: W drift, largest |U| at the two outermost interior nodes
-    result = run(problem, cfg, op=op, observers=(recorder, snapshots, lambda state, stats:
-                 levels.append((w_projection_drift(state), abs(state.U[[0, -1]]).max()))))
+    with SnapshotWriter(out, grid.interior_nodes(), stride, cfg.N) as snapshots:
+        result = run(problem, cfg, op=op, observers=(recorder, snapshots, lambda state, stats:
+                     levels.append((w_projection_drift(state), abs(state.U[[0, -1]]).max()))))
     w_drift_max, boundary_max = np.max(levels, axis=0)
     bound = condition_bound(op, cfg.tau)
     meta = dict(

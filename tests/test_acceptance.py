@@ -1,4 +1,4 @@
-"""Acceptance gate: twelve end-to-end verification criteria.
+"""Acceptance gate: thirteen end-to-end verification criteria.
 
 One test per criterion, so the verbose pytest status line is the per-criterion
 pass/fail record; every test also prints a one-line summary with the measured
@@ -27,7 +27,7 @@ from fracsg import (
 from fracsg import _dense
 from fracsg.diagnostics import max_norm_error_self, orders_from_errors
 from fracsg.presets import ENERGY_PRESETS
-from fracsg.problems import exact_breather, sech
+from fracsg.problems import Problem, exact_breather, sech
 from fracsg.scheme import IeqState, b_func
 
 from oracles import apply_dense, assemble_block_system, energy_seminorm_sq
@@ -72,6 +72,16 @@ SEMINORM_ERRORS = {
     1.6: [3.0221e-03, 7.5708e-04, 1.8937e-04, 4.7348e-05],
     1.9: [4.2004e-03, 1.0531e-03, 2.6346e-04, 6.5878e-05],
     2.0: [4.6471e-03, 1.1654e-03, 2.9159e-04, 7.2912e-05],
+}
+
+# max errors, relative to LINEAR_EPS, against the linear fractional
+# Klein-Gordon solution at T = 1, at the level-0 nodes with |x| <= 3 of
+# DOMAIN; level l has (h, tau) = (0.2, 0.1) / 2^l (criterion 13)
+LINEAR_EPS = 1e-4
+LINEAR_ERRORS = {
+    1.3: [2.2170e-03, 5.6419e-04, 1.4236e-04, 3.5812e-05],
+    1.5: [2.6020e-03, 6.6218e-04, 1.6707e-04, 4.1970e-05],
+    2.0: [4.0196e-03, 1.0341e-03, 2.6086e-04, 6.5416e-05],
 }
 
 ORDER_WINDOW = (1.9, 2.1)
@@ -361,3 +371,39 @@ def test_criterion_12_operator_and_energy_against_continuous_limits():
         print(f"criterion 12: seminorm, alpha={alpha}: limit {exact:.10g}, errors",
               [f"{e:.4e}" for e in errors], "orders", [f"{p:.4f}" for p in orders])
     print("criterion 12: PASS")
+
+
+def _linear_klein_gordon(alpha, x, t):
+    """u(x, t) of u_tt + (-Delta)^{alpha/2} u + u = 0 on the line with u(x, 0) =
+    LINEAR_EPS exp(-x^2) and u_t(x, 0) = 0: (1/pi) int_0^inf LINEAR_EPS sqrt(pi)
+    exp(-xi^2/4) cos(t sqrt(xi^alpha + 1)) cos(xi x) dxi, by the trapezoid rule
+    on [0, 20], past which the integrand is below exp(-100)."""
+    xi = np.linspace(0.0, 20.0, 20001)
+    weights = np.full(xi.size, xi[1])
+    weights[[0, -1]] /= 2
+    spectrum = np.sqrt(np.pi) * np.exp(-xi * xi / 4) * np.cos(t * np.sqrt(xi ** alpha + 1))
+    return LINEAR_EPS / np.pi * (np.cos(np.outer(x, xi)) @ (spectrum * weights))
+
+
+def test_criterion_13_small_amplitude_evolution_against_linear_klein_gordon():
+    # sin u = u + O(u^3): at amplitude 1e-4 the sine-Gordon solution is the
+    # linear one to about 1e-8 of it, far below the discretization error, so
+    # the time stepping and the zero exterior below alpha = 2 meet a limit
+    # that is not the code's own finer grids
+    problem = Problem("linear", phi=lambda x: LINEAR_EPS * np.exp(-x * x), psi=np.zeros_like)
+    x = GridSpec(*DOMAIN, M=200).interior_nodes()
+    near = np.abs(x) <= 3.0
+    for alpha, refs in LINEAR_ERRORS.items():
+        exact = _linear_klein_gordon(alpha, x[near], FINAL_T)
+        errors = []
+        for level in range(4):
+            cfg = SchemeConfig(grid=GridSpec(*DOMAIN, M=200 * 2 ** level), alpha=alpha,
+                               T=FINAL_T, N=10 * 2 ** level)
+            coarse = run(problem, cfg).state.U[2 ** level - 1::2 ** level]  # level 0's nodes
+            errors.append(float(np.max(np.abs(coarse[near] - exact))) / LINEAR_EPS)
+        orders = orders_from_errors(errors)
+        assert all(_within(errors, refs)), (alpha, errors)
+        assert all(ORDER_WINDOW[0] <= p <= ORDER_WINDOW[1] for p in orders), (alpha, orders)
+        print(f"criterion 13: alpha={alpha}: errors", [f"{e:.4e}" for e in errors],
+              "orders", [f"{p:.4f}" for p in orders])
+    print("criterion 13: PASS")

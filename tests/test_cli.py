@@ -685,6 +685,51 @@ def test_failed_command_removes_only_the_files_it_opened(tmp_path, monkeypatch):
     assert (out / "notes.txt").read_text() == "kept\n"
 
 
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="snapshots are written in-process")
+
+
+@needs_fork
+def test_writer_dying_without_a_report_exits_one(tmp_path, monkeypatch, capsys):
+    # only the forked writer formats snapshots, so only it dies
+    monkeypatch.setattr(cli, "csv_lines", lambda table: os._exit(3))
+    out = tmp_path / "x"
+    assert main(RUN_5_2 + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: snapshot writer exited with status 3 "
+                                       "and no error report\n")
+    assert out.is_dir() and not list(out.iterdir())
+
+
+def failing_at_level_3(state):
+    if state.n == 3:
+        raise solvers.NumericalFailure("injected at level 3")
+    return w_projection_drift(state)
+
+
+@needs_fork
+@pytest.mark.parametrize("code", [0, 1, 2])
+def test_no_process_outlives_main(tmp_path, monkeypatch, code):
+    if code == 1:
+        full_disk(monkeypatch, "solution_3.csv", writes=0)
+    if code == 2:
+        monkeypatch.setattr(cli, "w_projection_drift", failing_at_level_3)
+    out = tmp_path / "x"
+    assert main(RUN_5_2 + ["--out", str(out)]) == code
+    with pytest.raises(ChildProcessError):  # the writer is reaped: no child is left
+        os.waitpid(-1, os.WNOHANG)
+    assert len(list(out.iterdir())) == (13 if code == 0 else 0)  # 11 snapshots, energy, meta
+
+
+@needs_fork
+def test_in_process_writer_writes_the_forked_bytes(tmp_path, monkeypatch):
+    assert main(RUN_5_2 + ["--out", str(tmp_path / "forked")]) == 0
+    monkeypatch.delattr(os, "fork")  # as on Windows
+    assert main(RUN_5_2 + ["--out", str(tmp_path / "in_process")]) == 0
+    forked = sorted((tmp_path / "forked").iterdir())
+    assert [p.name for p in forked] == sorted(p.name for p in (tmp_path / "in_process").iterdir())
+    for path in forked:
+        assert path.read_bytes() == (tmp_path / "in_process" / path.name).read_bytes()
+
+
 def test_bench_paths_disagreeing_exits_two_without_output(tmp_path, monkeypatch, capsys):
     stub_timed_run(monkeypatch, u_direct=1e-6)
     out = tmp_path / "b"
@@ -781,9 +826,9 @@ def test_snapshot_bytes_match_row_by_row_format(rows, stride, last, block):
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "_BLOCK", block)
         out = Path(tmp)
-        writer = SnapshotWriter(cli.Outputs(tmp), x, stride, last)
-        for n in range(last + 1):
-            writer(IeqState(U=U, V=V, W=W, t=0.0, n=n), None)
+        with SnapshotWriter(cli.Outputs(tmp), x, stride, last) as writer:
+            for n in range(last + 1):
+                writer(IeqState(U=U, V=V, W=W, t=0.0, n=n), None)
         expected = {f"solution_{n}.csv" for n in range(last + 1)
                     if n % stride == 0 or n == last}
         assert {p.name for p in out.iterdir()} == expected
