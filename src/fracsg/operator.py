@@ -163,11 +163,12 @@ class FracOperator:
         return u
 
     def circulant_product(self, spectrum: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """First M-1 entries of the embed_size circulant with rfft spectrum
-        ``spectrum`` applied to u padded with zeros, row by row for a stack."""
-        transform = np.fft.rfft(u, n=self.embed_size)
+        """First M-1 entries of the circulant of length 2 (len(spectrum) - 1), or 1, with
+        rfft spectrum ``spectrum``, applied to u padded with zeros, row by row for a stack."""
+        n = 2 * (spectrum.shape[-1] - 1) or 1
+        transform = np.fft.rfft(u, n=n)
         transform *= spectrum
-        return np.fft.irfft(transform, n=self.embed_size)[..., :self.size]
+        return np.fft.irfft(transform, n=n)[..., :self.size]
 
     def apply_fft(self, u: np.ndarray) -> np.ndarray:
         return self.scale * self.circulant_product(self.symbol, self._check(u))

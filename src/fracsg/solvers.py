@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,9 +51,11 @@ class StepMatrix:
     op: FracOperator  # an OperatorStack: one system per row
     tau: float
     diag: np.ndarray  # nonnegative, shaped like the vectors it acts on
+    product: np.ndarray | None = field(default=None, repr=False)  # op.apply of the last matvec
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.matvec_from_product(v, self.op.apply(v))
+        self.product = self.op.apply(v)
+        return self.matvec_from_product(v, self.product)
 
     def matvec_from_product(self, v: np.ndarray, op_v: np.ndarray) -> np.ndarray:
         """M_sys v from v and its operator product op_v = op.apply(v)."""
@@ -110,21 +112,25 @@ def choose_preconditioner(op: FracOperator, tau: float) -> str:
 
 def build_circulant_preconditioner(mat: StepMatrix):
     """Approximate inverse of M_sys: the leading (M-1) x (M-1) block of
-    (I + (tau^2/4) h^{-alpha} E)^{-1}, with E the operator's circulant
-    embedding of C.  E's eigenvalues are nonnegative, so the block is SPD
-    with eigenvalues in (0, 1]; d = (tau^2/8) b^2 < tau^2/8 is left out.
-    Returns a callable r -> approx M_sys^{-1} r, one FFT pair at the
-    embedding length.
-    """
+    (I + (tau^2/4) h^{-alpha} F)^{-1}, with F the circulant of half the embedding
+    length whose column is the operator's embedding E's folded modulo that length.
+    F's eigenvalues are E's even-indexed ones, so nonnegative, and the block is SPD
+    with eigenvalues in (0, 1]; d = (tau^2/8) b^2 < tau^2/8 is left out.  Returns a
+    callable r -> approx M_sys^{-1} r, one FFT pair at half the embedding length;
+    building it takes none."""
     op = mat.op
-    spectrum = 1.0 / (1.0 + (0.25 * mat.tau * mat.tau * op.scale) * op.symbol.real)
+    spectrum = 1.0 / (1.0 + (0.25 * mat.tau * mat.tau * op.scale) * op.symbol.real[..., ::2])
     return lambda r: op.circulant_product(spectrum, r)
+
+
+def preconditioned_rows(op: FracOperator, tau: float) -> list[bool]:
+    return [choose_preconditioner(row, tau) == "circulant" for row in op.rows]
 
 
 def _preconditioner(mat: StepMatrix):
     """r -> z: the circulant preconditioner on the rows choose_preconditioner
     gives one, the identity on the rest."""
-    on = [choose_preconditioner(op, mat.tau) == "circulant" for op in mat.op.rows]
+    on = preconditioned_rows(mat.op, mat.tau)
     pre = build_circulant_preconditioner(mat) if any(on) else lambda r: r
     return pre if all(on) or not any(on) else lambda r: np.where(np.c_[on], pre(r), r)
 
@@ -146,12 +152,12 @@ def solve(mat: StepMatrix, rhs: np.ndarray, cg_tol: float | None = None,
     CG starts from x0 (zero if None) and terminates when the recursive
     residual satisfies ||r||_2 <= cg_tolerance * ||rhs||_2, preconditioned as
     choose_preconditioner decides; a row of a stack that gets there leaves
-    it, so each row takes the steps of its own solve, bit for bit.  Given
-    x0_product = op.apply(x0), the initial residual needs no operator
-    application, so the solve costs its CG iterations plus one matvec: the
-    true residual the returned stats carry, recomputed from x and never from
-    x0_product.  Non-convergence, non-finite data and a tolerance below
-    eps * bound raise SolveFailure.
+    it, so each row takes the steps of its own solve, bit for bit; only a residual
+    that goes on is preconditioned.  Given x0_product = op.apply(x0), the initial
+    residual needs no operator application, so the solve costs its CG iterations
+    plus one matvec: the true residual the returned stats carry, recomputed from x
+    (never from x0_product), whose product mat.product keeps.  Non-convergence,
+    non-finite data and a tolerance below eps * bound raise SolveFailure.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape != mat.diag.shape:
@@ -165,10 +171,7 @@ def solve(mat: StepMatrix, rhs: np.ndarray, cg_tol: float | None = None,
     tols = [rel_tol * bnorm if bnorm else math.inf for rel_tol, bnorm in zip(rel_tols, bnorms)]
     x = np.zeros(rhs.shape) if x0 is None else np.array(x0, dtype=np.float64)
     r = rhs - (mat.matvec(x) if x0_product is None else mat.matvec_from_product(x, x0_product))
-    pre = _preconditioner(mat)
-    z = pre(r)
-    p = z.copy()
-    rz = _dots(r, z)
+    pre, p, rz = _preconditioner(mat), None, [None] * len(ops)
     live, solution, iterations, cap = list(range(len(ops))), [None] * len(ops), 0, min(caps)
     while True:
         norms = [_finite(math.sqrt(v), "residual") for v in _dots(r, r)]
@@ -179,7 +182,7 @@ def solve(mat: StepMatrix, rhs: np.ndarray, cg_tol: float | None = None,
                     solution[live[j]] = xj if bnorms[live[j]] else np.zeros_like(xj)
             if not stay:
                 break
-            x, r, p = x[stay], r[stay], p[stay]
+            x, r, p = x[stay], r[stay], None if p is None else p[stay]
             mat = StepMatrix(OperatorStack([mat.op.rows[j] for j in stay]), mat.tau, mat.diag[stay])
             live, norms, rz, caps, tols = ([v[j] for j in stay]
                                            for v in (live, norms, rz, caps, tols))
@@ -190,16 +193,19 @@ def solve(mat: StepMatrix, rhs: np.ndarray, cg_tol: float | None = None,
                 f"CG failed to reach rel tol {rel_tols[live[j]]:g} within the cap of {cap} "
                 f"iterations at condition bound {bounds[live[j]]:.4g} (residual "
                 f"{norms[j] / bnorms[live[j]]:.3e}) for alpha={ops[live[j]].alpha:g}")
+        z = pre(r)  # only a residual that goes on is preconditioned
+        rz_new = _dots(r, z)
+        if p is None:
+            p = z.copy()
+        else:
+            p *= _column(map(operator.truediv, rz_new, rz), p)
+            p += z
+        rz = rz_new
         Ap = mat.matvec(p)
         alpha = _column(map(operator.truediv, rz, _dots(p, Ap)), x)
         x += alpha * p
         r -= alpha * Ap
         del Ap  # freed before the next matvec, whose transforms set a stack's peak memory
-        z = pre(r)
-        rz_new = _dots(r, z)
-        p *= _column(map(operator.truediv, rz_new, rz), p)
-        p += z
-        rz = rz_new
         iterations += 1
     x = solution[0] if rhs.ndim == 1 else np.array(solution)
     res = rhs - full.matvec(x)

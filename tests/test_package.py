@@ -6,6 +6,8 @@ import ast
 import inspect
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import fracsg
@@ -14,6 +16,7 @@ from fracsg.presets import PRESETS
 from fracsg.problems import get_problem
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PYPROJECT = README.with_name("pyproject.toml")
 
 
 def test_top_level_names():
@@ -162,3 +165,20 @@ def test_readme_library_example_runs(capsys):
     exec(compile(code, str(README), "exec"), namespace)
     assert capsys.readouterr().out.strip()
     assert namespace["recorder"].max_relative_drift() <= 1e-8
+
+
+def test_failing_property_test_is_reported_and_the_suite_goes_on(tmp_path):
+    # hypothesis's report hook imports libcst, whose import warns; under the
+    # config's filterwarnings = error that warning must not abort the session
+    (tmp_path / "test_pair.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n\n\n"
+        "def test_passes():\n"
+        "    pass\n")
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(PYPROJECT), "-p", "no:cacheprovider", "-q",
+         "test_pair.py"], cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in out.stdout + out.stderr
+    assert "1 failed, 1 passed" in out.stdout

@@ -18,9 +18,9 @@ from fracsg import (
     run,
     startup_step,
 )
-from fracsg import _dense
+from fracsg import _dense, solvers
 from fracsg.problems import Problem, exact_breather
-from fracsg.scheme import IeqState, b_func, level_product
+from fracsg.scheme import HISTORY, IeqState, b_func, level_product
 
 from oracles import assemble_block_system, energy_seminorm_sq
 
@@ -279,3 +279,83 @@ def test_time_column_is_computed_from_the_level_index():
     run(get_problem("5.1"), cfg, observers=(recorder,), op=op)
     assert [t for _, t, _, _ in recorder.rows] == [cfg.T * (n / cfg.N) for n in range(cfg.N + 1)]
     assert recorder.rows[-1][1] == cfg.T
+
+
+
+def stiff_config(M=16000, N=10):
+    """alpha 1.8 on (-20, 20) at tau = 0.1: condition bounds 435 at M = 16000
+    and 35 at M = 4000, so every solve is preconditioned."""
+    cfg = SchemeConfig(grid=GridSpec(a=-20.0, b=20.0, M=M), alpha=1.8, T=0.1 * N, N=N)
+    assert solvers.choose_preconditioner(FracOperator(cfg.alpha, cfg.grid), cfg.tau) == "circulant"
+    return cfg
+
+
+def recording_solves(monkeypatch):
+    """A list that receives the stats of every solve the stepper makes."""
+    import fracsg.scheme
+
+    stats, solve = [], fracsg.scheme.solve
+
+    def recording_solve(*args, **kwargs):
+        x, solve_stats = solve(*args, **kwargs)
+        stats.append(solve_stats)
+        return x, solve_stats
+
+    monkeypatch.setattr(fracsg.scheme, "solve", recording_solve)
+    return stats
+
+
+@pytest.mark.parametrize("omega", [0.9, 1.2])
+def test_projected_start_meets_the_tolerance_on_every_stiff_solve(monkeypatch, omega):
+    cfg = stiff_config()
+    op = FracOperator(cfg.alpha, cfg.grid)
+    stats = recording_solves(monkeypatch)
+    run(get_problem("5.1", omega=omega), cfg, op=op)
+    assert len(stats) == cfg.N
+    assert max(s.residual for s in stats) <= solvers.cg_tolerance(None, op, cfg.tau)
+
+
+def test_preconditioned_step_reads_no_level_product(monkeypatch):
+    cfg = stiff_config(M=4000)
+    stats = recording_solves(monkeypatch)
+    applies, apply = [], FracOperator.apply
+    monkeypatch.setattr(FracOperator, "apply", lambda self, u: applies.append(1) or apply(self, u))
+    states = []
+    run(get_problem("5.1"), cfg, observers=(lambda state, _: states.append(state),))
+    # CG iterations, the first step's initial residual and one true residual
+    # per step: every later initial residual comes from the stored products
+    assert len(applies) == sum(s.iterations for s in stats) + 1 + cfg.N
+    assert all(state.product is None for state in states)
+    assert [len(state.midpoints) for state in states] == [0, 1, 2] + [HISTORY] * (cfg.N - 2)
+
+
+def test_projected_start_saves_iterations(monkeypatch):
+    import fracsg.scheme
+
+    cfg = stiff_config(M=4000)
+    stats = recording_solves(monkeypatch)
+    projected = run(get_problem("5.1"), cfg)
+    by_projection = sum(s.iterations for s in stats[1:])
+    stats.clear()
+    # every row plain to the stepper, so it starts from the extrapolation;
+    # the solver still preconditions
+    monkeypatch.setattr(fracsg.scheme, "preconditioned_rows", lambda op, tau: [False])
+    extrapolated = run(get_problem("5.1"), cfg)
+    assert by_projection < sum(s.iterations for s in stats[1:])
+    for name in ("U", "V", "W"):
+        assert np.max(np.abs(getattr(projected.state, name)
+                             - getattr(extrapolated.state, name))) <= 1e-9
+
+
+def test_true_residual_does_not_trust_a_stored_midpoint_product():
+    cfg = stiff_config(M=4000, N=4)
+    op = FracOperator(cfg.alpha, cfg.grid)
+    state0 = initial_state(get_problem("5.1"), cfg.grid)
+    state1, _ = startup_step(state0, op, cfg)
+    state2, _ = cn_step(state0, state1, op, cfg)
+    _, honest = cn_step(state1, state2, op, cfg)
+    assert honest.residual <= 1e-12
+    (_, U_mid, product), *older = state2.midpoints
+    state2.midpoints = ((op, U_mid, 1.01 * product), *older)
+    _, stats = cn_step(state1, state2, op, cfg)
+    assert stats.residual > 1e-6

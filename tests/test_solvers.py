@@ -215,11 +215,12 @@ def test_preconditioner_is_leading_block_of_embedding_inverse(alpha, M, h, tau, 
     mat = StepMatrix(op=op, tau=tau, diag=rng.uniform(0.0, tau * tau / 8.0, op.size))
     m, n = op.size, op.embed_size
     # the circulant embedding of C, built from the kernel: c_0..c_{m-1},
-    # zeros, then c_{m-1}..c_1
+    # zeros, then c_{m-1}..c_1, folded modulo half its length
     col = np.zeros(n)
     col[:m] = op.kernel
     col[n - m + 1:] = op.kernel[1:][::-1]
-    inverse = np.linalg.inv(np.eye(n) + (0.25 * tau * tau * op.scale) * circulant(col))
+    fold = col[:n // 2] + col[n // 2:]
+    inverse = np.linalg.inv(np.eye(n // 2) + (0.25 * tau * tau * op.scale) * circulant(fold))
     r = rng.standard_normal(m)
     z = build_circulant_preconditioner(mat)(r)
     assert z.shape == (m,)
@@ -233,10 +234,12 @@ def test_preconditioned_solve_transforms_at_embedding_length(rng, monkeypatch):
     monkeypatch.setattr(solvers, "CIRCULANT_MIN_BOUND", 0.0)
     _, stats = solve(mat, rng.standard_normal(m))
     assert stats.iterations > 0
-    # every transform runs at the embedding length, none at length m
+    # matvecs (the initial and true residuals, one per iteration) transform
+    # at the embedding length, the preconditioner at half of it, none at m
     assert lengths.count(m) == 0
-    assert lengths.count(embed) >= 2 * (stats.iterations + 1)
-    assert set(lengths) <= {m, embed}
+    assert lengths.count(embed) == 2 * (stats.iterations + 2)
+    assert lengths.count(embed // 2) == 2 * stats.iterations
+    assert set(lengths) == {embed, embed // 2}
 
 
 @pytest.mark.parametrize("N", [2, 10])
@@ -348,3 +351,22 @@ class TestBlockSystem:
         z = np.zeros(big.size)
         with pytest.raises(ValueError, match="128"):
             assemble_block_system(big, 0.1, z, z, z, z)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_preconditioner_runs_once_per_iteration(rng, monkeypatch, warm):
+    mat = make_step_matrix(M=390, tau=0.7)
+    rhs = rng.standard_normal(len(mat.diag))
+    monkeypatch.setattr(solvers, "CIRCULANT_MIN_BOUND", 0.0)
+    x0 = solve(mat, rhs)[0] if warm else None
+    applied, build = [], solvers.build_circulant_preconditioner
+
+    def counting_build(mat):
+        pre = build(mat)
+        return lambda r: applied.append(1) or pre(r)
+
+    monkeypatch.setattr(solvers, "build_circulant_preconditioner", counting_build)
+    _, stats = solve(mat, rhs, x0=x0)
+    # a converged residual, the last one or a warm start's, is not preconditioned
+    assert len(applied) == stats.iterations
+    assert (stats.iterations == 0) == warm
