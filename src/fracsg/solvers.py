@@ -19,12 +19,12 @@ import numpy as np
 
 from .operator import FracOperator, OperatorStack
 
-# Condition bound above which CG runs with the circulant preconditioner; below
-# it the preconditioner's extra FFT pair per iteration costs more than it saves.
-# At alpha = 1.8, N = 10 and M = 800, 4000, 16000 the preconditioned run took
-# 0.9-1.4x the plain time at bounds 2-4 and 0.6-0.95x from 5 on (0.35x at 40).
-# No preset's bound exceeds about 2.  CHANGES.md records the sweep.
-CIRCULANT_MIN_BOUND = 5.0
+# Condition bound above which CG runs with the circulant preconditioner (and
+# the stepper with its projected start).  At alpha = 1.8, N = 10 and M = 800,
+# 4000, 16000 the preconditioned run took 0.71-0.88x the plain time at bounds
+# 2-2.5 and 0.45-0.72x at 3-7.  At 4, twice the largest preset bound (2.0), no
+# preset is near the switch.  CHANGES.md records the sweep.
+CIRCULANT_MIN_BOUND = 4.0
 
 # CG cap: this factor times ceil(sqrt(bound)/2 ln(2/rel_tol)), the
 # exact-arithmetic CG bound (Saad 2003, sec. 6.11.3).  Runs at alpha 1.3-2,
