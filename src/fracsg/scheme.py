@@ -21,7 +21,7 @@ product, or none on a preconditioned step, which projects on HISTORY midpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -218,7 +218,7 @@ def run(problem, cfg: SchemeConfig, observers=(), op: FracOperator | None = None
             obs(state, stats)
 
     return RunResult(
-        state=state,
+        state=replace(state, midpoints=()),  # the stored midpoints are the steps' alone
         steps=cfg.N,
         cg_iterations_max=max(iters),
         cg_iterations_mean=float(np.mean(iters)),
