@@ -51,7 +51,7 @@ class StepMatrix:
     op: FracOperator  # an OperatorStack: one system per row
     tau: float
     diag: np.ndarray  # nonnegative, shaped like the vectors it acts on
-    product: np.ndarray | None = field(default=None, repr=False)  # op.apply of the last matvec
+    product: np.ndarray | None = field(default=None, repr=False)  # solve leaves op.apply(x) here
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         self.product = self.op.apply(v)
@@ -156,7 +156,7 @@ def solve(mat: StepMatrix, rhs: np.ndarray, cg_tol: float | None = None,
     that goes on is preconditioned.  Given x0_product = op.apply(x0), the initial
     residual needs no operator application, so the solve costs its CG iterations
     plus one matvec: the true residual the returned stats carry, recomputed from x
-    (never from x0_product), whose product mat.product keeps.  Non-convergence,
+    (never from x0_product), which leaves op.apply(x) in mat.product.  Non-convergence,
     non-finite data and a tolerance below eps * bound raise SolveFailure.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
@@ -205,7 +205,7 @@ def solve(mat: StepMatrix, rhs: np.ndarray, cg_tol: float | None = None,
         alpha = _column(map(operator.truediv, rz, _dots(p, Ap)), x)
         x += alpha * p
         r -= alpha * Ap
-        del Ap  # freed before the next matvec, whose transforms set a stack's peak memory
+        Ap = mat.product = None  # freed before the next matvec, whose transforms set peak memory
         iterations += 1
     x = solution[0] if rhs.ndim == 1 else np.array(solution)
     res = rhs - full.matvec(x)
