@@ -124,6 +124,7 @@ def build_circulant_preconditioner(mat: StepMatrix):
 
 
 def preconditioned_rows(op: FracOperator, tau: float) -> list[bool]:
+    """Per row of op: whether choose_preconditioner gives it the circulant."""
     return [choose_preconditioner(row, tau) == "circulant" for row in op.rows]
 
 
@@ -194,13 +195,12 @@ def solve(mat: StepMatrix, rhs: np.ndarray, cg_tol: float | None = None,
                 f"iterations at condition bound {bounds[live[j]]:.4g} (residual "
                 f"{norms[j] / bnorms[live[j]]:.3e}) for alpha={ops[live[j]].alpha:g}")
         z = pre(r)  # only a residual that goes on is preconditioned
-        rz_new = _dots(r, z)
+        rz, rz_old = _dots(r, z), rz
         if p is None:
             p = z.copy()
         else:
-            p *= _column(map(operator.truediv, rz_new, rz), p)
+            p *= _column(map(operator.truediv, rz, rz_old), p)
             p += z
-        rz = rz_new
         Ap = mat.matvec(p)
         alpha = _column(map(operator.truediv, rz, _dots(p, Ap)), x)
         x += alpha * p
