@@ -281,10 +281,9 @@ def test_time_column_is_computed_from_the_level_index():
     assert recorder.rows[-1][1] == cfg.T
 
 
-
 def stiff_config(M=16000, N=10):
-    """alpha 1.8 on (-20, 20) at tau = 0.1: condition bounds 435 at M = 16000
-    and 35 at M = 4000, so every solve is preconditioned."""
+    """alpha 1.8 on (-20, 20) at tau = 0.1: condition bounds 438 at M = 16000
+    and 37 at M = 4000, so every solve is preconditioned."""
     cfg = SchemeConfig(grid=GridSpec(a=-20.0, b=20.0, M=M), alpha=1.8, T=0.1 * N, N=N)
     assert solvers.choose_preconditioner(FracOperator(cfg.alpha, cfg.grid), cfg.tau) == "circulant"
     return cfg

@@ -242,6 +242,25 @@ def test_preconditioned_solve_transforms_at_embedding_length(rng, monkeypatch):
     assert set(lengths) == {embed, embed // 2}
 
 
+@pytest.mark.parametrize("warm", [False, True])
+def test_preconditioner_runs_once_per_iteration(rng, monkeypatch, warm):
+    mat = make_step_matrix(M=390, tau=0.7)
+    rhs = rng.standard_normal(len(mat.diag))
+    monkeypatch.setattr(solvers, "CIRCULANT_MIN_BOUND", 0.0)
+    x0 = solve(mat, rhs)[0] if warm else None
+    applied, build = [], solvers.build_circulant_preconditioner
+
+    def counting_build(mat):
+        pre = build(mat)
+        return lambda r: applied.append(1) or pre(r)
+
+    monkeypatch.setattr(solvers, "build_circulant_preconditioner", counting_build)
+    _, stats = solve(mat, rhs, x0=x0)
+    # a converged residual, the last one or a warm start's, is not preconditioned
+    assert len(applied) == stats.iterations
+    assert (stats.iterations == 0) == warm
+
+
 @pytest.mark.parametrize("N", [2, 10])
 def test_stiff_run_transforms_at_length_m_at_most_twice(N, monkeypatch):
     cfg = SchemeConfig(grid=GridSpec(a=-20.0, b=20.0, M=4000), alpha=1.8, T=0.2 * N, N=N)
@@ -352,21 +371,3 @@ class TestBlockSystem:
         with pytest.raises(ValueError, match="128"):
             assemble_block_system(big, 0.1, z, z, z, z)
 
-
-@pytest.mark.parametrize("warm", [False, True])
-def test_preconditioner_runs_once_per_iteration(rng, monkeypatch, warm):
-    mat = make_step_matrix(M=390, tau=0.7)
-    rhs = rng.standard_normal(len(mat.diag))
-    monkeypatch.setattr(solvers, "CIRCULANT_MIN_BOUND", 0.0)
-    x0 = solve(mat, rhs)[0] if warm else None
-    applied, build = [], solvers.build_circulant_preconditioner
-
-    def counting_build(mat):
-        pre = build(mat)
-        return lambda r: applied.append(1) or pre(r)
-
-    monkeypatch.setattr(solvers, "build_circulant_preconditioner", counting_build)
-    _, stats = solve(mat, rhs, x0=x0)
-    # a converged residual, the last one or a warm start's, is not preconditioned
-    assert len(applied) == stats.iterations
-    assert (stats.iterations == 0) == warm
