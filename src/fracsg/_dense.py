@@ -41,6 +41,7 @@ def solve(mat: StepMatrix, rhs: np.ndarray, *_, **__) -> tuple[np.ndarray, Solve
     """Cholesky solve, refactorized every step as d changes with the midpoint;
     takes solvers.solve's arguments, all but the first two unused."""
     check_size(len(mat.diag))
-    bnorm = _finite(float(np.linalg.norm(rhs)), "right-hand side") or 1.0  # zero rhs: x, residual 0
+    # a zero rhs: x and the residual 0
+    bnorm = _finite(float(np.linalg.norm(rhs)), "right-hand side", mat.op.alpha) or 1.0
     x = cho_solve(cho_factor(step_matrix(mat)), rhs)
     return x, SolveStats(iterations=0, residual=float(np.linalg.norm(rhs - mat.matvec(x))) / bnorm)

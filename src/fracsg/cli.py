@@ -29,12 +29,11 @@ import numpy as np
 from . import __version__
 from ._format import csv_lines
 from .diagnostics import EnergyRecorder, convergence_ladder, w_projection_drift
-from .operator import FracOperator, GridSpec, OperatorStack, check_alpha, subdivisions
+from .operator import FracOperator, GridSpec, OperatorStack, check_alpha
 from .presets import PRESETS
 from .problems import get_problem
 from .scheme import IeqState, SchemeConfig, run
-from .solvers import (CG_DEFAULT_TOL_CEILING, NumericalFailure, cg_tolerance,
-                      choose_preconditioner, condition_bound)
+from .solvers import CG_DEFAULT_TOL_CEILING, NumericalFailure
 
 _BLOCK = 500  # rows per csv_lines call
 _PIPE_BYTES = 1 << 20  # room for about 21 soliton snapshots of 48 KB while the writer lags
@@ -114,6 +113,15 @@ def resolve(ns: argparse.Namespace) -> dict[str, Any]:
     if missing:
         raise ValueError(f"missing required settings: {', '.join(missing)}")
     return settings
+
+
+def subdivisions(span: float, step: float, what: str) -> int:
+    """The whole number, at least 1, of steps of size ``step`` in ``span``;
+    ValueError naming the setting ``what`` when there is none (up to rounding)."""
+    count = span / step
+    if not np.isfinite(count) or count < 0.5 or abs(count - round(count)) > 1e-9 * max(1.0, count):
+        raise ValueError(f"{what}={step} does not divide {span} into whole steps")
+    return round(count)
 
 
 def _scheme_config(s: dict, alpha: float | tuple[float, ...]) -> SchemeConfig:
@@ -237,12 +245,12 @@ def cmd_run(s: dict, out: Outputs) -> int:
         result = run(problem, cfg, op=op, observers=(recorder, snapshots, lambda state, stats:
                      levels.append((w_projection_drift(state), abs(state.U[[0, -1]]).max()))))
     w_drift_max, boundary_max = np.max(levels, axis=0)
-    bound = condition_bound(op, cfg.tau)
+    cg = result.cg
     meta = dict(
         example=problem.key, omega=problem.omega, alpha=cfg.alpha, domain=[grid.a, grid.b],
         h=grid.h, M=grid.M, tau=cfg.tau, N=cfg.N, T=cfg.T,
-        cg_rel_tol=cg_tolerance(cfg.cg_tol, op, cfg.tau),
-        precond=choose_preconditioner(op, cfg.tau), condition_bound=bound, snapshot_stride=stride,
+        cg_rel_tol=cg.rel_tols[0], precond="circulant" if cg.preconditioned[0] else "none",
+        condition_bound=cg.bounds[0], snapshot_stride=stride,
         fft_embed_size=op.embed_size, cg_iterations_max=result.cg_iterations_max,
         cg_iterations_mean=result.cg_iterations_mean, residual_max=result.residual_max,
         energy_drift_max=recorder.max_relative_drift(), w_drift_max=w_drift_max,

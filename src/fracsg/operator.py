@@ -118,15 +118,6 @@ class GridSpec:
         return self.a + self.h * np.arange(1, self.M)
 
 
-def subdivisions(span: float, step: float, what: str) -> int:
-    """The whole number, at least 1, of steps of size ``step`` in ``span``;
-    ValueError naming the setting ``what`` when there is none (up to rounding)."""
-    count = span / step
-    if not np.isfinite(count) or count < 0.5 or abs(count - round(count)) > 1e-9 * max(1.0, count):
-        raise ValueError(f"{what}={step} does not divide {span} into whole steps")
-    return round(count)
-
-
 class FracOperator:
     """Discrete fractional Laplacian h^{-alpha} * C on the interior of a grid.
 
@@ -162,13 +153,14 @@ class FracOperator:
             raise ValueError(f"expected interior vector of length {self.size}, got shape {u.shape}")
         return u
 
-    def circulant_product(self, spectrum: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """First M-1 entries of the circulant of length 2 (len(spectrum) - 1), or 1, with
+    @staticmethod
+    def circulant_product(spectrum: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """First len(u) entries of the circulant of length 2 (len(spectrum) - 1), or 1, with
         rfft spectrum ``spectrum``, applied to u padded with zeros, row by row for a stack."""
         n = 2 * (spectrum.shape[-1] - 1) or 1
         transform = np.fft.rfft(u, n=n)
         transform *= spectrum
-        return np.fft.irfft(transform, n=n)[..., :self.size]
+        return np.fft.irfft(transform, n=n)[..., :u.shape[-1]]
 
     def apply_fft(self, u: np.ndarray) -> np.ndarray:
         return self.scale * self.circulant_product(self.symbol, self._check(u))

@@ -17,17 +17,19 @@ Each level's operator product op.apply(U^n), one FFT pair, is computed the
 first time a step or an observer reads it and is stored on its state, so a
 later step costs its CG iterations, one true-residual matvec and at most one
 product, or none on a preconditioned step, which projects on HISTORY midpoints.
+Every step reads the CG set-up run makes once, before the first (solvers.cg_setup).
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .operator import FracOperator, GridSpec, OperatorStack, check_alpha
-from .solvers import SolveStats, StepMatrix, cg_tolerance, preconditioned_rows, solve
+from .solvers import CGSetup, SolveStats, StepMatrix, cg_setup, solve
 
 # Midpoints a start projects on: at alpha 1.8, M = 16000, N = 10, 3 to 6 took 28 CG iterations, 2 35
 HISTORY = 3
@@ -60,18 +62,19 @@ class SchemeConfig:
     alpha: float | tuple[float, ...]  # a tuple: its orders step as one stack
     T: float
     N: int
-    cg_tol: float | None = None  # None: the default of solvers.cg_tolerance
+    cg_tol: float | None = None  # None: the default of solvers.cg_setup
     solve: Callable | None = None  # like solvers.solve; None: the module's solve when called
 
     def __post_init__(self) -> None:
-        for alpha in np.atleast_1d(self.alpha):
-            check_alpha(alpha)
+        alphas = self.alpha if isinstance(self.alpha, tuple) else (self.alpha,)
+        if not alphas or not all(isinstance(a, numbers.Real) and check_alpha(a) for a in alphas):
+            raise ValueError(f"alpha must be a number or a nonempty tuple, got {self.alpha!r}")
         if self.cg_tol is not None and not 0.0 < self.cg_tol < 1.0:
             raise ValueError(f"cg_tol must lie in (0, 1), got {self.cg_tol}")
         if not self.T > 0:
             raise ValueError(f"final time must be positive, got T={self.T}")
-        if self.N < 1:
-            raise ValueError(f"need at least one timestep, got N={self.N}")
+        if not isinstance(self.N, numbers.Integral) or self.N < 1:
+            raise ValueError(f"N must be a whole number of timesteps, at least 1, got N={self.N!r}")
 
     @property
     def tau(self) -> float:
@@ -85,6 +88,7 @@ class RunResult:
     cg_iterations_max: int
     cg_iterations_mean: float
     residual_max: float
+    cg: CGSetup  # the set-up of every solve
 
 
 def initial_state(problem, grid: GridSpec, rows: int = 0) -> IeqState:
@@ -126,20 +130,20 @@ def _projected_start(mat: StepMatrix, rhs: np.ndarray, history, x0: np.ndarray,
         out[...] = sum(ci * pair[k] for ci, pair in zip(c, history))
 
 
-def _step(op: FracOperator, cfg: SchemeConfig, state: IeqState, bvec: np.ndarray,
+def _step(op: FracOperator, cfg: SchemeConfig, setup: CGSetup, state: IeqState, bvec: np.ndarray,
           x0: np.ndarray, x0_product: np.ndarray | None = None) -> tuple[IeqState, SolveStats]:
     """One SPD solve for U^{n+1/2} given the frozen coefficient vector, projected starts
     on preconditioned rows, then the other midpoints recovered and reflected onward."""
     tau = cfg.tau
     diag = (tau * tau / 8.0) * bvec * bvec
     rhs = state.U + (0.5 * tau) * state.V - (tau * tau / 4.0) * bvec * state.W + diag * state.U
-    mat, on = StepMatrix(op, tau, diag), preconditioned_rows(op, tau)
+    mat = StepMatrix(op, tau, diag)
     history = [(u, p) for o, u, p in state.midpoints if o is op]
-    for j in (j for j in range(len(on)) if on[j] and history):  # row j of a stack, or the array
-        row = lambda a: np.atleast_2d(a)[j]
+    for j in (j for j, on in enumerate(setup.preconditioned) if on and history):
+        row = lambda a: np.atleast_2d(a)[j]  # row j of a stack, or the array
         _projected_start(StepMatrix(op.rows[j], tau, row(diag)), row(rhs),
                          [(row(u), row(p)) for u, p in history], row(x0), row(x0_product))
-    U_mid, stats = (cfg.solve or solve)(mat, rhs, cfg.cg_tol, x0=x0, x0_product=x0_product)
+    U_mid, stats = (cfg.solve or solve)(mat, rhs, setup, x0=x0, x0_product=x0_product)
     midpoints = ((op, U_mid, mat.product),) + state.midpoints[:HISTORY - 1]  # solve's own arrays
     del diag, rhs, mat  # freed before the next level is built
     dU = U_mid - state.U
@@ -152,35 +156,36 @@ def _step(op: FracOperator, cfg: SchemeConfig, state: IeqState, bvec: np.ndarray
         W=2.0 * W_mid - state.W,
         t=cfg.T * (n / cfg.N),  # from the level index, so level N is at T exactly
         n=n,
-        midpoints=midpoints if any(on) and midpoints[0][2] is not None else (),
+        midpoints=midpoints if any(setup.preconditioned) and midpoints[0][2] is not None else (),
     ), stats
 
 
-def startup_step(state0: IeqState, op: FracOperator,
-                 cfg: SchemeConfig) -> tuple[IeqState, SolveStats]:
+def startup_step(state0: IeqState, op: FracOperator, cfg: SchemeConfig,
+                 setup: CGSetup) -> tuple[IeqState, SolveStats]:
     """First step, with b frozen at the explicit midpoint predictor
     U^0 + (tau/2) V^0, which also warm-starts the solve.  The predictor's
-    product is not at hand, so the initial residual costs one matvec."""
+    product is not at hand, so the initial residual costs one matvec.  ``setup``
+    is the run's CG set-up, solvers.cg_setup(op, cfg.tau, cfg.cg_tol)."""
     predictor = state0.U + (0.5 * cfg.tau) * state0.V
-    return _step(op, cfg, state0, b_func(predictor), x0=predictor)
+    return _step(op, cfg, setup, state0, b_func(predictor), x0=predictor)
 
 
-def cn_step(state_nm1: IeqState, state_n: IeqState, op: FracOperator,
-            cfg: SchemeConfig) -> tuple[IeqState, SolveStats]:
+def cn_step(state_nm1: IeqState, state_n: IeqState, op: FracOperator, cfg: SchemeConfig,
+            setup: CGSetup) -> tuple[IeqState, SolveStats]:
     """One linearly-implicit step using the extrapolated midpoint
     x0 = (3 U^n - U^{n-1})/2 inside the coefficient b.  On a plain row x0 also warm-starts
     the solve from the two levels' products, and the step costs its CG iterations, one
-    true-residual matvec and the product of U^n, unless an observer has read it; a
-    preconditioned row starts from the projection on the stored midpoints, and if all
-    do, no level product is read.  A previous level without V, which run makes, is
-    emptied once read, so that the solve does not hold its arrays."""
+    true-residual matvec and the product of U^n, unless an observer has read it; a row
+    that ``setup`` (as in startup_step) preconditions starts from the projection on the
+    stored midpoints, and if all do, no level product is read.  A previous level without
+    V, which run makes, is emptied once read, so that the solve does not hold its arrays."""
     x0 = 1.5 * state_n.U - 0.5 * state_nm1.U
-    projected = any(m[0] is op for m in state_n.midpoints) and all(preconditioned_rows(op, cfg.tau))
+    projected = any(m[0] is op for m in state_n.midpoints) and all(setup.preconditioned)
     x0_product = np.empty_like(x0) if projected else (
         1.5 * level_product(state_n, op) - 0.5 * level_product(state_nm1, op))
     if state_nm1.V is None:
         state_nm1.U = state_nm1.product = None
-    return _step(op, cfg, state_n, b_func(x0), x0=x0, x0_product=x0_product)
+    return _step(op, cfg, setup, state_n, b_func(x0), x0=x0, x0_product=x0_product)
 
 
 def run(problem, cfg: SchemeConfig, observers=(), op: FracOperator | None = None) -> RunResult:
@@ -191,24 +196,22 @@ def run(problem, cfg: SchemeConfig, observers=(), op: FracOperator | None = None
     for the same (alpha, grid) may be passed to share it with observers.  A
     tuple cfg.alpha steps its orders as one stack: op is an OperatorStack,
     states hold one row per order, and stats are the largest over the rows.
-    """
+    The solves' CG set-up, made once before the first step (which refuses an
+    unusable tolerance), is the result's cg."""
     if op is None:
         op = (OperatorStack([FracOperator(alpha, cfg.grid) for alpha in cfg.alpha])
               if isinstance(cfg.alpha, tuple) else FracOperator(cfg.alpha, cfg.grid))
-    for row in op.rows:  # refuses an unusable tolerance at any order before any step
-        cg_tolerance(cfg.cg_tol, row, cfg.tau)
+    setup = cg_setup(op, cfg.tau, cfg.cg_tol)
     state = initial_state(problem, cfg.grid, len(op.rows) if isinstance(op, OperatorStack) else 0)
     for obs in observers:
         obs(state, None)
 
-    prev = None
-    iters: list[int] = []
-    res_max = 0.0
+    prev, iters, res_max = None, [], 0.0
     for _ in range(cfg.N):
         if prev is None:
-            nxt, stats = startup_step(state, op, cfg)
+            nxt, stats = startup_step(state, op, cfg, setup)
         else:
-            nxt, stats = cn_step(prev, state, op, cfg)
+            nxt, stats = cn_step(prev, state, op, cfg, setup)
             # the next step reads only U and the product, now stored, of this level
             state = IeqState(state.U, None, None, state.t, state.n, state.product)
         prev, state = state, nxt
@@ -217,10 +220,6 @@ def run(problem, cfg: SchemeConfig, observers=(), op: FracOperator | None = None
         for obs in observers:
             obs(state, stats)
 
-    return RunResult(
-        state=replace(state, midpoints=()),  # the stored midpoints are the steps' alone
-        steps=cfg.N,
-        cg_iterations_max=max(iters),
-        cg_iterations_mean=float(np.mean(iters)),
-        residual_max=res_max,
-    )
+    return RunResult(state=replace(state, midpoints=()),  # stored midpoints: the steps' alone
+                     steps=cfg.N, cg_iterations_max=max(iters),
+                     cg_iterations_mean=float(np.mean(iters)), residual_max=res_max, cg=setup)

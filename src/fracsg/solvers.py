@@ -2,11 +2,12 @@
 
 Each time step requires one solve with I + (tau^2/4) * Dh^alpha + diag(d),
 d >= 0: identity plus SPD plus nonnegative diagonal, hence SPD for every
-tau > 0.  It is solved by conjugate gradients with FFT mat-vecs, the
-default tolerance and cap set by the system's a-priori condition bound and,
-where that bound is large, preconditioned through the operator's own circulant
-embedding.  The dense direct solve, the reference this one is checked and
-timed against, lives in the private module _dense.
+tau > 0.  It is solved by conjugate gradients with FFT mat-vecs, set up once
+per run by cg_setup: the default tolerance and cap follow from the system's
+a-priori condition bound and, where that bound is large, CG is preconditioned
+through the operator's own circulant embedding.  The dense direct solve, the
+reference this one is checked and timed against, lives in the private module
+_dense.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -79,61 +81,58 @@ def condition_bound(op: FracOperator, tau: float) -> float:
     return 1.0 + 0.5 * tau * tau * op.scale * float(op.kernel[0]) + 0.125 * tau * tau
 
 
-def cg_tolerance(cg_tol: float | None, op: FracOperator, tau: float) -> float:
-    """CG's relative tolerance for the step matrices of ``op`` and ``tau``:
-    cg_tol, by default (None) max(1e-12, 10 eps bound) with the condition
-    bound (1e-12 up to bounds of about 450).  Below eps * bound the true
-    residual no longer follows the recursive one, so a tolerance set there
-    raises SolveFailure, as does a default above CG_DEFAULT_TOL_CEILING
-    (bounds above about 4.5e6), which would accept a visibly wrong step."""
-    bound = condition_bound(op, tau)
-    floor = np.finfo(np.float64).eps * bound
-    if cg_tol is None:
-        if 10.0 * floor > CG_DEFAULT_TOL_CEILING:
-            raise SolveFailure(
-                f"default CG rel tol {10.0 * floor:.3g} (10 eps times condition bound "
-                f"{bound:.4g} at h={op.grid.h:g}, tau={tau:g}) exceeds its ceiling "
-                f"{CG_DEFAULT_TOL_CEILING:g} for alpha={op.alpha:g}; a smaller tau lowers "
-                "the bound")
-        return max(1e-12, 10.0 * floor)
-    if cg_tol < floor:
-        raise SolveFailure(
-            f"CG rel tol {cg_tol:g} lies below the attainable floor {floor:.3g} "
-            f"(machine epsilon times condition bound {bound:.4g})")
-    return cg_tol
-
-
-def choose_preconditioner(op: FracOperator, tau: float) -> str:
-    """The preconditioner solve uses: "circulant" when the condition bound
-    exceeds CIRCULANT_MIN_BOUND, otherwise "none".  Depends only on alpha, h
-    and tau, so it is the same for every solve of a run."""
-    return "circulant" if condition_bound(op, tau) > CIRCULANT_MIN_BOUND else "none"
-
-
-def build_circulant_preconditioner(mat: StepMatrix):
+def build_circulant_preconditioner(op: FracOperator, tau: float):
     """Approximate inverse of M_sys: the leading (M-1) x (M-1) block of
     (I + (tau^2/4) h^{-alpha} F)^{-1}, with F the circulant of half the embedding
     length whose column is the operator's embedding E's folded modulo that length.
     F's eigenvalues are E's even-indexed ones, so nonnegative, and the block is SPD
     with eigenvalues in (0, 1]; d = (tau^2/8) b^2 < tau^2/8 is left out.  Returns a
-    callable r -> approx M_sys^{-1} r, one FFT pair at half the embedding length;
-    building it takes none."""
-    op = mat.op
-    spectrum = 1.0 / (1.0 + (0.25 * mat.tau * mat.tau * op.scale) * op.symbol.real[..., ::2])
-    return lambda r: op.circulant_product(spectrum, r)
+    callable (r, rows) -> approx M_sys^{-1} r, one FFT pair at half the embedding
+    length, for a stack on its rows ``rows`` (by default all); building it takes none.
+    It holds the spectrum alone, not ``op``."""
+    spectrum = 1.0 / (1.0 + (0.25 * tau * tau * op.scale) * op.symbol.real[..., ::2])
+    return lambda r, rows=...: FracOperator.circulant_product(spectrum[rows], r)
 
 
-def preconditioned_rows(op: FracOperator, tau: float) -> list[bool]:
-    """Per row of op: whether choose_preconditioner gives it the circulant."""
-    return [choose_preconditioner(row, tau) == "circulant" for row in op.rows]
+@dataclass(frozen=True)
+class CGSetup:
+    """Per row of a run's operator, its CG's relative tolerance, condition bound, cap and
+    whether it is preconditioned; and the preconditioner, built once, None if no row is."""
+
+    rel_tols: tuple[float, ...]
+    bounds: tuple[float, ...]
+    caps: tuple[int, ...]
+    preconditioned: tuple[bool, ...]
+    preconditioner: Callable | None = field(default=None, repr=False)
 
 
-def _preconditioner(mat: StepMatrix):
-    """r -> z: the circulant preconditioner on the rows choose_preconditioner
-    gives one, the identity on the rest."""
-    on = preconditioned_rows(mat.op, mat.tau)
-    pre = build_circulant_preconditioner(mat) if any(on) else lambda r: r
-    return pre if all(on) or not any(on) else lambda r: np.where(np.c_[on], pre(r), r)
+def cg_setup(op: FracOperator, tau: float, cg_tol: float | None = None) -> CGSetup:
+    """The CG set-up of the step matrices of ``op``'s rows and ``tau``.  A row's relative
+    tolerance is cg_tol, by default max(1e-12, 10 eps bound) with its condition bound
+    (1e-12 up to bounds of about 450); its cap CG_CAP_FACTOR * ceil(sqrt(bound)/2
+    ln(2/rel_tol)); it is preconditioned if the bound exceeds CIRCULANT_MIN_BOUND.  Below
+    eps * bound the true residual no longer follows the recursive one, so a tolerance
+    set there raises SolveFailure, as does a default above CG_DEFAULT_TOL_CEILING
+    (bounds above about 4.5e6), which would accept a visibly wrong step."""
+    rows = []
+    for row in op.rows:
+        bound = condition_bound(row, tau)
+        floor = np.finfo(np.float64).eps * bound
+        if cg_tol is None and 10.0 * floor > CG_DEFAULT_TOL_CEILING:
+            raise SolveFailure(
+                f"default CG rel tol {10.0 * floor:.3g} (10 eps times condition bound {bound:.4g} "
+                f"at h={op.grid.h:g}, tau={tau:g}) exceeds its ceiling {CG_DEFAULT_TOL_CEILING:g} "
+                f"for alpha={row.alpha:g}; a smaller tau lowers the bound")
+        if cg_tol is not None and cg_tol < floor:
+            raise SolveFailure(
+                f"CG rel tol {cg_tol:g} lies below the attainable floor {floor:.3g} "
+                f"(machine epsilon times condition bound {bound:.4g}) for alpha={row.alpha:g}")
+        rel_tol = max(1e-12, 10.0 * floor) if cg_tol is None else cg_tol
+        cap = CG_CAP_FACTOR * math.ceil(0.5 * math.sqrt(bound) * math.log(2.0 / rel_tol))
+        rows.append((rel_tol, bound, cap, bound > CIRCULANT_MIN_BOUND))
+    rel_tols, bounds, caps, on = zip(*rows)
+    return CGSetup(rel_tols, bounds, caps, on,
+                   build_circulant_preconditioner(op, tau) if any(on) else None)
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> list[float]:  # row by row: each row's own bits
@@ -144,57 +143,64 @@ def _column(values, like: np.ndarray):  # per-row scalars, shaped to scale the r
     return next(values) if like.ndim == 1 else np.fromiter(values, np.float64)[:, None]
 
 
-def solve(mat: StepMatrix, rhs: np.ndarray, cg_tol: float | None = None,
+def solve(mat: StepMatrix, rhs: np.ndarray, setup: CGSetup | None = None,
           x0: np.ndarray | None = None,
           x0_product: np.ndarray | None = None) -> tuple[np.ndarray, SolveStats]:
-    """Solve M_sys x = rhs by CG to the relative tolerance cg_tolerance(cg_tol),
-    each row of a stack (mat.op an OperatorStack) as its own system.
+    """Solve M_sys x = rhs by CG, each row of a stack (mat.op an OperatorStack) as its
+    own system, to the tolerance, within the cap and preconditioned as ``setup`` says,
+    by default cg_setup(mat.op, mat.tau).
 
-    CG starts from x0 (zero if None) and terminates when the recursive
-    residual satisfies ||r||_2 <= cg_tolerance * ||rhs||_2, preconditioned as
-    choose_preconditioner decides; a row of a stack that gets there leaves
-    it, so each row takes the steps of its own solve, bit for bit; only a residual
-    that goes on is preconditioned.  Given x0_product = op.apply(x0), the initial
-    residual needs no operator application, so the solve costs its CG iterations
-    plus one matvec: the true residual the returned stats carry, recomputed from x
-    (never from x0_product), which leaves op.apply(x) in mat.product.  Non-convergence,
-    non-finite data and a tolerance below eps * bound raise SolveFailure.
+    CG starts from x0 (zero if None), and a row terminates when its recursive residual
+    satisfies ||r||_2 <= rel_tol * ||rhs||_2; a row of a stack that gets there leaves
+    it, so each row takes the steps of its own solve, bit for bit; only the residual of
+    a preconditioned row that goes on is preconditioned.  Given x0_product =
+    op.apply(x0), the initial residual needs no operator application, so the solve
+    costs its CG iterations plus one matvec: the true residual the returned stats carry,
+    recomputed from x (never from x0_product), which leaves op.apply(x) in mat.product.
+    Non-convergence and non-finite data raise SolveFailure naming the row's alpha.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape != mat.diag.shape:
         raise ValueError(f"rhs shape {rhs.shape} does not match system shape {mat.diag.shape}")
-    full, ops = mat, mat.op.rows
-    bnorms = [_finite(math.sqrt(v), "right-hand side") for v in _dots(rhs, rhs)]  # ||rhs||_2
-    rel_tols = [cg_tolerance(cg_tol, op, mat.tau) for op in ops]  # refused even for a zero rhs
-    bounds = [condition_bound(op, mat.tau) for op in ops]  # the plain bound caps both paths
-    caps = [CG_CAP_FACTOR * math.ceil(0.5 * math.sqrt(bound) * math.log(2.0 / rel_tol))
-            for bound, rel_tol in zip(bounds, rel_tols)]
-    tols = [rel_tol * bnorm if bnorm else math.inf for rel_tol, bnorm in zip(rel_tols, bnorms)]
+    setup = setup or cg_setup(mat.op, mat.tau)
+    full, alphas = mat, [op.alpha for op in mat.op.rows]
+    bnorms = [_finite(math.sqrt(v), "right-hand side", a) for v, a in zip(_dots(rhs, rhs), alphas)]
+    tols = [tol * bnorm if bnorm else math.inf for tol, bnorm in zip(setup.rel_tols, bnorms)]
     x = np.zeros(rhs.shape) if x0 is None else np.array(x0, dtype=np.float64)
     r = rhs - (mat.matvec(x) if x0_product is None else mat.matvec_from_product(x, x0_product))
-    pre, p, rz = _preconditioner(mat), None, [None] * len(ops)
-    live, solution, iterations, cap = list(range(len(ops))), [None] * len(ops), 0, min(caps)
+    live, solution, rz = list(range(len(alphas))), [None] * len(alphas), [None] * len(alphas)
+    p, iterations, planned = None, 0, None
     while True:
-        norms = [_finite(math.sqrt(v), "residual") for v in _dots(r, r)]
+        norms = [_finite(math.sqrt(v), "residual", alphas[j]) for v, j in zip(_dots(r, r), live)]
         if not all(map(operator.gt, norms, tols)):  # rows at their tolerance leave
-            stay = [j for j, (norm, tol) in enumerate(zip(norms, tols)) if norm > tol]
-            for j, xj in enumerate((x,) if x.ndim == 1 else x):
-                if j not in stay:  # a zero rhs's row leaves at once, with 0
-                    solution[live[j]] = xj if bnorms[live[j]] else np.zeros_like(xj)
+            stay = [i for i, (norm, tol) in enumerate(zip(norms, tols)) if norm > tol]
+            for i, xi in enumerate((x,) if x.ndim == 1 else x):
+                if i not in stay:  # a zero rhs's row leaves at once, with 0
+                    solution[live[i]] = xi if bnorms[live[i]] else np.zeros_like(xi)
             if not stay:
                 break
             x, r, p = x[stay], r[stay], None if p is None else p[stay]
-            mat = StepMatrix(OperatorStack([mat.op.rows[j] for j in stay]), mat.tau, mat.diag[stay])
-            live, norms, rz, caps, tols = ([v[j] for j in stay]
-                                           for v in (live, norms, rz, caps, tols))
-            pre, cap = _preconditioner(mat), min(caps)
-        if iterations >= cap:
-            j = caps.index(cap)
+            mat = StepMatrix(OperatorStack([mat.op.rows[i] for i in stay]), mat.tau, mat.diag[stay])
+            live, norms, rz, tols = ([v[i] for i in stay] for v in (live, norms, rz, tols))
+        if live is not planned:  # on the first pass and after rows leave: the row whose cap
+            # comes first, the places ``at`` of the preconditioned rows, and ``rows``, their
+            # rows in the preconditioner (..., all of them)
+            planned, capped = live, min(live, key=setup.caps.__getitem__)
+            at = [i for i, j in enumerate(live) if setup.preconditioned[j]]
+            rows = ... if len(at) == len(setup.caps) else [live[i] for i in at]
+        if iterations >= setup.caps[capped]:
             raise SolveFailure(
-                f"CG failed to reach rel tol {rel_tols[live[j]]:g} within the cap of {cap} "
-                f"iterations at condition bound {bounds[live[j]]:.4g} (residual "
-                f"{norms[j] / bnorms[live[j]]:.3e}) for alpha={ops[live[j]].alpha:g}")
-        z = pre(r)  # only a residual that goes on is preconditioned
+                f"CG failed to reach rel tol {setup.rel_tols[capped]:g} within the cap of "
+                f"{setup.caps[capped]} iterations at condition bound {setup.bounds[capped]:.4g} "
+                f"(residual {norms[live.index(capped)] / bnorms[capped]:.3e}) for "
+                f"alpha={alphas[capped]:g}")
+        if not at:
+            z = r
+        elif len(at) == len(live):
+            z = setup.preconditioner(r, rows)
+        else:  # a mixed stack: the plain rows' z is their r
+            z = r.copy()
+            z[at] = setup.preconditioner(r[at], rows)
         rz, rz_old = _dots(r, z), rz
         if p is None:
             p = z.copy()
@@ -213,9 +219,9 @@ def solve(mat: StepMatrix, rhs: np.ndarray, cg_tol: float | None = None,
         math.sqrt(v) / bnorm if bnorm else 0.0 for v, bnorm in zip(_dots(res, res), bnorms)))
 
 
-def _finite(norm: float, what: str) -> float:
-    """``norm`` unchanged; SolveFailure naming ``what`` if it is NaN or Inf,
-    which would otherwise pass every tolerance comparison."""
+def _finite(norm: float, what: str, alpha: float) -> float:
+    """``norm`` unchanged; SolveFailure naming ``what`` and the row's ``alpha`` if it is
+    NaN or Inf, which would otherwise pass every tolerance comparison."""
     if not math.isfinite(norm):
-        raise SolveFailure(f"non-finite {what} (norm {norm})")
+        raise SolveFailure(f"non-finite {what} (norm {norm}) for alpha={alpha:g}")
     return norm

@@ -29,6 +29,7 @@ from fracsg.diagnostics import max_norm_error_self, orders_from_errors
 from fracsg.presets import ENERGY_PRESETS
 from fracsg.problems import Problem, exact_breather, sech
 from fracsg.scheme import IeqState, b_func
+from fracsg.solvers import cg_setup
 
 from oracles import apply_dense, assemble_block_system, energy_seminorm_sq
 from test_kernel import reference_kernel, ulp_distance
@@ -202,7 +203,7 @@ def test_criterion_06_schur_step_equals_block_solve():
         W = np.sqrt(2.0 - np.cos(U)) + 0.01 * rng.standard_normal(m)
         prev = IeqState(U=U_prev, V=np.zeros(m), W=np.ones(m), t=0.0, n=0)
         state = IeqState(U=U, V=V, W=W, t=cfg.tau, n=1)
-        stepped, _ = cn_step(prev, state, op, cfg)
+        stepped, _ = cn_step(prev, state, op, cfg, cg_setup(op, cfg.tau))
 
         bvec = b_func(1.5 * U - 0.5 * U_prev)
         block, rhs = assemble_block_system(op, cfg.tau, bvec, U, V, W)

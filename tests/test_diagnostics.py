@@ -137,9 +137,9 @@ class TestLadder:
     def test_every_level_steps_with_the_config_solve_and_tolerance(self, alpha, runs):
         tolerances = []
 
-        def counting(mat, rhs, cg_tol=None, **kwargs):
-            tolerances.append(cg_tol)
-            return solvers.solve(mat, rhs, cg_tol, **kwargs)
+        def counting(mat, rhs, setup, **kwargs):
+            tolerances.extend(setup.rel_tols)
+            return solvers.solve(mat, rhs, setup, **kwargs)
 
         cfg = ladder_root(alpha, 20, 2, cg_tol=1e-10, solve=counting)
         convergence_ladder(get_problem("5.1"), cfg, 2)

@@ -86,7 +86,7 @@ def test_startup_conserves_energy():
     cfg = SchemeConfig(grid=grid, alpha=1.6, T=0.05, N=1)
     op = FracOperator(cfg.alpha, grid)
     state0 = initial_state(get_problem("5.2"), grid)
-    state1, stats = startup_step(state0, op, cfg)
+    state1, stats = startup_step(state0, op, cfg, solvers.cg_setup(op, cfg.tau))
     assert stats.iterations >= 1
     e0 = discrete_energy(state0, op)
     e1 = discrete_energy(state1, op)
@@ -102,7 +102,8 @@ def test_startup_accuracy_against_exact_solution():
     grid = GridSpec(a=-20.0, b=20.0, M=100)
     cfg = SchemeConfig(grid=grid, alpha=2.0, T=0.02, N=1)
     op = FracOperator(2.0, grid)
-    state1, _ = startup_step(initial_state(get_problem("5.1", omega), grid), op, cfg)
+    state1, _ = startup_step(initial_state(get_problem("5.1", omega), grid), op, cfg,
+                            solvers.cg_setup(op, cfg.tau))
     exact = exact_breather(grid.interior_nodes(), cfg.tau, omega)
     assert np.max(np.abs(state1.U - exact)) <= 1e-5
 
@@ -177,7 +178,8 @@ def test_startup_is_one_solve_and_run_is_n(monkeypatch):
     calls = count_solves(monkeypatch)
     grid = GridSpec(a=-20.0, b=20.0, M=100)
     cfg = SchemeConfig(grid=grid, alpha=1.6, T=0.5, N=10)
-    startup_step(initial_state(get_problem("5.1"), grid), FracOperator(cfg.alpha, grid), cfg)
+    op = FracOperator(cfg.alpha, grid)
+    startup_step(initial_state(get_problem("5.1"), grid), op, cfg, solvers.cg_setup(op, cfg.tau))
     assert len(calls) == 1
     calls.clear()
     run(get_problem("5.1"), cfg)
@@ -231,7 +233,7 @@ def test_cn_step_matches_dense_block_solve(rng):
     state_prev = IeqState(U=U_prev, V=np.zeros(m), W=np.ones(m), t=0.0, n=0)
     state = IeqState(U=U, V=V, W=W, t=cfg.tau, n=1)
 
-    stepped, _ = cn_step(state_prev, state, op, cfg)
+    stepped, _ = cn_step(state_prev, state, op, cfg, solvers.cg_setup(op, cfg.tau))
 
     bvec = b_func(1.5 * U - 0.5 * U_prev)
     block, rhs = assemble_block_system(op, cfg.tau, bvec, U, V, W)
@@ -285,7 +287,7 @@ def stiff_config(M=16000, N=10):
     """alpha 1.8 on (-20, 20) at tau = 0.1: condition bounds 438 at M = 16000
     and 37 at M = 4000, so every solve is preconditioned."""
     cfg = SchemeConfig(grid=GridSpec(a=-20.0, b=20.0, M=M), alpha=1.8, T=0.1 * N, N=N)
-    assert solvers.choose_preconditioner(FracOperator(cfg.alpha, cfg.grid), cfg.tau) == "circulant"
+    assert solvers.cg_setup(FracOperator(cfg.alpha, cfg.grid), cfg.tau).preconditioned == (True,)
     return cfg
 
 
@@ -311,7 +313,7 @@ def test_projected_start_meets_the_tolerance_on_every_stiff_solve(monkeypatch, o
     stats = recording_solves(monkeypatch)
     run(get_problem("5.1", omega=omega), cfg, op=op)
     assert len(stats) == cfg.N
-    assert max(s.residual for s in stats) <= solvers.cg_tolerance(None, op, cfg.tau)
+    assert max(s.residual for s in stats) <= solvers.cg_setup(op, cfg.tau).rel_tols[0]
 
 
 def test_preconditioned_step_reads_no_level_product(monkeypatch):
@@ -328,18 +330,27 @@ def test_preconditioned_step_reads_no_level_product(monkeypatch):
     assert [len(state.midpoints) for state in states] == [0, 1, 2] + [HISTORY] * (cfg.N - 2)
 
 
-def test_projected_start_saves_iterations(monkeypatch):
-    import fracsg.scheme
+def test_run_builds_its_preconditioner_once(monkeypatch):
+    cfg = stiff_config(M=4000)
+    builds, build = [], solvers.build_circulant_preconditioner
+    monkeypatch.setattr(solvers, "build_circulant_preconditioner",
+                        lambda *args: builds.append(1) or build(*args))
+    stats = recording_solves(monkeypatch)
+    run(get_problem("5.1"), cfg)
+    assert len(stats) == cfg.N
+    assert len(builds) == 1
 
+
+def test_projected_start_saves_iterations(monkeypatch):
     cfg = stiff_config(M=4000)
     stats = recording_solves(monkeypatch)
     projected = run(get_problem("5.1"), cfg)
     by_projection = sum(s.iterations for s in stats[1:])
     stats.clear()
-    # every row plain to the stepper, so it starts from the extrapolation;
-    # the solver still preconditions
-    monkeypatch.setattr(fracsg.scheme, "preconditioned_rows", lambda op, tau: [False])
-    extrapolated = run(get_problem("5.1"), cfg)
+    # every level's stored midpoints dropped, so each step starts from the
+    # extrapolation; the solver still preconditions
+    extrapolated = run(get_problem("5.1"), cfg,
+                       observers=(lambda state, _: setattr(state, "midpoints", ()),))
     assert by_projection < sum(s.iterations for s in stats[1:])
     for name in ("U", "V", "W"):
         assert np.max(np.abs(getattr(projected.state, name)
@@ -350,11 +361,12 @@ def test_true_residual_does_not_trust_a_stored_midpoint_product():
     cfg = stiff_config(M=4000, N=4)
     op = FracOperator(cfg.alpha, cfg.grid)
     state0 = initial_state(get_problem("5.1"), cfg.grid)
-    state1, _ = startup_step(state0, op, cfg)
-    state2, _ = cn_step(state0, state1, op, cfg)
-    _, honest = cn_step(state1, state2, op, cfg)
+    setup = solvers.cg_setup(op, cfg.tau)
+    state1, _ = startup_step(state0, op, cfg, setup)
+    state2, _ = cn_step(state0, state1, op, cfg, setup)
+    _, honest = cn_step(state1, state2, op, cfg, setup)
     assert honest.residual <= 1e-12
     (_, U_mid, product), *older = state2.midpoints
     state2.midpoints = ((op, U_mid, 1.01 * product), *older)
-    _, stats = cn_step(state1, state2, op, cfg)
+    _, stats = cn_step(state1, state2, op, cfg, setup)
     assert stats.residual > 1e-6

@@ -19,8 +19,9 @@ from fracsg import (
     run,
 )
 from fracsg import _dense, scheme, solvers
+from fracsg.operator import OperatorStack
 from fracsg.scheme import b_func
-from fracsg.solvers import (StepMatrix, build_circulant_preconditioner, cg_tolerance,
+from fracsg.solvers import (StepMatrix, build_circulant_preconditioner, cg_setup,
                             condition_bound, solve)
 
 from oracles import assemble_block_system
@@ -32,17 +33,17 @@ def make_step_matrix(M=64, alpha=1.5, tau=0.05, diag_scale=0.1, seed=3):
     return StepMatrix(op=op, tau=tau, diag=diag)
 
 
-def length_m_preconditioner(mat):
-    """Reference preconditioner: the inverse of I plus the Strang circulant
-    wrap of the Toeplitz part (tau^2/4) h^{-alpha} C, applied by length-m
-    real DFTs."""
-    col = (0.25 * mat.tau * mat.tau * mat.op.scale) * mat.op.kernel
+def length_m_preconditioner(op, tau):
+    """Reference preconditioner of one operator, so of all its rows: the inverse
+    of I plus the Strang circulant wrap of the Toeplitz part (tau^2/4) h^{-alpha} C,
+    applied by length-m real DFTs."""
+    col = (0.25 * tau * tau * op.scale) * op.kernel
     m = len(col)
     wrap = col.copy()
     ks = np.arange(m // 2 + 1, m)
     wrap[ks] = col[m - ks]
     eigs = np.fft.rfft(wrap).real + 1.0
-    return lambda r: np.fft.irfft(np.fft.rfft(r, n=m) / eigs, n=m)
+    return lambda r, rows=...: np.fft.irfft(np.fft.rfft(r, n=m) / eigs, n=m)
 
 
 def record_transform_lengths(monkeypatch):
@@ -89,9 +90,9 @@ def test_zero_rhs_short_circuits():
     assert np.array_equal(x, np.zeros(len(mat.diag)))
     assert stats.iterations == 0
     assert stats.residual == 0.0
-    # the tolerance is checked first, as for any other right-hand side
+    # the tolerance is refused with the set-up, before any right-hand side is seen
     with pytest.raises(SolveFailure, match="1e-30 lies below the attainable floor"):
-        solve(mat, np.zeros(len(mat.diag)), 1e-30)
+        solve(mat, np.zeros(len(mat.diag)), cg_setup(mat.op, mat.tau, 1e-30))
 
 
 def test_warm_start_converges_immediately():
@@ -159,12 +160,12 @@ def test_unconvergeable_solve_fails_within_derived_cap(rng, monkeypatch):
     monkeypatch.setattr(StepMatrix, "matvec", skewed)
     # a tolerance below eps times the bound is refused before any matvec
     with pytest.raises(SolveFailure, match=r"1e-30 lies below the attainable floor 2\.2\de-16"):
-        solve(mat, rhs, 1e-30)
+        solve(mat, rhs, cg_setup(mat.op, mat.tau, 1e-30))
     assert matvecs == []
     assert cap == 30
     with pytest.raises(SolveFailure,
                        match=rf"cap of {cap} iterations at condition bound 1\.01\d* \(residual"):
-        solve(mat, rhs, 1e-12)
+        solve(mat, rhs, cg_setup(mat.op, mat.tau, 1e-12))
     assert len(matvecs) == cap + 1  # the initial residual, then one per iteration
 
 
@@ -176,9 +177,9 @@ def test_default_tolerance_above_its_ceiling_is_refused(tau):
     bound = condition_bound(op, tau)
     named = f"condition bound {bound:.4g} at h=2e-07, tau={tau:g}) exceeds its ceiling 1e-08"
     with pytest.raises(SolveFailure, match=re.escape(named)):
-        cg_tolerance(None, op, tau)
+        cg_setup(op, tau)
     # an explicit tolerance is refused only below eps kappa
-    assert cg_tolerance(0.9, op, tau) == 0.9
+    assert cg_setup(op, tau, 0.9).rel_tols == (0.9,)
 
 
 def test_rhs_length_mismatch():
@@ -193,15 +194,21 @@ def test_rhs_length_mismatch():
         {"cg_tol": 0.0},
         {"cg_tol": 1.0},
         {"cg_tol": math.nan},
+        {"alpha": ()},
+        {"alpha": [1.5, 1.6]},
+        {"N": 2.5},
     ],
 )
 def test_config_validation(kwargs):
-    with pytest.raises(ValueError):
-        SchemeConfig(grid=GridSpec(a=-1.0, b=1.0, M=8), alpha=1.5, T=1.0, N=10, **kwargs)
+    (field,) = kwargs  # the message names the malformed field
+    with pytest.raises(ValueError, match=rf"\b{field}\b"):
+        SchemeConfig(grid=GridSpec(a=-1.0, b=1.0, M=8), **{"alpha": 1.5, "T": 1.0, "N": 10,
+                                                          **kwargs})
 
 
 def test_circulant_preconditioner_exists_for_step_matrix():
-    pre = build_circulant_preconditioner(make_step_matrix(M=8))
+    mat = make_step_matrix(M=8)
+    pre = build_circulant_preconditioner(mat.op, mat.tau)
     assert pre is not None
     r = np.ones(7)
     assert pre(r).shape == (7,)
@@ -222,7 +229,7 @@ def test_preconditioner_is_leading_block_of_embedding_inverse(alpha, M, h, tau, 
     fold = col[:n // 2] + col[n // 2:]
     inverse = np.linalg.inv(np.eye(n // 2) + (0.25 * tau * tau * op.scale) * circulant(fold))
     r = rng.standard_normal(m)
-    z = build_circulant_preconditioner(mat)(r)
+    z = build_circulant_preconditioner(op, tau)(r)
     assert z.shape == (m,)
     assert np.max(np.abs(z - inverse[:m, :m] @ r)) <= 1e-12 * np.linalg.norm(r)
 
@@ -250,9 +257,9 @@ def test_preconditioner_runs_once_per_iteration(rng, monkeypatch, warm):
     x0 = solve(mat, rhs)[0] if warm else None
     applied, build = [], solvers.build_circulant_preconditioner
 
-    def counting_build(mat):
-        pre = build(mat)
-        return lambda r: applied.append(1) or pre(r)
+    def counting_build(op, tau):
+        pre = build(op, tau)
+        return lambda *args: applied.append(1) or pre(*args)
 
     monkeypatch.setattr(solvers, "build_circulant_preconditioner", counting_build)
     _, stats = solve(mat, rhs, x0=x0)
@@ -264,18 +271,19 @@ def test_preconditioner_runs_once_per_iteration(rng, monkeypatch, warm):
 @pytest.mark.parametrize("N", [2, 10])
 def test_stiff_run_transforms_at_length_m_at_most_twice(N, monkeypatch):
     cfg = SchemeConfig(grid=GridSpec(a=-20.0, b=20.0, M=4000), alpha=1.8, T=0.2 * N, N=N)
-    assert solvers.choose_preconditioner(FracOperator(cfg.alpha, cfg.grid), 0.2) == "circulant"
+    assert cg_setup(FracOperator(cfg.alpha, cfg.grid), 0.2).preconditioned == (True,)
     lengths = record_transform_lengths(monkeypatch)
     result = run(get_problem("5.1"), cfg)
     assert result.steps == N
-    # every transform runs at the embedding length, none at length m
+    # the matvecs transform at the embedding length, the preconditioner at
+    # half of it, and none at length m
     assert lengths.count(cfg.grid.M - 1) == 0
 
 
 def test_stiff_run_matches_length_m_preconditioner(monkeypatch):
     cfg = SchemeConfig(grid=GridSpec(a=-20.0, b=20.0, M=4000), alpha=1.8, T=1.0, N=5)
     op = FracOperator(cfg.alpha, cfg.grid)
-    assert solvers.choose_preconditioner(op, cfg.T / cfg.N) == "circulant"
+    assert cg_setup(op, cfg.T / cfg.N).preconditioned == (True,)
     iterations = []
 
     def recording_solve(*args, **kwargs):
@@ -314,7 +322,7 @@ def test_condition_bound_and_preconditioner_spectrum(alpha, M, h, tau, seed):
     eigs = np.linalg.eigvalsh(_dense.step_matrix(mat))
     assert eigs[-1] / eigs[0] <= condition_bound(op, tau)
     r = rng.standard_normal(op.size)
-    z = build_circulant_preconditioner(mat)(r)
+    z = build_circulant_preconditioner(op, tau)(r)
     assert float(np.dot(r, z)) > 0.0
     assert np.linalg.norm(z) <= np.linalg.norm(r) * (1.0 + 1e-12)
 
@@ -328,7 +336,18 @@ def test_non_finite_data_raises(where, bad, named):
     mat = make_step_matrix(M=16)
     data = {"rhs": np.ones(len(mat.diag)), "x0": np.zeros(len(mat.diag))}
     data[where][3] = bad
-    with pytest.raises(SolveFailure, match=f"non-finite {named}"):
+    with pytest.raises(SolveFailure, match=rf"non-finite {named} \(norm \S+\) for alpha=1\.5$"):
+        solve(mat, data["rhs"], x0=data["x0"])
+
+
+@pytest.mark.parametrize("where, named", [("rhs", "right-hand side"), ("x0", "residual")])
+def test_non_finite_data_in_a_stack_names_its_order(where, named):
+    grid = GridSpec(a=-10.0, b=10.0, M=16)
+    stack = OperatorStack([FracOperator(alpha, grid) for alpha in (1.3, 1.6, 2.0)])
+    mat = StepMatrix(stack, 0.05, np.zeros((3, stack.size)))
+    data = {"rhs": np.ones((3, stack.size)), "x0": np.zeros((3, stack.size))}
+    data[where][1, 3] = np.nan
+    with pytest.raises(SolveFailure, match=rf"non-finite {named} \(norm nan\) for alpha=1\.6$"):
         solve(mat, data["rhs"], x0=data["x0"])
 
 
