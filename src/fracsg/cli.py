@@ -7,6 +7,8 @@ Solution snapshots are formatted in numpy; their bytes still equal "%.15e"
 (see _format).  Exit codes: 0 success, 1 configuration or I/O error, 2
 numerical failure.  A command that exits 2, or 1 on an I/O error, leaves none
 of the files it wrote, save the bench.csv of a bench that fails on timing.
+energy and convergence spread their orders over the usable cores, in forked
+processes (_on_cores), and write every file from the command's own process.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .operator import FracOperator, GridSpec, OperatorStack, check_alpha
 from .presets import PRESETS
 from .problems import get_problem
 from .scheme import IeqState, SchemeConfig, run
-from .solvers import CG_DEFAULT_TOL_CEILING, NumericalFailure
+from .solvers import CG_DEFAULT_TOL_CEILING, NumericalFailure, cg_setup
 
 _BLOCK = 500  # rows per csv_lines call
 _PIPE_BYTES = 1 << 20  # room for about 21 soliton snapshots of 48 KB while the writer lags
@@ -232,6 +234,62 @@ class SnapshotWriter:
                 raise OSError(f"snapshot writer exited with status {status} and no error report")
 
 
+def _usable_cores() -> int:  # the one place that counts them, so tests can fix the count
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _on_cores(func: Callable[[list], list], items: list) -> list:
+    """The results of ``func(group)`` for the groups of ``items``, in the items' order;
+    func returns one result per item of its group.  Item i goes to group i mod k,
+    k = min(len(items), usable cores), or k = 1 without os.fork.  This process takes
+    group 0; each other group runs in a forked child, which inherits ``func`` and the
+    items, sends back its results or first exception pickled over a pipe of its own,
+    and leaves by os._exit.  Every child is reaped before this returns or raises; if
+    this process fails, they are killed first.  Its own exception comes first, then the
+    children's in group order, raised again here; a child that exits without a report
+    is an OSError naming its exit status."""
+    k = min(len(items), _usable_cores()) if hasattr(os, "fork") else 1
+    groups, children, statuses = [items[g::k] for g in range(k)], [], []
+    try:
+        for group in groups[1:]:
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # a child; os._exit flushes no inherited stdio buffer
+                try:
+                    os.close(read)
+                    try:
+                        report = func(group)
+                    except Exception as exc:  # sent back, raised again by the parent
+                        report = exc
+                    with os.fdopen(write, "wb") as pipe:
+                        pipe.write(pickle.dumps(report))
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write)
+            children.append((pid, os.fdopen(read, "rb")))
+        results = [None] * len(items)
+        results[::k] = func(groups[0])
+        reports = [pipe.read() for _, pipe in children]  # each until its child exits
+    except BaseException:
+        import signal  # here, on failure only: importing it costs 0.13 MiB of peak RSS
+        for pid, _ in children:  # their results would go unread
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for g, report, status in zip(range(1, k), reports, statuses):
+        if not report:
+            raise OSError(f"worker process exited with status {status} and no report")
+        report = pickle.loads(report)
+        if isinstance(report, BaseException):
+            raise report
+        results[g::k] = report
+    return results
+
+
 def cmd_run(s: dict, out: Outputs) -> int:
     """single simulation with snapshots and energy series"""
     cfg = _scheme_config(s, s["alpha"])
@@ -267,11 +325,12 @@ LADDER_LEVELS = 4  # refinement levels of each ladder, as in the paper's tables
 def cmd_convergence(s: dict, out: Outputs) -> int:
     """refinement-ladder error table"""
     problem = get_problem(s["example"])
-    rows = []
-    for alpha in s["alphas"]:
-        report = convergence_ladder(problem, _scheme_config(s, alpha), LADDER_LEVELS)
-        rows.extend((alpha, row.h, row.tau, row.error, row.order) for row in report.rows)
-    _write_csv(out, "convergence.csv", "alpha,h,tau,error,order", rows)
+    configs = [_scheme_config(s, alpha) for alpha in s["alphas"]]  # each checked before any run
+    ladders = _on_cores(lambda group: [
+        convergence_ladder(problem, cfg, LADDER_LEVELS).rows for cfg in group], configs)
+    _write_csv(out, "convergence.csv", "alpha,h,tau,error,order", [
+        (cfg.alpha, row.h, row.tau, row.error, row.order)
+        for cfg, rows in zip(configs, ladders) for row in rows])
     return 0
 
 
@@ -285,11 +344,18 @@ def cmd_energy(s: dict, out: Outputs) -> int:
     if clashes:
         raise ValueError(f"invalid alphas: {'; '.join(clashes)}")
     cfg = _scheme_config(s, tuple(alpha for alpha, in alphas_of.values()))
-    op = OperatorStack([FracOperator(alpha, cfg.grid) for alpha in cfg.alpha])
-    recorders = [EnergyRecorder(op, row) for row in range(len(cfg.alpha))]
-    run(get_problem(s["example"]), cfg, observers=recorders, op=op)  # all orders as one stack
-    for name, recorder in zip(alphas_of, recorders):
-        _write_csv(out, name, "n,t,E,RE", recorder.rows)
+    ops, problem = [FracOperator(alpha, cfg.grid) for alpha in cfg.alpha], get_problem(s["example"])
+    for op in ops:  # an unusable tolerance at any order is refused before any step
+        cg_setup(op, cfg.tau, cfg.cg_tol)
+
+    def series(group: list[FracOperator]) -> list:  # the orders of a group step as one stack
+        op = OperatorStack(group)
+        recorders = [EnergyRecorder(op, row) for row in range(len(group))]
+        run(problem, replace(cfg, alpha=op.alpha), observers=recorders, op=op)
+        return [recorder.rows for recorder in recorders]
+
+    for name, rows in zip(alphas_of, _on_cores(series, ops)):
+        _write_csv(out, name, "n,t,E,RE", rows)
     return 0
 
 

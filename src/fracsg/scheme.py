@@ -43,8 +43,11 @@ def b_func(x):
 @dataclass
 class IeqState:
     """Grid unknowns at one time level: displacement U, velocity V, and the
-    quadratization variable W (initialized to sqrt(2 - cos U)).  Only
-    level_product modifies a state after construction."""
+    quadratization variable W (initialized to sqrt(2 - cos U)).  After construction
+    level_product stores the product on first use, cn_step empties (U and product to
+    None) a previous level without V, the slim copy run makes of a level it leaves, and
+    observers receive the live state: what they change, such as midpoints, the next
+    step reads."""
 
     U: np.ndarray
     V: np.ndarray

@@ -171,7 +171,8 @@ def solve(mat: StepMatrix, rhs: np.ndarray, setup: CGSetup | None = None,
     live, solution, rz = list(range(len(alphas))), [None] * len(alphas), [None] * len(alphas)
     p, iterations, planned = None, 0, None
     while True:
-        norms = [_finite(math.sqrt(v), "residual", alphas[j]) for v, j in zip(_dots(r, r), live)]
+        squares = _dots(r, r)  # also each plain row's <r, z>, as its z is r
+        norms = [_finite(math.sqrt(v), "residual", alphas[j]) for v, j in zip(squares, live)]
         if not all(map(operator.gt, norms, tols)):  # rows at their tolerance leave
             stay = [i for i, (norm, tol) in enumerate(zip(norms, tols)) if norm > tol]
             for i, xi in enumerate((x,) if x.ndim == 1 else x):
@@ -181,7 +182,8 @@ def solve(mat: StepMatrix, rhs: np.ndarray, setup: CGSetup | None = None,
                 break
             x, r, p = x[stay], r[stay], None if p is None else p[stay]
             mat = StepMatrix(OperatorStack([mat.op.rows[i] for i in stay]), mat.tau, mat.diag[stay])
-            live, norms, rz, tols = ([v[i] for i in stay] for v in (live, norms, rz, tols))
+            live, norms, rz, tols, squares = ([v[i] for i in stay]
+                                              for v in (live, norms, rz, tols, squares))
         if live is not planned:  # on the first pass and after rows leave: the row whose cap
             # comes first, the places ``at`` of the preconditioned rows, and ``rows``, their
             # rows in the preconditioner (..., all of them)
@@ -201,7 +203,7 @@ def solve(mat: StepMatrix, rhs: np.ndarray, setup: CGSetup | None = None,
         else:  # a mixed stack: the plain rows' z is their r
             z = r.copy()
             z[at] = setup.preconditioner(r[at], rows)
-        rz, rz_old = _dots(r, z), rz
+        rz, rz_old = squares if z is r else _dots(r, z), rz
         if p is None:
             p = z.copy()
         else:

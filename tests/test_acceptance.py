@@ -176,7 +176,7 @@ def test_criterion_04_energy_conservation_on_presets():
 def test_criterion_05_fft_equals_dense():
     rng = np.random.default_rng(7)
     worst = 0.0
-    for M in (7, 64, 1023, 4096):
+    for M in (7, 64, 97, 145, 201, 321, 481, 1023, 4096):  # 97-481: lengths 192, 288, 400, 640, 960
         for alpha in (1.3, 1.5, 1.75, 2.0):
             op = FracOperator(alpha, GridSpec(a=DOMAIN[0], b=DOMAIN[1], M=M))
             for _ in range(20):

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -36,7 +37,7 @@ def test_run_benchmark_produces_artifacts(tmp_path, capsys):
     meta = json.loads((out / "meta.json").read_text())
     assert meta["example"] == "5.1"
     assert meta["M"] == 200 and meta["N"] == 50
-    assert meta["fft_embed_size"] == 512
+    assert meta["fft_embed_size"] == 400  # 2^4 25 >= 2 (M - 1) - 1 = 397
     assert meta["precond"] == "none"
     assert 1.0 < meta["condition_bound"] < 2.0
     assert (out / "solution_0.csv").exists()
@@ -508,6 +509,7 @@ def test_energy_failing_at_a_later_alpha_leaves_no_series(tmp_path, monkeypatch,
             super().__call__(state, stats)
 
     monkeypatch.setattr(cli, "EnergyRecorder", FailingAtSecondRow)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)  # one group: one stack, in-process
     out = tmp_path / "e"
     assert main(["energy", "--example", "5.2", "--alphas", "1.5,2", "--domain", "-5", "5",
                  "--h", "0.5", "--tau", "0.1", "--T", "0.2", "--out", str(out)]) == 2
@@ -543,6 +545,7 @@ def test_energy_stack_equals_separate_runs_bit_for_bit(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "EnergyRecorder", KeptRecorder)
     monkeypatch.setattr(cli, "run", lambda *args, **kwargs: results.append(
         real_run(*args, **kwargs)))
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)  # one group: one stack, in-process
     assert main(["energy", "--alphas", "1.3,1.6,2", *MIXED_STACK,
                  "--out", str(tmp_path / "e")]) == 0
     (stack,), cfg = results, cli._scheme_config(
@@ -728,6 +731,111 @@ def test_in_process_writer_writes_the_forked_bytes(tmp_path, monkeypatch):
     assert [p.name for p in forked] == sorted(p.name for p in (tmp_path / "in_process").iterdir())
     for path in forked:
         assert path.read_bytes() == (tmp_path / "in_process" / path.name).read_bytes()
+
+
+ENERGY_MIXED = ["energy", "--alphas", "1.3,1.6,2", *MIXED_STACK]
+CONVERGENCE_3 = ["convergence", "--example", "5.2", "--alphas", "1.3,1.6,2", "--domain", "-5",
+                 "5", "--h", "0.5", "--tau", "0.1", "--T", "0.2"]
+
+
+def counted_forks(monkeypatch) -> list:
+    forks, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+@needs_fork
+@pytest.mark.parametrize("cores", [1, 2, 4])
+@pytest.mark.parametrize("argv", [ENERGY_MIXED, CONVERGENCE_3], ids=["energy", "convergence"])
+def test_orders_on_cores_write_the_in_process_bytes(tmp_path, monkeypatch, argv, cores):
+    monkeypatch.setattr(cli, "LADDER_LEVELS", 2)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
+    assert main(argv + ["--out", str(tmp_path / "in_process")]) == 0
+    monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+    forks = counted_forks(monkeypatch)
+    assert main(argv + ["--out", str(tmp_path / "split")]) == 0
+    assert len(forks) == min(3, cores) - 1  # the 3 orders in min(3, cores) groups
+    split = sorted((tmp_path / "split").iterdir())
+    assert [p.name for p in split] == sorted(p.name for p in (tmp_path / "in_process").iterdir())
+    for path in split:
+        assert path.read_bytes() == (tmp_path / "in_process" / path.name).read_bytes()
+
+
+def in_group(monkeypatch, group: str, action) -> None:
+    """Patch cli.EnergyRecorder and cli.convergence_ladder to call ``action`` at level 1 or
+    ladder start, in this process (group "parent") or in a forked one ("child")."""
+    parent, real_ladder = os.getpid(), cli.convergence_ladder
+
+    def chosen():
+        return (os.getpid() == parent) == (group == "parent")
+
+    class Recorder(EnergyRecorder):
+        def __call__(self, state, stats):
+            if state.n == 1 and chosen():
+                action()
+            super().__call__(state, stats)
+
+    def ladder(*args, **kwargs):
+        if chosen():
+            action()
+        return real_ladder(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "EnergyRecorder", Recorder)
+    monkeypatch.setattr(cli, "convergence_ladder", ladder)
+
+
+def injected():
+    raise solvers.NumericalFailure("injected")
+
+
+@needs_fork
+@pytest.mark.parametrize("group", ["parent", "child"])
+@pytest.mark.parametrize("argv", [ENERGY_MIXED, CONVERGENCE_3], ids=["energy", "convergence"])
+def test_numerical_failure_in_any_group_exits_two_and_leaves_no_child(tmp_path, monkeypatch,
+                                                                      capsys, argv, group):
+    monkeypatch.setattr(cli, "LADDER_LEVELS", 2)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    in_group(monkeypatch, group, injected)
+    out = tmp_path / "x"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "numerical failure: injected\n"
+    with pytest.raises(ChildProcessError):  # every child is reaped
+        os.waitpid(-1, os.WNOHANG)
+    assert not out.exists()
+
+
+@needs_fork
+def test_failure_in_this_process_kills_the_children_first(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    in_group(monkeypatch, "parent", injected)
+    in_group(monkeypatch, "child", lambda: time.sleep(60))  # a child still at work
+    start = time.perf_counter()
+    assert main(CONVERGENCE_3 + ["--out", str(tmp_path / "x")]) == 2
+    assert time.perf_counter() - start < 30
+    assert capsys.readouterr().err == "numerical failure: injected\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+@pytest.mark.parametrize("argv", [ENERGY_MIXED, CONVERGENCE_3], ids=["energy", "convergence"])
+def test_child_dying_without_a_report_exits_one(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.setattr(cli, "LADDER_LEVELS", 2)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    in_group(monkeypatch, "child", lambda: os._exit(3))
+    out = tmp_path / "x"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: worker process exited with status 3 and no report\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not out.exists()
 
 
 def test_bench_paths_disagreeing_exits_two_without_output(tmp_path, monkeypatch, capsys):

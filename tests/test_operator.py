@@ -3,6 +3,7 @@ agreement, spectral bounds, the energy seminorm, and the allocator settings
 the module makes at import."""
 
 import ctypes
+import itertools
 import os
 import subprocess
 import sys
@@ -113,12 +114,16 @@ def test_energy_seminorm_edge_values():
     assert energy_seminorm_sq(op, e1) == pytest.approx(2.0, rel=1e-14)
 
 
-@given(M=st.integers(min_value=2, max_value=3000))
-def test_embedding_size_is_padded_power_of_two(M):
+def _fast_length(n: int) -> bool:
+    """A multiple of 4 whose odd part is 1, 3, 5, 9, 15 or 25."""
+    return n % 4 == 0 and n // (n & -n) in (1, 3, 5, 9, 15, 25)
+
+
+@given(M=st.integers(min_value=2, max_value=20_000))
+def test_embedding_size_is_the_shortest_fast_length(M):
     op = FracOperator(1.5, GridSpec(a=0.0, b=1.0, M=M))
-    n = op.embed_size
-    assert n & (n - 1) == 0
-    assert n >= 2 * (M - 1)
+    # the circulant holds the Toeplitz column at 2m - 1 points; no shorter length is allowed
+    assert op.embed_size == next(n for n in itertools.count(2 * (M - 1) - 1) if _fast_length(n))
 
 
 def test_rejects_wrong_length_input():
@@ -127,7 +132,8 @@ def test_rejects_wrong_length_input():
         op.apply(np.zeros(16))
 
 
-@pytest.mark.parametrize("n", [512, 1024, 2048, 4096, 8192, 16384, 32768])
+@pytest.mark.parametrize("n", [400, 512, 768, 1024, 1152, 1280, 1600, 1920, 2048, 3200, 4096,
+                               6400, 8192, 16384, 32768])
 def test_stacked_transforms_equal_the_rows_own_bit_for_bit(rng, n):
     # what stepping orders as one stack rests on; a numpy whose batched
     # pocketfft drifts from its single transforms fails here, not in the CSVs
