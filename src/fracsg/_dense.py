@@ -1,13 +1,12 @@
 """Dense direct solve of the step system: the reference that ``fracsg bench``
-and the tests check and time the FFT-CG solve against, and the package's only
-SciPy user.  ``SchemeConfig(solve=_dense.solve)`` steps with it."""
+and the tests check and time the FFT-CG solve against.
+``SchemeConfig(solve=_dense.solve)`` steps with it."""
 
 from __future__ import annotations
 
 import weakref
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .operator import FracOperator
 from .solvers import SolveStats, StepMatrix, _finite
@@ -38,10 +37,10 @@ def step_matrix(mat: StepMatrix) -> np.ndarray:
 
 
 def solve(mat: StepMatrix, rhs: np.ndarray, *_, **__) -> tuple[np.ndarray, SolveStats]:
-    """Cholesky solve, refactorized every step as d changes with the midpoint;
-    takes solvers.solve's arguments, all but the first two unused."""
+    """LU solve (numpy.linalg.solve), refactorized every step as d changes with the
+    midpoint; takes solvers.solve's arguments, all but the first two unused."""
     check_size(len(mat.diag))
     # a zero rhs: x and the residual 0
     bnorm = _finite(float(np.linalg.norm(rhs)), "right-hand side", mat.op.alpha) or 1.0
-    x = cho_solve(cho_factor(step_matrix(mat)), rhs)
+    x = np.linalg.solve(step_matrix(mat), rhs)
     return x, SolveStats(iterations=0, residual=float(np.linalg.norm(rhs - mat.matvec(x))) / bnorm)

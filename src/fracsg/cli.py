@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import math
 import os
@@ -35,10 +34,20 @@ from .operator import FracOperator, GridSpec, OperatorStack, check_alpha
 from .presets import PRESETS
 from .problems import get_problem
 from .scheme import IeqState, SchemeConfig, run
-from .solvers import CG_DEFAULT_TOL_CEILING, NumericalFailure, cg_setup
+from .solvers import CG_DEFAULT_TOL_CEILING, NumericalFailure, cg_row
 
-_BLOCK = 500  # rows per csv_lines call
+_BLOCK = 500  # rows per csv_lines call, so that its work arrays stay small
 _PIPE_BYTES = 1 << 20  # room for about 21 soliton snapshots of 48 KB while the writer lags
+LADDER_LEVELS = 4  # refinement levels of each ladder, as in the paper's tables
+
+# bench, the paper's timing experiment: example 5.1 at fixed sizes and steps
+BENCH_SIZES, BENCH_ALPHAS, BENCH_TAUS = (200, 400), (1.3, 2.0), (0.1, 0.05, 0.025, 0.0125)
+BENCH_T, BENCH_H, BENCH_OMEGA = 10.0, 0.1, 1.0
+BENCH_REPS = 3  # timings per reported median
+# tighter than the derived tolerance: per-step CG error accumulates over the
+# longest sweep (800 steps), and bench holds CG to the dense direct solution
+# within CG_DEFAULT_TOL_CEILING; at 1e-12, 8 of its 16 runs would not be
+BENCH_CG_TOL = 1e-14
 
 
 def _between(low: float, high: float) -> Callable[[str], float]:
@@ -136,10 +145,6 @@ def _scheme_config(s: dict, alpha: float | tuple[float, ...]) -> SchemeConfig:
                         N=subdivisions(s["T"], s["tau"], "tau"))
 
 
-def _cell(value) -> str:
-    return "" if value is None else str(value) if isinstance(value, int) else f"{value:.15e}"
-
-
 class Outputs:
     """The --out directory of one command.  Every file the command writes opens
     through ``open``, which lists it in ``opened`` for main to remove on failure."""
@@ -162,76 +167,97 @@ class Outputs:
 
 def _write_csv(out: Outputs, name: str, header: str, rows) -> None:
     """Rows of values, each cell an int by str, a real as "%.15e", None empty."""
+    def cell(value) -> str:
+        return "" if value is None else str(value) if isinstance(value, int) else f"{value:.15e}"
     with out.open(name) as f:
         f.write(header + "\n")
-        f.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+        f.writelines(",".join(map(cell, row)) + "\n" for row in rows)
 
 
-class SnapshotWriter:
-    """Writes solution_<n>.csv at the configured stride plus the final level,
-    each cell as ``"%.15e"`` by ``_format.csv_lines``, _BLOCK rows at a time
-    so that its work arrays stay small.  Entered, it forks one writer process
-    where os.fork exists, and hands it n, U, V, W as raw float64 over a pipe.
-    """
+class _Children(contextlib.AbstractContextManager):
+    """Forked children, one per ``fork(func)``: func() runs in the child, which sends back its
+    result or exception pickled over a pipe.  Leaving the with block reaps them all, killed
+    first if the block failed but by a BrokenPipeError (a child left early).  Raised then: its
+    error, else the children's in start order (OSError: no report); ``results`` holds theirs."""
+
+    children = ()  # (pid, read end of its pipe)
+
+    def fork(self, func: Callable[[], Any]) -> None:
+        read, write = os.pipe()
+        if not (pid := os.fork()):  # the child; os._exit flushes no inherited stdio buffer
+            try:
+                os.close(read)
+                try:
+                    report = func()
+                except Exception as exc:  # sent back, raised again by the parent
+                    report = exc
+                with os.fdopen(write, "wb") as pipe:
+                    pipe.write(pickle.dumps(report))
+                os._exit(0)
+            finally:
+                os._exit(1)
+        os.close(write)
+        self.children += ((pid, os.fdopen(read, "rb")),)
+
+    def __exit__(self, exc_type, *exc) -> None:
+        reports, statuses = [], []
+        try:
+            if exc_type is None or issubclass(exc_type, BrokenPipeError):
+                reports = [pipe.read() for _, pipe in self.children]  # each until its child exits
+        finally:
+            if len(reports) < len(self.children):  # this process failed: results go unread
+                import signal  # here, on failure only: importing it costs 0.13 MiB of peak RSS
+                for pid, _ in self.children:
+                    os.kill(pid, signal.SIGKILL)
+            for pid, pipe in self.children:
+                pipe.close()
+                statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+        self.results = [pickle.loads(report) if report else OSError(
+            f"child process exited with status {status} and no report")
+            for report, status in zip(reports, statuses)]
+        if errors := [result for result in self.results if isinstance(result, BaseException)]:
+            raise errors[0]
+
+
+class SnapshotWriter(_Children):
+    """Writes solution_<n>.csv at the stride and the last level, cells "%.15e" by csv_lines,
+    _BLOCK rows at a time: where os.fork exists, in a writer it forks and hands each level."""
 
     def __init__(self, out: Outputs, x: np.ndarray, stride: int, last: int):
         self.out, self.x, self.stride, self.last = out, x, stride, last
-        self._send, self._pid = self._write, None  # in-process unless entered with os.fork
+        if hasattr(os, "fork"):
+            import fcntl  # here: where os.fork is missing, so is fcntl
+            read, self._data = os.pipe()  # n, U, V, W as raw float64: n < 2**53 is exact
+            with contextlib.suppress(OSError, AttributeError):  # else the default size
+                fcntl.fcntl(self._data, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+            self.fork(lambda: self._drain(read))
+            os.close(read)
 
     def __call__(self, state: IeqState, stats) -> None:
         if state.n % self.stride == 0 or state.n == self.last:
-            self._send(state.n, state.U, state.V, state.W)
+            if not self.children:  # in-process
+                return self._write(state.n, state.U, state.V, state.W)
+            self.out.opened.append(self.out.dir / f"solution_{state.n}.csv")  # the writer's: a copy
+            view = memoryview(np.concatenate(([state.n], state.U, state.V, state.W))).cast("B")
+            while view:  # BrokenPipeError if the writer has left; __exit__ raises its error
+                view = view[os.write(self._data, view):]
 
     def _write(self, n: int, *rows: np.ndarray) -> None:
         table = np.stack([self.x, *rows], axis=1)
         with self.out.open(f"solution_{n}.csv", "wb") as f:
             f.write(b"x,U,V,W\n")
-            for lo in range(0, len(table), _BLOCK):
-                f.write(csv_lines(table[lo:lo + _BLOCK]))
+            f.writelines(csv_lines(table[lo:lo + _BLOCK]) for lo in range(0, len(table), _BLOCK))
 
-    def __enter__(self) -> SnapshotWriter:
-        if not hasattr(os, "fork"):
-            return self
-        import fcntl  # here: where os.fork is missing, so is fcntl
-        (data_r, self._data), (self._errors, err_w) = os.pipe(), os.pipe()
-        with contextlib.suppress(OSError, AttributeError):  # else the default size
-            fcntl.fcntl(self._data, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-        self._pid = os.fork()
-        if self._pid == 0:  # the writer; os._exit flushes no inherited stdio buffer
-            try:
-                os.close(self._data)
-                with os.fdopen(data_r, "rb") as pipe:
-                    while level := pipe.read(8 * (1 + 3 * len(self.x))):
-                        values = np.frombuffer(level)
-                        self._write(int(values[0]), *values[1:].reshape(3, -1))
-                os._exit(0)
-            except BaseException as exc:  # sent back; the finally ends the writer
-                os.write(err_w, pickle.dumps(exc))
-            finally:
-                os._exit(1)
-        os.close(data_r)
-        os.close(err_w)
-        self._send = self._hand_off
-        return self
-
-    def _hand_off(self, n: int, *rows: np.ndarray) -> None:
-        self.out.opened.append(self.out.dir / f"solution_{n}.csv")  # the writer's list is a copy
-        view = memoryview(np.concatenate(([n], *rows))).cast("B")  # n < 2**53 is exact
-        while view:  # BrokenPipeError if the writer has left; __exit__ raises its error
-            view = view[os.write(self._data, view):]
-
-    def __exit__(self, exc_type, *exc) -> None:  # reaps the writer: its error beats a broken pipe
-        if self._pid is None:
-            return
+    def _drain(self, read: int) -> None:  # the writer
         os.close(self._data)
-        with os.fdopen(self._errors, "rb") as errors:
-            report = errors.read()  # until the writer exits
-        status = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
-        if exc_type is None or issubclass(exc_type, BrokenPipeError):
-            if report:
-                raise pickle.loads(report)
-            if status:
-                raise OSError(f"snapshot writer exited with status {status} and no error report")
+        with os.fdopen(read, "rb") as pipe:
+            while (level := np.frombuffer(pipe.read(8 * (1 + 3 * len(self.x))))).size:
+                self._write(int(level[0]), *level[1:].reshape(3, -1))
+
+    def __exit__(self, *exc) -> None:
+        if self.children:
+            os.close(self._data)  # the writer's end of input
+        super().__exit__(*exc)
 
 
 def _usable_cores() -> int:  # the one place that counts them, so tests can fix the count
@@ -239,55 +265,15 @@ def _usable_cores() -> int:  # the one place that counts them, so tests can fix 
 
 
 def _on_cores(func: Callable[[list], list], items: list) -> list:
-    """The results of ``func(group)`` for the groups of ``items``, in the items' order;
-    func returns one result per item of its group.  Item i goes to group i mod k,
-    k = min(len(items), usable cores), or k = 1 without os.fork.  This process takes
-    group 0; each other group runs in a forked child, which inherits ``func`` and the
-    items, sends back its results or first exception pickled over a pipe of its own,
-    and leaves by os._exit.  Every child is reaped before this returns or raises; if
-    this process fails, they are killed first.  Its own exception comes first, then the
-    children's in group order, raised again here; a child that exits without a report
-    is an OSError naming its exit status."""
+    """func(group)'s results, one per item, in the items' order; item i is in group i mod k,
+    k = min(len(items), usable cores) or 1 without os.fork, and a child runs each but group 0."""
     k = min(len(items), _usable_cores()) if hasattr(os, "fork") else 1
-    groups, children, statuses = [items[g::k] for g in range(k)], [], []
-    try:
-        for group in groups[1:]:
-            read, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # a child; os._exit flushes no inherited stdio buffer
-                try:
-                    os.close(read)
-                    try:
-                        report = func(group)
-                    except Exception as exc:  # sent back, raised again by the parent
-                        report = exc
-                    with os.fdopen(write, "wb") as pipe:
-                        pipe.write(pickle.dumps(report))
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            os.close(write)
-            children.append((pid, os.fdopen(read, "rb")))
-        results = [None] * len(items)
-        results[::k] = func(groups[0])
-        reports = [pipe.read() for _, pipe in children]  # each until its child exits
-    except BaseException:
-        import signal  # here, on failure only: importing it costs 0.13 MiB of peak RSS
-        for pid, _ in children:  # their results would go unread
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    for g, report, status in zip(range(1, k), reports, statuses):
-        if not report:
-            raise OSError(f"worker process exited with status {status} and no report")
-        report = pickle.loads(report)
-        if isinstance(report, BaseException):
-            raise report
-        results[g::k] = report
-    return results
+    with _Children() as children:
+        for g in range(1, k):
+            children.fork(lambda g=g: func(items[g::k]))
+        groups = [func(items[::k])]
+    groups += children.results
+    return [groups[i % k][i // k] for i in range(len(items))]
 
 
 def cmd_run(s: dict, out: Outputs) -> int:
@@ -319,9 +305,6 @@ def cmd_run(s: dict, out: Outputs) -> int:
     return 0
 
 
-LADDER_LEVELS = 4  # refinement levels of each ladder, as in the paper's tables
-
-
 def cmd_convergence(s: dict, out: Outputs) -> int:
     """refinement-ladder error table"""
     problem = get_problem(s["example"])
@@ -346,7 +329,7 @@ def cmd_energy(s: dict, out: Outputs) -> int:
     cfg = _scheme_config(s, tuple(alpha for alpha, in alphas_of.values()))
     ops, problem = [FracOperator(alpha, cfg.grid) for alpha in cfg.alpha], get_problem(s["example"])
     for op in ops:  # an unusable tolerance at any order is refused before any step
-        cg_setup(op, cfg.tau, cfg.cg_tol)
+        cg_row(op, cfg.tau, cfg.cg_tol)
 
     def series(group: list[FracOperator]) -> list:  # the orders of a group step as one stack
         op = OperatorStack(group)
@@ -368,25 +351,15 @@ def _timed_run(problem, cfg: SchemeConfig, reps: int) -> tuple[float, np.ndarray
     return float(np.median(times)), final
 
 
-# bench, the paper's timing experiment: example 5.1 at fixed sizes and steps
-BENCH_SIZES, BENCH_ALPHAS, BENCH_TAUS = (200, 400), (1.3, 2.0), (0.1, 0.05, 0.025, 0.0125)
-BENCH_T, BENCH_H, BENCH_OMEGA = 10.0, 0.1, 1.0
-BENCH_REPS = 3  # timings per reported median
-# tighter than the derived tolerance: per-step CG error accumulates over the
-# longest sweep (800 steps), and bench holds CG to the dense direct solution
-# within CG_DEFAULT_TOL_CEILING; at 1e-12, 8 of its 16 runs would not be
-BENCH_CG_TOL = 1e-14
-
-
 def cmd_bench(_: dict, out: Outputs) -> int:
     """dense-direct vs FFT-CG wall-clock comparison at fixed sizes and steps (minutes)"""
-    from . import _dense  # loads SciPy here, before the first timed run
+    from . import _dense  # only bench uses it; loaded here, before the first timed run
     problem = get_problem("5.1", omega=BENCH_OMEGA)
     rows, violations = [], []
     runs = [(alpha, M, tau, replace(_scheme_config({
         "domain": (-0.5 * M * BENCH_H, 0.5 * M * BENCH_H), "h": BENCH_H, "tau": tau,
         "T": BENCH_T}, alpha), cg_tol=BENCH_CG_TOL))
-        for alpha, M, tau in itertools.product(BENCH_ALPHAS, BENCH_SIZES, BENCH_TAUS)]
+        for alpha in BENCH_ALPHAS for M in BENCH_SIZES for tau in BENCH_TAUS]
     for alpha, M, tau, cfg in runs:  # every config is built, so checked, before any timing
         t_direct, u_direct = _timed_run(problem, replace(cfg, solve=_dense.solve), BENCH_REPS)
         t_fft, u_fft = _timed_run(problem, cfg, BENCH_REPS)
@@ -419,14 +392,12 @@ def build_parser() -> argparse.ArgumentParser:
         name = func.__name__.removeprefix("cmd_")
         p = parsers[name] = sub.add_parser(name, help=func.__doc__, allow_abbrev=False)
         p.set_defaults(func=func)
+        p.add_argument("--out", required=True, help="output directory")
         if name in PRESETS:
             p.add_argument("--preset", choices=sorted(PRESETS[name]),
                            help="named experiment settings")
     for opt, cmd in ((o, c) for o in OPTIONS for c in o.commands):
-        parsers[cmd].add_argument("--" + opt.name.replace("_", "-"), dest=opt.name,
-                                  help=opt.help, **opt.extra)
-    for p in parsers.values():
-        p.add_argument("--out", required=True, help="output directory")
+        parsers[cmd].add_argument("--" + opt.name, help=opt.help, **opt.extra)
     return parser
 
 
@@ -441,8 +412,7 @@ def main(argv=None) -> int:
                 path.unlink(missing_ok=True)  # the last may have failed to open
             raise
     except SystemExit as exc:
-        # help and --version exit 0; usage errors exit 1, not argparse's 2,
-        # because exit code 2 is reserved for numerical failures
+        # help and --version exit 0; usage errors 1, as exit code 2 means a numerical failure
         return 1 if exc.code else 0
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

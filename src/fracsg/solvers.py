@@ -96,8 +96,7 @@ def build_circulant_preconditioner(op: FracOperator, tau: float):
 
 @dataclass(frozen=True)
 class CGSetup:
-    """Per row of a run's operator, its CG's relative tolerance, condition bound, cap and
-    whether it is preconditioned; and the preconditioner, built once, None if no row is."""
+    """Per row of a run's operator, cg_row's values; the preconditioner, None if no row is."""
 
     rel_tols: tuple[float, ...]
     bounds: tuple[float, ...]
@@ -106,31 +105,32 @@ class CGSetup:
     preconditioner: Callable | None = field(default=None, repr=False)
 
 
+def cg_row(op: FracOperator, tau: float, cg_tol: float | None = None) -> tuple:
+    """One order's CG for the step matrices of ``op`` and ``tau``: the relative tolerance,
+    cg_tol or by default max(1e-12, 10 eps bound) (1e-12 up to bounds of about 450), the
+    condition bound, the cap CG_CAP_FACTOR * ceil(sqrt(bound)/2 ln(2/rel_tol)) and whether
+    bound > CIRCULANT_MIN_BOUND, which preconditions it.  Below eps * bound the true residual
+    no longer follows the recursive one, so a tolerance set there raises SolveFailure, as
+    does a default above CG_DEFAULT_TOL_CEILING (bounds above about 4.5e6): too loose."""
+    bound = condition_bound(op, tau)
+    floor = np.finfo(np.float64).eps * bound
+    if cg_tol is None and 10.0 * floor > CG_DEFAULT_TOL_CEILING:
+        raise SolveFailure(
+            f"default CG rel tol {10.0 * floor:.3g} (10 eps times condition bound {bound:.4g} "
+            f"at h={op.grid.h:g}, tau={tau:g}) exceeds its ceiling {CG_DEFAULT_TOL_CEILING:g} "
+            f"for alpha={op.alpha:g}; a smaller tau lowers the bound")
+    if cg_tol is not None and cg_tol < floor:
+        raise SolveFailure(
+            f"CG rel tol {cg_tol:g} lies below the attainable floor {floor:.3g} "
+            f"(machine epsilon times condition bound {bound:.4g}) for alpha={op.alpha:g}")
+    rel_tol = max(1e-12, 10.0 * floor) if cg_tol is None else cg_tol
+    cap = CG_CAP_FACTOR * math.ceil(0.5 * math.sqrt(bound) * math.log(2.0 / rel_tol))
+    return rel_tol, bound, cap, bound > CIRCULANT_MIN_BOUND
+
+
 def cg_setup(op: FracOperator, tau: float, cg_tol: float | None = None) -> CGSetup:
-    """The CG set-up of the step matrices of ``op``'s rows and ``tau``.  A row's relative
-    tolerance is cg_tol, by default max(1e-12, 10 eps bound) with its condition bound
-    (1e-12 up to bounds of about 450); its cap CG_CAP_FACTOR * ceil(sqrt(bound)/2
-    ln(2/rel_tol)); it is preconditioned if the bound exceeds CIRCULANT_MIN_BOUND.  Below
-    eps * bound the true residual no longer follows the recursive one, so a tolerance
-    set there raises SolveFailure, as does a default above CG_DEFAULT_TOL_CEILING
-    (bounds above about 4.5e6), which would accept a visibly wrong step."""
-    rows = []
-    for row in op.rows:
-        bound = condition_bound(row, tau)
-        floor = np.finfo(np.float64).eps * bound
-        if cg_tol is None and 10.0 * floor > CG_DEFAULT_TOL_CEILING:
-            raise SolveFailure(
-                f"default CG rel tol {10.0 * floor:.3g} (10 eps times condition bound {bound:.4g} "
-                f"at h={op.grid.h:g}, tau={tau:g}) exceeds its ceiling {CG_DEFAULT_TOL_CEILING:g} "
-                f"for alpha={row.alpha:g}; a smaller tau lowers the bound")
-        if cg_tol is not None and cg_tol < floor:
-            raise SolveFailure(
-                f"CG rel tol {cg_tol:g} lies below the attainable floor {floor:.3g} "
-                f"(machine epsilon times condition bound {bound:.4g}) for alpha={row.alpha:g}")
-        rel_tol = max(1e-12, 10.0 * floor) if cg_tol is None else cg_tol
-        cap = CG_CAP_FACTOR * math.ceil(0.5 * math.sqrt(bound) * math.log(2.0 / rel_tol))
-        rows.append((rel_tol, bound, cap, bound > CIRCULANT_MIN_BOUND))
-    rel_tols, bounds, caps, on = zip(*rows)
+    """The CG set-up of ``op``'s rows and ``tau``, each row's by cg_row, which may refuse it."""
+    rel_tols, bounds, caps, on = zip(*(cg_row(row, tau, cg_tol) for row in op.rows))
     return CGSetup(rel_tols, bounds, caps, on,
                    build_circulant_preconditioner(op, tau) if any(on) else None)
 

@@ -586,6 +586,17 @@ def test_energy_refuses_an_unusable_tolerance_at_any_order_before_any_step(tmp_p
     assert not out.exists()
 
 
+def test_energy_builds_one_preconditioner_per_group(tmp_path, monkeypatch):
+    # the tolerance check before any step builds none; both orders are preconditioned
+    builds, build = [], solvers.build_circulant_preconditioner
+    monkeypatch.setattr(solvers, "build_circulant_preconditioner",
+                        lambda *args: builds.append(args) or build(*args))
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
+    assert main(["energy", "--example", "5.1", "--alphas", "1.5,1.8", "--domain", "-5", "5",
+                 "--h", "0.01", "--tau", "0.1", "--T", "0.2", "--out", str(tmp_path / "e")]) == 0
+    assert len(builds) == 1
+
+
 RUN_5_2 = ["run", "--example", "5.2", "--alpha", "1.5", "--domain", "-10", "10",
            "--h", "0.5", "--tau", "0.1", "--T", "1"]
 
@@ -691,17 +702,6 @@ def test_failed_command_removes_only_the_files_it_opened(tmp_path, monkeypatch):
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="snapshots are written in-process")
 
 
-@needs_fork
-def test_writer_dying_without_a_report_exits_one(tmp_path, monkeypatch, capsys):
-    # only the forked writer formats snapshots, so only it dies
-    monkeypatch.setattr(cli, "csv_lines", lambda table: os._exit(3))
-    out = tmp_path / "x"
-    assert main(RUN_5_2 + ["--out", str(out)]) == 1
-    assert capsys.readouterr().err == ("error: snapshot writer exited with status 3 "
-                                       "and no error report\n")
-    assert out.is_dir() and not list(out.iterdir())
-
-
 def failing_at_level_3(state):
     if state.n == 3:
         raise solvers.NumericalFailure("injected at level 3")
@@ -720,6 +720,21 @@ def test_no_process_outlives_main(tmp_path, monkeypatch, code):
     with pytest.raises(ChildProcessError):  # the writer is reaped: no child is left
         os.waitpid(-1, os.WNOHANG)
     assert len(list(out.iterdir())) == (13 if code == 0 else 0)  # 11 snapshots, energy, meta
+
+
+@needs_fork
+def test_failure_in_this_process_kills_the_writer_first(tmp_path, monkeypatch, capsys):
+    # only the forked writer formats snapshots, so only it stalls, at solution_0.csv
+    monkeypatch.setattr(cli, "csv_lines", lambda table: time.sleep(10))
+    monkeypatch.setattr(cli, "w_projection_drift", failing_at_level_3)
+    out = tmp_path / "x"
+    start = time.perf_counter()
+    assert main(RUN_5_2 + ["--out", str(out)]) == 2
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().err == "numerical failure: injected at level 3\n"
+    assert not list(out.glob("*"))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @needs_fork
@@ -825,17 +840,45 @@ def test_failure_in_this_process_kills_the_children_first(tmp_path, monkeypatch,
 
 
 @needs_fork
-@pytest.mark.parametrize("argv", [ENERGY_MIXED, CONVERGENCE_3], ids=["energy", "convergence"])
-def test_child_dying_without_a_report_exits_one(tmp_path, monkeypatch, capsys, argv):
+@pytest.mark.parametrize("parent_fails", [True, False], ids=["parent", "children"])
+def test_errors_are_raised_in_start_order(tmp_path, monkeypatch, capsys, parent_fails):
+    # three groups, each failing with its own message: this process's error wins, else group 1's
+    parent, real_ladder = os.getpid(), cli.convergence_ladder
+
+    def ladder(problem, cfg, levels):
+        if os.getpid() != parent or parent_fails:
+            raise solvers.NumericalFailure(f"injected at alpha={cfg.alpha:g}")
+        return real_ladder(problem, cfg, levels)
+
     monkeypatch.setattr(cli, "LADDER_LEVELS", 2)
-    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
-    in_group(monkeypatch, "child", lambda: os._exit(3))
-    out = tmp_path / "x"
-    assert main(argv + ["--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: worker process exited with status 3 and no report\n"
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(cli, "convergence_ladder", ladder)
+    assert main(CONVERGENCE_3 + ["--out", str(tmp_path / "x")]) == 2
+    first = "1.3" if parent_fails else "1.6"
+    assert capsys.readouterr().err == f"numerical failure: injected at alpha={first}\n"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    assert not out.exists()
+
+
+@needs_fork
+@pytest.mark.parametrize("child", ["writer", "energy", "convergence"])
+def test_child_dying_without_a_report_exits_one(tmp_path, monkeypatch, capsys, child):
+    # the snapshot writer, or a group of orders: each child of cli._Children dies alike
+    if child == "writer":  # only the forked writer formats snapshots, so only it dies
+        argv = RUN_5_2
+        monkeypatch.setattr(cli, "csv_lines", lambda table: os._exit(3))
+    else:
+        argv = ENERGY_MIXED if child == "energy" else CONVERGENCE_3
+        monkeypatch.setattr(cli, "LADDER_LEVELS", 2)
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+        in_group(monkeypatch, "child", lambda: os._exit(3))
+    out = tmp_path / "x"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: child process exited with status 3 and no report\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert out.exists() == (child == "writer")  # the writer made --out before it died
+    assert not list(out.glob("*"))
 
 
 def test_bench_paths_disagreeing_exits_two_without_output(tmp_path, monkeypatch, capsys):
@@ -884,15 +927,16 @@ def test_import_loads_no_scipy():
 @pytest.mark.parametrize("call", ["code = cli.main(['bench', '--out', out])",
                                   "sys.argv[1:] = ['bench', '--out', out]; code = cli.main()"],
                          ids=["flag", "default"])
-def test_bench_loads_scipy_before_the_first_timed_run(tmp_path, call):
-    # a fresh interpreter, so that no other test has loaded SciPy; the spy
-    # runs inside the timed interval, when the first run starts
+def test_bench_loads_the_dense_solve_before_the_first_timed_run(tmp_path, call):
+    # a fresh interpreter, so that no other test has loaded _dense or SciPy; the
+    # spy runs inside the timed interval, when the first run starts
     code = ("import sys, fracsg.cli as cli\n"
             "cli.BENCH_SIZES, cli.BENCH_ALPHAS, cli.BENCH_TAUS, cli.BENCH_T = "
             "(16,), (1.5,), (0.1,), 0.2\n"
             "real, loaded = cli.run, []\n"
             "def spy(*args, **kwargs):\n"
-            "    loaded.append('scipy.linalg' in sys.modules)\n"
+            "    loaded.append('fracsg._dense' in sys.modules\n"
+            "                  and not any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
             "    return real(*args, **kwargs)\n"
             "cli.run = spy\n"
             "out = sys.argv[1]\n"

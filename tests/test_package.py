@@ -1,5 +1,5 @@
-"""The package's top-level names, its SciPy-free production modules, the
-flags of each command, the presets and README examples that use them."""
+"""The package's top-level names, its SciPy-free modules, its one fork and reap
+site, the flags of each command, the presets and README examples that use them."""
 
 import argparse
 import ast
@@ -31,11 +31,9 @@ def test_top_level_names():
 
 
 def test_production_modules_import_no_scipy():
-    # only _dense, the dense reference solve for bench and the tests, may
+    # SciPy is a test dependency only, so no module of the package, _dense included, imports it
     offenders = []
     for path in sorted(Path(fracsg.__file__).parent.glob("*.py")):
-        if path.name == "_dense.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -46,6 +44,17 @@ def test_production_modules_import_no_scipy():
             offenders += [f"{path.name}:{node.lineno} imports {name}" for name in names
                           if name.split(".")[0] == "scipy"]
     assert offenders == []
+
+
+def test_one_fork_and_one_waitpid_call_site():
+    # every child process is forked, and reaped, in one place: cli._Children
+    sites = {"fork": [], "waitpid": []}
+    for path in sorted(Path(fracsg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and getattr(node.func.value, "id", None) == "os" and node.func.attr in sites):
+                sites[node.func.attr].append(f"{path.name}:{node.lineno}")
+    assert [len(calls) for calls in sites.values()] == [1, 1], sites
 
 
 def test_only_cli_scheme_config_builds_scheme_configs():
