@@ -110,8 +110,8 @@ def cg_row(op: FracOperator, tau: float, cg_tol: float | None = None) -> tuple:
     cg_tol or by default max(1e-12, 10 eps bound) (1e-12 up to bounds of about 450), the
     condition bound, the cap CG_CAP_FACTOR * ceil(sqrt(bound)/2 ln(2/rel_tol)) and whether
     bound > CIRCULANT_MIN_BOUND, which preconditions it.  Below eps * bound the true residual
-    no longer follows the recursive one, so a tolerance set there raises SolveFailure, as
-    does a default above CG_DEFAULT_TOL_CEILING (bounds above about 4.5e6): too loose."""
+    no longer follows the recursive one, so a tolerance set there raises SolveFailure; so does
+    a default above CG_DEFAULT_TOL_CEILING (bounds over about 4.5e6), which passes wrong steps."""
     bound = condition_bound(op, tau)
     floor = np.finfo(np.float64).eps * bound
     if cg_tol is None and 10.0 * floor > CG_DEFAULT_TOL_CEILING:
