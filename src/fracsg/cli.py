@@ -166,9 +166,9 @@ class Outputs:
 
 
 def _write_csv(out: Outputs, name: str, header: str, rows) -> None:
-    """Rows of values, each cell an int by str, a real as "%.15e", None empty."""
+    """Rows of values, each cell a float as "%.15e", None empty, else (an int, a str) by str."""
     def cell(value) -> str:
-        return "" if value is None else str(value) if isinstance(value, int) else f"{value:.15e}"
+        return f"{value:.15e}" if isinstance(value, float) else "" if value is None else str(value)
     with out.open(name) as f:
         f.write(header + "\n")
         f.writelines(",".join(map(cell, row)) + "\n" for row in rows)
@@ -309,11 +309,11 @@ def cmd_convergence(s: dict, out: Outputs) -> int:
     """refinement-ladder error table"""
     problem = get_problem(s["example"])
     configs = [_scheme_config(s, alpha) for alpha in s["alphas"]]  # each checked before any run
-    ladders = _on_cores(lambda group: [
-        convergence_ladder(problem, cfg, LADDER_LEVELS).rows for cfg in group], configs)
-    _write_csv(out, "convergence.csv", "alpha,h,tau,error,order", [
-        (cfg.alpha, row.h, row.tau, row.error, row.order)
-        for cfg, rows in zip(configs, ladders) for row in rows])
+    reports = _on_cores(lambda group: [
+        convergence_ladder(problem, cfg, LADDER_LEVELS) for cfg in group], configs)
+    _write_csv(out, "convergence.csv", "alpha,h,tau,reference,difference,error_estimate,order", [
+        (cfg.alpha, row.h, row.tau, report.mode, row.error, report.error_estimate(row), row.order)
+        for cfg, report in zip(configs, reports) for row in report.rows])
     return 0
 
 

@@ -98,8 +98,14 @@ class LadderRow:
 
 @dataclass
 class ErrorReport:
-    mode: str  # "exact" | "self"
+    mode: str  # what each row's error is a difference from: "exact" | "next" (level)
     rows: list[LadderRow]
+
+    def error_estimate(self, row: LadderRow) -> float:
+        """The row's error: against the exact solution, its difference; against the next
+        level, that difference times 2^p/(2^p - 1) with p = 2 (Richardson extrapolation for
+        a second-order scheme; P. J. Roache, J. Fluids Eng. 116 (1994) 405-413)."""
+        return row.error if self.mode == "exact" else 4.0 / 3.0 * row.error
 
 
 def convergence_ladder(problem: Problem, cfg: SchemeConfig, levels: int) -> ErrorReport:
@@ -107,7 +113,7 @@ def convergence_ladder(problem: Problem, cfg: SchemeConfig, levels: int) -> Erro
     halves h and tau l times and keeps the rest (domain, alpha, T, cg_tol, solve).
 
     Exact-solution errors when alpha = 2 and the problem has one; otherwise
-    self-comparison against the next refinement (one extra run).
+    differences from the next refinement (one extra run), mode "next".
     """
     if levels < 1:
         raise ValueError(f"need at least one ladder level, got {levels}")
@@ -122,4 +128,4 @@ def convergence_ladder(problem: Problem, cfg: SchemeConfig, levels: int) -> Erro
         errors = [max_norm_error_self(u, fine) for u, fine in zip(finals, finals[1:])]
     rows = [LadderRow(h=c.grid.h, tau=c.tau, error=e, order=p)
             for c, e, p in zip(ladder, errors, [None, *orders_from_errors(errors)])]
-    return ErrorReport(mode="exact" if exact_mode else "self", rows=rows)
+    return ErrorReport(mode="exact" if exact_mode else "next", rows=rows)

@@ -9,9 +9,10 @@ and conserves the discrete energy
 
 exactly in exact arithmetic.  Each step reduces to one SPD solve for the
 midpoint displacement; velocity and auxiliary midpoints are recovered
-algebraically.  The first step has no U^{-1} to extrapolate from, so it
-evaluates b at the explicit predictor U^0 + (tau/2) V^0 of the midpoint; the
-energy is conserved for any frozen b, so it too is one linear solve.
+algebraically.  The first step extrapolates from the virtual level
+U^{-1} = U^0 - tau V^0, so it evaluates b at the explicit predictor
+U^0 + (tau/2) V^0 of the midpoint; the energy is conserved for any frozen b, so
+it is the same linear solve, by the same cn_step.
 
 Each level's operator product op.apply(U^n), one FFT pair, is computed the
 first time a step or an observer reads it and is stored on its state, so a
@@ -45,9 +46,9 @@ class IeqState:
     """Grid unknowns at one time level: displacement U, velocity V, and the
     quadratization variable W (initialized to sqrt(2 - cos U)).  After construction
     level_product stores the product on first use, cn_step empties (U and product to
-    None) a previous level without V, the slim copy run makes of a level it leaves, and
-    observers receive the live state: what they change, such as midpoints, the next
-    step reads."""
+    None) a previous level without V, the slim copy run makes of a level it leaves or the
+    virtual level U^{-1} (n = -1, t = -tau, U alone), and observers receive the live
+    state: what they change, such as midpoints, the next step reads."""
 
     U: np.ndarray
     V: np.ndarray
@@ -133,30 +134,45 @@ def _projected_start(mat: StepMatrix, rhs: np.ndarray, history, x0: np.ndarray,
         out[...] = sum(ci * pair[k] for ci, pair in zip(c, history))
 
 
-def _step(op: FracOperator, cfg: SchemeConfig, setup: CGSetup, state: IeqState, bvec: np.ndarray,
-          x0: np.ndarray, x0_product: np.ndarray | None = None) -> tuple[IeqState, SolveStats]:
-    """One SPD solve for U^{n+1/2} given the frozen coefficient vector, projected starts
-    on preconditioned rows, then the other midpoints recovered and reflected onward."""
-    tau = cfg.tau
+def cn_step(state_nm1: IeqState, state_n: IeqState, op: FracOperator, cfg: SchemeConfig,
+            setup: CGSetup) -> tuple[IeqState, SolveStats]:
+    """One linearly-implicit step: one SPD solve for U^{n+1/2} with b frozen at the
+    extrapolated midpoint x0 = (3 U^n - U^{n-1})/2, then the other midpoints recovered and
+    reflected onward.  On a plain row x0 also warm-starts the solve from the two levels'
+    products, and the step costs its CG iterations, one true-residual matvec and the
+    product of U^n, unless an observer has read it; a row that ``setup`` (run's
+    solvers.cg_setup(op, cfg.tau, cfg.cg_tol)) preconditions starts from the projection on
+    the stored midpoints, and if all do, no level product is read.  From the virtual level
+    U^{-1} = U^0 - tau V^0 (n = -1), x0 is the predictor U^0 + (tau/2) V^0, whose product
+    is not at hand, so the initial residual costs one matvec.  A previous level without
+    V, which run makes, is emptied once read, so that the solve does not hold its arrays."""
+    tau, x0 = cfg.tau, 1.5 * state_n.U - 0.5 * state_nm1.U
+    history = [(u, p) for o, u, p in state_n.midpoints if o is op]
+    projected = history and all(setup.preconditioned)  # the projection fills x0_product
+    x0_product = None if state_nm1.n < 0 else np.empty_like(x0) if projected else (
+        1.5 * level_product(state_n, op) - 0.5 * level_product(state_nm1, op))
+    if state_nm1.V is None:
+        state_nm1.U = state_nm1.product = None
+    bvec = b_func(x0)
     diag = (tau * tau / 8.0) * bvec * bvec
-    rhs = state.U + (0.5 * tau) * state.V - (tau * tau / 4.0) * bvec * state.W + diag * state.U
+    rhs = (state_n.U + (0.5 * tau) * state_n.V - (tau * tau / 4.0) * bvec * state_n.W
+           + diag * state_n.U)
     mat = StepMatrix(op, tau, diag)
-    history = [(u, p) for o, u, p in state.midpoints if o is op]
     for j in (j for j, on in enumerate(setup.preconditioned) if on and history):
         row = lambda a: np.atleast_2d(a)[j]  # row j of a stack, or the array
         _projected_start(StepMatrix(op.rows[j], tau, row(diag)), row(rhs),
                          [(row(u), row(p)) for u, p in history], row(x0), row(x0_product))
     U_mid, stats = (cfg.solve or solve)(mat, rhs, setup, x0=x0, x0_product=x0_product)
-    midpoints = ((op, U_mid, mat.product),) + state.midpoints[:HISTORY - 1]  # solve's own arrays
+    midpoints = ((op, U_mid, mat.product),) + state_n.midpoints[:HISTORY - 1]  # solve's own arrays
     del diag, rhs, mat  # freed before the next level is built
-    dU = U_mid - state.U
+    dU = U_mid - state_n.U
     V_mid = 2.0 * dU / tau
-    W_mid = state.W + 0.5 * bvec * dU
-    n = state.n + 1
+    W_mid = state_n.W + 0.5 * bvec * dU
+    n = state_n.n + 1
     return IeqState(
-        U=2.0 * U_mid - state.U,
-        V=2.0 * V_mid - state.V,
-        W=2.0 * W_mid - state.W,
+        U=2.0 * U_mid - state_n.U,
+        V=2.0 * V_mid - state_n.V,
+        W=2.0 * W_mid - state_n.W,
         t=cfg.T * (n / cfg.N),  # from the level index, so level N is at T exactly
         n=n,
         midpoints=midpoints if any(setup.preconditioned) and midpoints[0][2] is not None else (),
@@ -165,30 +181,9 @@ def _step(op: FracOperator, cfg: SchemeConfig, setup: CGSetup, state: IeqState, 
 
 def startup_step(state0: IeqState, op: FracOperator, cfg: SchemeConfig,
                  setup: CGSetup) -> tuple[IeqState, SolveStats]:
-    """First step, with b frozen at the explicit midpoint predictor
-    U^0 + (tau/2) V^0, which also warm-starts the solve.  The predictor's
-    product is not at hand, so the initial residual costs one matvec.  ``setup``
-    is the run's CG set-up, solvers.cg_setup(op, cfg.tau, cfg.cg_tol)."""
-    predictor = state0.U + (0.5 * cfg.tau) * state0.V
-    return _step(op, cfg, setup, state0, b_func(predictor), x0=predictor)
-
-
-def cn_step(state_nm1: IeqState, state_n: IeqState, op: FracOperator, cfg: SchemeConfig,
-            setup: CGSetup) -> tuple[IeqState, SolveStats]:
-    """One linearly-implicit step using the extrapolated midpoint
-    x0 = (3 U^n - U^{n-1})/2 inside the coefficient b.  On a plain row x0 also warm-starts
-    the solve from the two levels' products, and the step costs its CG iterations, one
-    true-residual matvec and the product of U^n, unless an observer has read it; a row
-    that ``setup`` (as in startup_step) preconditions starts from the projection on the
-    stored midpoints, and if all do, no level product is read.  A previous level without
-    V, which run makes, is emptied once read, so that the solve does not hold its arrays."""
-    x0 = 1.5 * state_n.U - 0.5 * state_nm1.U
-    projected = any(m[0] is op for m in state_n.midpoints) and all(setup.preconditioned)
-    x0_product = np.empty_like(x0) if projected else (
-        1.5 * level_product(state_n, op) - 0.5 * level_product(state_nm1, op))
-    if state_nm1.V is None:
-        state_nm1.U = state_nm1.product = None
-    return _step(op, cfg, setup, state_n, b_func(x0), x0=x0, x0_product=x0_product)
+    """run's first step: cn_step from the virtual level U^{-1} = U^0 - tau V^0."""
+    virtual = IeqState(state0.U - cfg.tau * state0.V, None, None, -cfg.tau, -1)
+    return cn_step(virtual, state0, op, cfg, setup)
 
 
 def run(problem, cfg: SchemeConfig, observers=(), op: FracOperator | None = None) -> RunResult:
@@ -209,15 +204,12 @@ def run(problem, cfg: SchemeConfig, observers=(), op: FracOperator | None = None
     for obs in observers:
         obs(state, None)
 
-    prev, iters, res_max = None, [], 0.0
+    # the virtual level U^{-1}: cn_step from it is the first step
+    prev, iters, res_max = IeqState(state.U - cfg.tau * state.V, None, None, -cfg.tau, -1), [], 0.0
     for _ in range(cfg.N):
-        if prev is None:
-            nxt, stats = startup_step(state, op, cfg, setup)
-        else:
-            nxt, stats = cn_step(prev, state, op, cfg, setup)
-            # the next step reads only U and the product, now stored, of this level
-            state = IeqState(state.U, None, None, state.t, state.n, state.product)
-        prev, state = state, nxt
+        nxt, stats = cn_step(prev, state, op, cfg, setup)
+        # the next step reads only U and the product, if stored, of this level
+        prev, state = IeqState(state.U, None, None, state.t, state.n, state.product), nxt
         iters.append(stats.iterations)
         res_max = max(res_max, stats.residual)
         for obs in observers:

@@ -157,7 +157,8 @@ def test_convergence_single_level_has_empty_order(tmp_path, monkeypatch):
                  "--T", "1", "--out", str(out)])
     assert code == 0
     lines = (out / "convergence.csv").read_text().splitlines()
-    assert lines[0] == "alpha,h,tau,error,order"
+    assert lines[0] == "alpha,h,tau,reference,difference,error_estimate,order"
+    assert lines[1].split(",")[3] == "exact"
     assert len(lines) == 2
     assert lines[1].endswith(",")  # no order on the first ladder level
 
@@ -485,8 +486,10 @@ def test_non_finite_setting_exits_one(tmp_path, capsys, argv, setting):
 
 
 def test_non_finite_energy_exits_two(tmp_path):
-    # a step of 1e-300 overflows V; in a child interpreter, because the
-    # overflow's RuntimeWarning is an error under this suite's warning filter
+    # a step of 1e-300 overflows the energy at level 1: the first start 1.5 U^0 - 0.5 U^{-1}
+    # is an ulp off U^0 + (tau/2) V^0, and V = 2 (U^{1/2} - U^0)/tau turns that ulp into a
+    # V whose square overflows; in a child interpreter, because the overflow's
+    # RuntimeWarning is an error under this suite's warning filter
     out = tmp_path / "x"
     argv = ["run", "--example", "5.2", "--alpha", "1.5", "--domain", "-5", "5", "--h", "0.5",
             "--tau", "1e-300", "--T", "1e-299", "--out", str(out)]
@@ -494,8 +497,8 @@ def test_non_finite_energy_exits_two(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "fracsg.cli", *argv], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 2
-    assert "numerical failure: non-finite discrete energy inf at level 2\n" in proc.stderr
-    assert not list(out.glob("*"))  # nor the snapshots of levels 0 and 1, written before
+    assert "numerical failure: non-finite discrete energy inf at level 1\n" in proc.stderr
+    assert not list(out.glob("*"))  # nor the snapshot of level 0, written before
 
 
 def test_energy_failing_at_a_later_alpha_leaves_no_series(tmp_path, monkeypatch, capsys):

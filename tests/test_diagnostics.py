@@ -1,5 +1,7 @@
 """Energy and error-diagnostics tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -115,8 +117,20 @@ def ladder_root(alpha, M, N, **kwargs):
 class TestLadder:
     def test_mode_selection(self):
         assert convergence_ladder(get_problem("5.1"), ladder_root(2.0, 20, 2), 1).mode == "exact"
-        assert convergence_ladder(get_problem("5.1"), ladder_root(1.5, 20, 2), 1).mode == "self"
-        assert convergence_ladder(get_problem("5.2"), ladder_root(2.0, 20, 2), 1).mode == "self"
+        assert convergence_ladder(get_problem("5.1"), ladder_root(1.5, 20, 2), 1).mode == "next"
+        assert convergence_ladder(get_problem("5.2"), ladder_root(2.0, 20, 2), 1).mode == "next"
+
+    def test_error_estimate_from_the_next_level_matches_the_exact_error(self):
+        # alpha = 2 forced into next-level mode: (4/3) times each difference against the
+        # exact errors of the same levels
+        problem, root = get_problem("5.1", 1.1), ladder_root(2.0, 200, 50)
+        exact = convergence_ladder(problem, root, 3)
+        forced = convergence_ladder(replace(problem, exact=None), root, 3)
+        assert (exact.mode, forced.mode) == ("exact", "next")
+        assert [exact.error_estimate(row) for row in exact.rows] == [r.error for r in exact.rows]
+        for row, truth in zip(forced.rows, exact.rows):
+            assert forced.error_estimate(row) == pytest.approx(truth.error, rel=0.02)
+            assert row.error != pytest.approx(truth.error, rel=0.2)  # the difference alone is not
 
     def test_rejects_nondivisible_mesh(self):
         # the ladder takes whole M and N; step sizes that do not divide are
