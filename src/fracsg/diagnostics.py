@@ -17,16 +17,23 @@ import numpy as np
 
 from .operator import FracOperator
 from .problems import Problem
-from .scheme import IeqState, SchemeConfig, level_product, run
+from .scheme import IeqState, SchemeConfig, run
 from .solvers import NumericalFailure
+
+
+def level_product(state: IeqState, op: FracOperator) -> np.ndarray:
+    """op.apply(state.U), stored on the state on first use, so the observers of a level
+    share one operator product; recomputed if stored for another operator object."""
+    if state.product is None or state.product[0] is not op:
+        state.product = (op, op.apply(state.U))
+    return state.product[1]
 
 
 def discrete_energy(state: IeqState, op: FracOperator, row: int | None = None) -> float:
     """E^n = 1/2 (||V||^2 + ||Lambda^alpha U||^2 + 2 ||W||^2) with the
     discrete inner product h * sum over interior nodes, of row ``row`` of a
     stack.  The seminorm term ||Lambda^alpha U||^2 = h^{1-alpha} U^T C U is
-    h (op.apply(U), U), with the level's operator product, which the stepper
-    and this function share: whichever reads it first computes it."""
+    h (op.apply(U), U), with op.apply(U) from level_product."""
     h = op.grid.h
     U, V, W, CU = state.U, state.V, state.W, level_product(state, op)
     if row is not None:

@@ -15,6 +15,7 @@ needs no SciPy.  Importing it pins glibc's malloc thresholds
 from __future__ import annotations
 
 import ctypes
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,6 +116,10 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.a) and np.isfinite(self.b) and self.b > self.a):
             raise ValueError(f"need finite domain endpoints a < b, got ({self.a}, {self.b})")
+        try:  # a numpy integer as the int it holds
+            object.__setattr__(self, "M", operator.index(self.M))
+        except TypeError:
+            raise ValueError(f"M must be a whole number of subintervals, got {self.M!r}") from None
         if self.M < 2:
             raise ValueError(f"need M >= 2 subintervals, got {self.M}")
 

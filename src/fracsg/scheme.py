@@ -14,15 +14,18 @@ U^{-1} = U^0 - tau V^0, so it evaluates b at the explicit predictor
 U^0 + (tau/2) V^0 of the midpoint; the energy is conserved for any frozen b, so
 it is the same linear solve, by the same cn_step.
 
-Each level's operator product op.apply(U^n), one FFT pair, is computed the
-first time a step or an observer reads it and is stored on its state, so a
-later step costs its CG iterations, one true-residual matvec and at most one
-product, or none on a preconditioned step, which projects on HISTORY midpoints.
-Every step reads the CG set-up run makes once, before the first (solvers.cg_setup).
+CG starts each later step from the solved midpoints of up to HISTORY earlier steps,
+stored on the level with the products each solve leaves in mat.product: a plain row
+extrapolates them, a preconditioned row projects on them.  So a step costs its CG
+iterations and one true-residual matvec, the first step one more for its initial
+residual, and no step reads a level product op.apply(U^n); the observers that need one
+compute it (diagnostics.level_product).  Every step reads the CG set-up run makes once,
+before the first (solvers.cg_setup).
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -32,7 +35,7 @@ import numpy as np
 from .operator import FracOperator, GridSpec, OperatorStack, check_alpha
 from .solvers import CGSetup, SolveStats, StepMatrix, cg_setup, solve
 
-# Midpoints a start projects on: at alpha 1.8, M = 16000, N = 10, 3 to 6 took 28 CG iterations, 2 35
+# Midpoints a start is made of: at alpha 1.8, M = 16000, N = 10, 3 to 6 took 28 CG iterations, 2 35
 HISTORY = 3
 
 
@@ -44,18 +47,17 @@ def b_func(x):
 @dataclass
 class IeqState:
     """Grid unknowns at one time level: displacement U, velocity V, and the
-    quadratization variable W (initialized to sqrt(2 - cos U)).  After construction
-    level_product stores the product on first use, cn_step empties (U and product to
-    None) a previous level without V, the slim copy run makes of a level it leaves or the
-    virtual level U^{-1} (n = -1, t = -tau, U alone), and observers receive the live
-    state: what they change, such as midpoints, the next step reads."""
+    quadratization variable W (initialized to sqrt(2 - cos U)).  ``product`` belongs to
+    the observers (diagnostics.level_product), ``midpoints`` to the next step, which
+    starts from them.  Observers receive the live state: what they change, such as
+    midpoints, the next step reads."""
 
     U: np.ndarray
     V: np.ndarray
     W: np.ndarray
     t: float
     n: int
-    # (operator, op.apply(U)), stored by level_product on first use
+    # (operator, op.apply(U)), stored by diagnostics.level_product on first use
     product: tuple[FracOperator, np.ndarray] | None = field(default=None, repr=False)
     midpoints: tuple = field(default=(), repr=False)  # (op, U^{k-1/2}, product), newest first
 
@@ -75,8 +77,8 @@ class SchemeConfig:
             raise ValueError(f"alpha must be a number or a nonempty tuple, got {self.alpha!r}")
         if self.cg_tol is not None and not 0.0 < self.cg_tol < 1.0:
             raise ValueError(f"cg_tol must lie in (0, 1), got {self.cg_tol}")
-        if not self.T > 0:
-            raise ValueError(f"final time must be positive, got T={self.T}")
+        if not 0 < self.T < math.inf:
+            raise ValueError(f"final time must be positive and finite, got T={self.T}")
         if not isinstance(self.N, numbers.Integral) or self.N < 1:
             raise ValueError(f"N must be a whole number of timesteps, at least 1, got N={self.N!r}")
 
@@ -105,15 +107,6 @@ def initial_state(problem, grid: GridSpec, rows: int = 0) -> IeqState:
     return IeqState(U=U, V=V, W=W, t=0.0, n=0)
 
 
-def level_product(state: IeqState, op: FracOperator) -> np.ndarray:
-    """op.apply(state.U), computed on first use and stored on the state, so
-    steps and observers reading the same level share one operator product.
-    Recomputed if the stored one came from another operator object."""
-    if state.product is None or state.product[0] is not op:
-        state.product = (op, op.apply(state.U))
-    return state.product[1]
-
-
 def _projected_start(mat: StepMatrix, rhs: np.ndarray, history, x0: np.ndarray,
                      x0_product: np.ndarray) -> None:
     """Sets x0 = sum c_i y_i, the Galerkin projection of M_sys x = rhs on the midpoints y_i
@@ -134,34 +127,31 @@ def _projected_start(mat: StepMatrix, rhs: np.ndarray, history, x0: np.ndarray,
         out[...] = sum(ci * pair[k] for ci, pair in zip(c, history))
 
 
-def cn_step(state_nm1: IeqState, state_n: IeqState, op: FracOperator, cfg: SchemeConfig,
+def cn_step(U_nm1: np.ndarray, state_n: IeqState, op: FracOperator, cfg: SchemeConfig,
             setup: CGSetup) -> tuple[IeqState, SolveStats]:
     """One linearly-implicit step: one SPD solve for U^{n+1/2} with b frozen at the
-    extrapolated midpoint x0 = (3 U^n - U^{n-1})/2, then the other midpoints recovered and
-    reflected onward.  On a plain row x0 also warm-starts the solve from the two levels'
-    products, and the step costs its CG iterations, one true-residual matvec and the
-    product of U^n, unless an observer has read it; a row that ``setup`` (run's
-    solvers.cg_setup(op, cfg.tau, cfg.cg_tol)) preconditions starts from the projection on
-    the stored midpoints, and if all do, no level product is read.  From the virtual level
-    U^{-1} = U^0 - tau V^0 (n = -1), x0 is the predictor U^0 + (tau/2) V^0, whose product
-    is not at hand, so the initial residual costs one matvec.  A previous level without
-    V, which run makes, is emptied once read, so that the solve does not hold its arrays."""
-    tau, x0 = cfg.tau, 1.5 * state_n.U - 0.5 * state_nm1.U
-    history = [(u, p) for o, u, p in state_n.midpoints if o is op]
-    projected = history and all(setup.preconditioned)  # the projection fills x0_product
-    x0_product = None if state_nm1.n < 0 else np.empty_like(x0) if projected else (
-        1.5 * level_product(state_n, op) - 0.5 * level_product(state_nm1, op))
-    if state_nm1.V is None:
-        state_nm1.U = state_nm1.product = None
+    extrapolated midpoint (3 U^n - U^{n-1})/2, then the other midpoints recovered and
+    reflected onward.  CG starts from the k midpoints stored on state_n, k <= HISTORY, and
+    their products: a plain row from their extrapolation with binomial weights (3, -3, 1),
+    (2, -1) or (1), a row that ``setup`` (run's solvers.cg_setup(op, cfg.tau, cfg.cg_tol))
+    preconditions from their Galerkin projection, each row from its own midpoints alone.
+    The step costs its CG iterations and one true-residual matvec and reads no level
+    product.  With no midpoints stored, as on the first step, CG starts at b's point and
+    the initial residual costs one matvec."""
+    tau, x0, x0_product = cfg.tau, 1.5 * state_n.U - 0.5 * U_nm1, None
     bvec = b_func(x0)
     diag = (tau * tau / 8.0) * bvec * bvec
     rhs = (state_n.U + (0.5 * tau) * state_n.V - (tau * tau / 4.0) * bvec * state_n.W
            + diag * state_n.U)
     mat = StepMatrix(op, tau, diag)
-    for j in (j for j, on in enumerate(setup.preconditioned) if on and history):
-        row = lambda a: np.atleast_2d(a)[j]  # row j of a stack, or the array
-        _projected_start(StepMatrix(op.rows[j], tau, row(diag)), row(rhs),
-                         [(row(u), row(p)) for u, p in history], row(x0), row(x0_product))
+    history = [(u, p) for o, u, p in state_n.midpoints if o is op]
+    if history:
+        weights = [(-1) ** i * math.comb(len(history), i + 1) for i in range(len(history))]
+        x0, x0_product = (sum(w * pair[k] for w, pair in zip(weights, history)) for k in (0, 1))
+        for j in (j for j, on in enumerate(setup.preconditioned) if on):
+            row = lambda a: np.atleast_2d(a)[j]  # row j of a stack, or the array
+            _projected_start(StepMatrix(op.rows[j], tau, row(diag)), row(rhs),
+                             [(row(u), row(p)) for u, p in history], row(x0), row(x0_product))
     U_mid, stats = (cfg.solve or solve)(mat, rhs, setup, x0=x0, x0_product=x0_product)
     midpoints = ((op, U_mid, mat.product),) + state_n.midpoints[:HISTORY - 1]  # solve's own arrays
     del diag, rhs, mat  # freed before the next level is built
@@ -174,16 +164,13 @@ def cn_step(state_nm1: IeqState, state_n: IeqState, op: FracOperator, cfg: Schem
         V=2.0 * V_mid - state_n.V,
         W=2.0 * W_mid - state_n.W,
         t=cfg.T * (n / cfg.N),  # from the level index, so level N is at T exactly
-        n=n,
-        midpoints=midpoints if any(setup.preconditioned) and midpoints[0][2] is not None else (),
-    ), stats
+        n=n, midpoints=midpoints), stats
 
 
 def startup_step(state0: IeqState, op: FracOperator, cfg: SchemeConfig,
                  setup: CGSetup) -> tuple[IeqState, SolveStats]:
     """run's first step: cn_step from the virtual level U^{-1} = U^0 - tau V^0."""
-    virtual = IeqState(state0.U - cfg.tau * state0.V, None, None, -cfg.tau, -1)
-    return cn_step(virtual, state0, op, cfg, setup)
+    return cn_step(state0.U - cfg.tau * state0.V, state0, op, cfg, setup)
 
 
 def run(problem, cfg: SchemeConfig, observers=(), op: FracOperator | None = None) -> RunResult:
@@ -194,8 +181,10 @@ def run(problem, cfg: SchemeConfig, observers=(), op: FracOperator | None = None
     for the same (alpha, grid) may be passed to share it with observers.  A
     tuple cfg.alpha steps its orders as one stack: op is an OperatorStack,
     states hold one row per order, and stats are the largest over the rows.
-    The solves' CG set-up, made once before the first step (which refuses an
-    unusable tolerance), is the result's cg."""
+    No step reads a level product op.apply(U^n); an observer that needs one
+    computes it (diagnostics.level_product).  The solves' CG set-up, made
+    once before the first step (which refuses an unusable tolerance), is the
+    result's cg."""
     if op is None:
         op = (OperatorStack([FracOperator(alpha, cfg.grid) for alpha in cfg.alpha])
               if isinstance(cfg.alpha, tuple) else FracOperator(cfg.alpha, cfg.grid))
@@ -204,12 +193,10 @@ def run(problem, cfg: SchemeConfig, observers=(), op: FracOperator | None = None
     for obs in observers:
         obs(state, None)
 
-    # the virtual level U^{-1}: cn_step from it is the first step
-    prev, iters, res_max = IeqState(state.U - cfg.tau * state.V, None, None, -cfg.tau, -1), [], 0.0
+    U_prev, iters, res_max = state.U - cfg.tau * state.V, [], 0.0  # the virtual level U^{-1}
     for _ in range(cfg.N):
-        nxt, stats = cn_step(prev, state, op, cfg, setup)
-        # the next step reads only U and the product, if stored, of this level
-        prev, state = IeqState(state.U, None, None, state.t, state.n, state.product), nxt
+        nxt, stats = cn_step(U_prev, state, op, cfg, setup)
+        U_prev, state = state.U, nxt  # the next step reads this level's U alone of it
         iters.append(stats.iterations)
         res_max = max(res_max, stats.residual)
         for obs in observers:

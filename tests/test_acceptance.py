@@ -203,7 +203,7 @@ def test_criterion_06_schur_step_equals_block_solve():
         W = np.sqrt(2.0 - np.cos(U)) + 0.01 * rng.standard_normal(m)
         prev = IeqState(U=U_prev, V=np.zeros(m), W=np.ones(m), t=0.0, n=0)
         state = IeqState(U=U, V=V, W=W, t=cfg.tau, n=1)
-        stepped, _ = cn_step(prev, state, op, cfg, cg_setup(op, cfg.tau))
+        stepped, _ = cn_step(prev.U, state, op, cfg, cg_setup(op, cfg.tau))
 
         bvec = b_func(1.5 * U - 0.5 * U_prev)
         block, rhs = assemble_block_system(op, cfg.tau, bvec, U, V, W)

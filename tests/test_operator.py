@@ -38,6 +38,17 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(a=0.0, b=1.0, M=1)
 
+    def test_numpy_integer_subintervals_are_an_int(self):
+        g = GridSpec(a=-2.0, b=2.0, M=np.int64(20))
+        assert type(g.M) is int and g == GridSpec(a=-2.0, b=2.0, M=20)
+        assert np.array_equal(FracOperator(1.5, g).symbol,
+                              FracOperator(1.5, GridSpec(a=-2.0, b=2.0, M=20)).symbol)
+
+    @pytest.mark.parametrize("M", [20.5, 20.0, "20", None])
+    def test_rejects_subintervals_that_are_not_whole_numbers(self, M):
+        with pytest.raises(ValueError, match="M must be a whole number"):
+            GridSpec(a=0.0, b=1.0, M=M)
+
 
 @pytest.mark.parametrize("a, b", [(-np.inf, 20.0), (-20.0, np.inf), (np.nan, 1.0)])
 def test_grid_rejects_non_finite_endpoints(a, b):

@@ -20,7 +20,8 @@ from fracsg import (
 )
 from fracsg import _dense, solvers
 from fracsg.problems import Problem, exact_breather
-from fracsg.scheme import HISTORY, IeqState, b_func, level_product
+from fracsg.diagnostics import level_product
+from fracsg.scheme import HISTORY, IeqState, b_func
 
 from oracles import assemble_block_system, energy_seminorm_sq
 
@@ -55,6 +56,7 @@ class TestConfig:
             {"alpha": 2.5},
             {"T": 0.0},
             {"T": -1.0},
+            {"T": float("inf")},
             {"N": 0},
         ],
     )
@@ -148,17 +150,13 @@ def test_each_level_applies_the_operator_once(monkeypatch, with_recorder):
     observers = (recorder,) if with_recorder else ()
     run(get_problem("5.2"), cfg, observers=observers + (lambda s, _: states.append(s),), op=op)
     # CG iterations, the first step's initial residual, one true residual per
-    # step, and one product per level read: the steps read levels 0 .. N-1,
-    # and only an observer reads level N
-    products = cfg.N + 1 if with_recorder else cfg.N
+    # step, and one product per level the energy series reads: no step reads one
+    products = cfg.N + 1 if with_recorder else 0
     assert len(applies) == sum(iterations) + (cfg.N + 1) + products
     monkeypatch.undo()
     assert len(states) == cfg.N + 1
-    # the first step, from the virtual level, reads no product; so unless an observer
-    # read it, level 0's is read by the second step from the copy run keeps of the level
-    held = states[:products] if with_recorder else states[1:products]
-    assert sum(state.product is not None for state in states) == len(held)
-    for state in held:
+    assert sum(state.product is not None for state in states) == products
+    for state in states[:products]:
         assert state.product[0] is op
         assert np.array_equal(state.product[1], op.apply(state.U))
     h = grid.h
@@ -166,6 +164,31 @@ def test_each_level_applies_the_operator_once(monkeypatch, with_recorder):
         assert row[2] == 0.5 * (h * float(np.dot(state.V, state.V))
                                 + energy_seminorm_sq(op, state.U)
                                 + 2.0 * h * float(np.dot(state.W, state.W)))
+
+
+def test_no_step_reads_a_level_product(monkeypatch):
+    import fracsg.scheme
+
+    grid = GridSpec(a=-20.0, b=20.0, M=100)
+    cfg = SchemeConfig(grid=grid, alpha=1.6, T=1.0, N=10)
+    op = FracOperator(cfg.alpha, grid)
+    assert solvers.cg_setup(op, cfg.tau).preconditioned == (False,)
+    stats = recording_solves(monkeypatch)
+    applies, apply = [], FracOperator.apply
+    monkeypatch.setattr(FracOperator, "apply", lambda self, u: applies.append(1) or apply(self, u))
+    levels, step = [], fracsg.scheme.cn_step
+    monkeypatch.setattr(fracsg.scheme, "cn_step",
+                        lambda prev, state, *args: levels.append(state) or step(prev, state, *args))
+    result = run(get_problem("5.2"), cfg, op=op)
+    # CG iterations, the first step's initial residual and one true residual per step
+    assert len(applies) == sum(s.iterations for s in stats) + cfg.N + 1
+    assert len(levels) == cfg.N
+    assert all(state.product is None for state in levels + [result.state])
+    applies.clear()
+    stats.clear()
+    # the energy series reads one product per level
+    run(get_problem("5.2"), cfg, observers=(EnergyRecorder(op),), op=op)
+    assert len(applies) == sum(s.iterations for s in stats) + cfg.N + 1 + (cfg.N + 1)
 
 
 def test_level_product_is_computed_for_the_operator_asked():
@@ -197,7 +220,7 @@ def test_run_steps_by_cn_step_alone_from_the_virtual_level(monkeypatch, key):
     cfg = SchemeConfig(grid=grid, alpha=1.6, T=0.5, N=10)
     op = FracOperator(cfg.alpha, grid)
     state0 = initial_state(get_problem(key), grid)
-    virtual = IeqState(state0.U - cfg.tau * state0.V, None, None, -cfg.tau, -1)
+    virtual = state0.U - cfg.tau * state0.V
     setup = solvers.cg_setup(op, cfg.tau)
     first, stats = startup_step(initial_state(get_problem(key), grid), op, cfg, setup)
     again, again_stats = cn_step(virtual, state0, op, cfg, setup)
@@ -270,7 +293,7 @@ def test_cn_step_matches_dense_block_solve(rng):
     state_prev = IeqState(U=U_prev, V=np.zeros(m), W=np.ones(m), t=0.0, n=0)
     state = IeqState(U=U, V=V, W=W, t=cfg.tau, n=1)
 
-    stepped, _ = cn_step(state_prev, state, op, cfg, solvers.cg_setup(op, cfg.tau))
+    stepped, _ = cn_step(state_prev.U, state, op, cfg, solvers.cg_setup(op, cfg.tau))
 
     bvec = b_func(1.5 * U - 0.5 * U_prev)
     block, rhs = assemble_block_system(op, cfg.tau, bvec, U, V, W)
@@ -400,10 +423,10 @@ def test_true_residual_does_not_trust_a_stored_midpoint_product():
     state0 = initial_state(get_problem("5.1"), cfg.grid)
     setup = solvers.cg_setup(op, cfg.tau)
     state1, _ = startup_step(state0, op, cfg, setup)
-    state2, _ = cn_step(state0, state1, op, cfg, setup)
-    _, honest = cn_step(state1, state2, op, cfg, setup)
+    state2, _ = cn_step(state0.U, state1, op, cfg, setup)
+    _, honest = cn_step(state1.U, state2, op, cfg, setup)
     assert honest.residual <= 1e-12
     (_, U_mid, product), *older = state2.midpoints
     state2.midpoints = ((op, U_mid, 1.01 * product), *older)
-    _, stats = cn_step(state1, state2, op, cfg, setup)
+    _, stats = cn_step(state1.U, state2, op, cfg, setup)
     assert stats.residual > 1e-6
