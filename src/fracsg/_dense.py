@@ -39,6 +39,8 @@ def step_matrix(mat: StepMatrix) -> np.ndarray:
 def solve(mat: StepMatrix, rhs: np.ndarray, *_, **__) -> tuple[np.ndarray, SolveStats]:
     """LU solve (numpy.linalg.solve), refactorized every step as d changes with the
     midpoint; takes solvers.solve's arguments, all but the first two unused."""
+    if isinstance(mat.op.alpha, tuple):
+        raise ValueError(f"the dense solve takes one order, got alpha={mat.op.alpha}")
     check_size(len(mat.diag))
     # a zero rhs: x and the residual 0
     bnorm = _finite(float(np.linalg.norm(rhs)), "right-hand side", mat.op.alpha) or 1.0

@@ -299,7 +299,7 @@ def cmd_run(s: dict, out: Outputs) -> int:
         cg_iterations_mean=result.cg_iterations_mean, residual_max=result.residual_max,
         energy_drift_max=recorder.max_relative_drift(), w_drift_max=w_drift_max,
         boundary_max=boundary_max, version=__version__)
-    _write_csv(out, "energy.csv", "n,t,E,RE", recorder.rows)
+    _write_csv(out, "energy.csv", "n,t,E,RE", recorder.series[0])
     with out.open("meta.json") as f:
         f.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return 0
@@ -333,9 +333,9 @@ def cmd_energy(s: dict, out: Outputs) -> int:
 
     def series(group: list[FracOperator]) -> list:  # the orders of a group step as one stack
         op = OperatorStack(group)
-        recorders = [EnergyRecorder(op, row) for row in range(len(group))]
-        run(problem, replace(cfg, alpha=op.alpha), observers=recorders, op=op)
-        return [recorder.rows for recorder in recorders]
+        recorder = EnergyRecorder(op)
+        run(problem, replace(cfg, alpha=op.alpha), observers=(recorder,), op=op)
+        return recorder.series
 
     for name, rows in zip(alphas_of, _on_cores(series, ops)):
         _write_csv(out, name, "n,t,E,RE", rows)

@@ -18,31 +18,18 @@ import numpy as np
 from .operator import FracOperator
 from .problems import Problem
 from .scheme import IeqState, SchemeConfig, run
-from .solvers import NumericalFailure
+from .solvers import NumericalFailure, _dots
 
 
-def level_product(state: IeqState, op: FracOperator) -> np.ndarray:
-    """op.apply(state.U), stored on the state on first use, so the observers of a level
-    share one operator product; recomputed if stored for another operator object."""
-    if state.product is None or state.product[0] is not op:
-        state.product = (op, op.apply(state.U))
-    return state.product[1]
-
-
-def discrete_energy(state: IeqState, op: FracOperator, row: int | None = None) -> float:
+def discrete_energy(state: IeqState, op: FracOperator) -> float | list[float]:
     """E^n = 1/2 (||V||^2 + ||Lambda^alpha U||^2 + 2 ||W||^2) with the
-    discrete inner product h * sum over interior nodes, of row ``row`` of a
-    stack.  The seminorm term ||Lambda^alpha U||^2 = h^{1-alpha} U^T C U is
-    h (op.apply(U), U), with op.apply(U) from level_product."""
+    discrete inner product h * sum over interior nodes; of a stack, a list of
+    its rows' energies.  The seminorm term ||Lambda^alpha U||^2 = h^{1-alpha}
+    U^T C U is h (op.apply(U), U), one operator application for all rows."""
     h = op.grid.h
-    U, V, W, CU = state.U, state.V, state.W, level_product(state, op)
-    if row is not None:
-        U, V, W, CU = U[row], V[row], W[row], CU[row]
-    return 0.5 * (
-        h * float(np.dot(V, V))
-        + h * float(np.dot(CU, U))
-        + 2.0 * h * float(np.dot(W, W))
-    )
+    energies = [0.5 * (h * vv + h * cu + 2.0 * h * ww) for vv, cu, ww in zip(
+        _dots(state.V, state.V), _dots(op.apply(state.U), state.U), _dots(state.W, state.W))]
+    return energies if state.U.ndim > 1 else energies[0]
 
 
 def w_projection_drift(state: IeqState) -> float:
@@ -52,24 +39,23 @@ def w_projection_drift(state: IeqState) -> float:
 
 
 class EnergyRecorder:
-    """Run observer accumulating (n, t, E, RE) rows, RE = |(E^n - E^0)/E^0|,
-    of row ``row`` of a stack; a non-finite E^n is a NumericalFailure."""
+    """Run observer accumulating, per row of ``op``, (n, t, E, RE) rows, RE =
+    |(E^n - E^0)/E^0|, in ``series``; a non-finite E^n is a NumericalFailure."""
 
-    def __init__(self, op: FracOperator, row: int | None = None):
-        self.op, self.row = op, row
-        self.rows: list[tuple[int, float, float, float]] = []
-        self._e0: float | None = None
+    def __init__(self, op: FracOperator):
+        self.op, self.series = op, [[] for _ in op.rows]
 
     def __call__(self, state: IeqState, stats) -> None:
-        e = discrete_energy(state, self.op, self.row)
-        if not np.isfinite(e):
-            raise NumericalFailure(f"non-finite discrete energy {e} at level {state.n}")
-        if self._e0 is None:
-            self._e0 = e
-        self.rows.append((state.n, state.t, e, abs((e - self._e0) / self._e0)))
+        energies = discrete_energy(state, self.op)
+        energies = energies if isinstance(energies, list) else [energies]
+        if bad := [e for e in energies if not np.isfinite(e)]:
+            raise NumericalFailure(f"non-finite discrete energy {bad[0]} at level {state.n}")
+        for rows, e in zip(self.series, energies):
+            e0 = rows[0][2] if rows else e
+            rows.append((state.n, state.t, e, abs((e - e0) / e0)))
 
     def max_relative_drift(self) -> float:
-        return max(r[3] for r in self.rows)
+        return max(r[3] for rows in self.series for r in rows)
 
 
 def max_norm_error_self(coarse: np.ndarray, fine: np.ndarray, ratio: int = 2) -> float:
@@ -124,6 +110,8 @@ def convergence_ladder(problem: Problem, cfg: SchemeConfig, levels: int) -> Erro
     """
     if levels < 1:
         raise ValueError(f"need at least one ladder level, got {levels}")
+    if isinstance(cfg.alpha, tuple):
+        raise ValueError(f"a ladder refines one order, got alpha={cfg.alpha}")
     exact_mode = cfg.alpha == 2.0 and problem.exact is not None
     ladder = [replace(cfg, grid=replace(cfg.grid, M=cfg.grid.M * 2 ** lvl), N=cfg.N * 2 ** lvl)
               for lvl in range(levels if exact_mode else levels + 1)]

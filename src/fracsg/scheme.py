@@ -18,9 +18,9 @@ CG starts each later step from the solved midpoints of up to HISTORY earlier ste
 stored on the level with the products each solve leaves in mat.product: a plain row
 extrapolates them, a preconditioned row projects on them.  So a step costs its CG
 iterations and one true-residual matvec, the first step one more for its initial
-residual, and no step reads a level product op.apply(U^n); the observers that need one
-compute it (diagnostics.level_product).  Every step reads the CG set-up run makes once,
-before the first (solvers.cg_setup).
+residual, and no step reads a level product op.apply(U^n); an observer that needs one,
+such as diagnostics.discrete_energy, computes it.  A level, IeqState, is frozen.  Every
+step reads the CG set-up run makes once, before the first (solvers.cg_setup).
 """
 
 from __future__ import annotations
@@ -44,21 +44,18 @@ def b_func(x):
     return np.sin(x) / np.sqrt(2.0 - np.cos(x))
 
 
-@dataclass
+@dataclass(frozen=True)
 class IeqState:
     """Grid unknowns at one time level: displacement U, velocity V, and the
-    quadratization variable W (initialized to sqrt(2 - cos U)).  ``product`` belongs to
-    the observers (diagnostics.level_product), ``midpoints`` to the next step, which
-    starts from them.  Observers receive the live state: what they change, such as
-    midpoints, the next step reads."""
+    quadratization variable W (initialized to sqrt(2 - cos U)); ``midpoints`` belong to
+    the next step, which starts from them.  Frozen: no field is rebound after
+    construction, so the level an observer receives is the one the next step reads."""
 
     U: np.ndarray
     V: np.ndarray
     W: np.ndarray
     t: float
     n: int
-    # (operator, op.apply(U)), stored by diagnostics.level_product on first use
-    product: tuple[FracOperator, np.ndarray] | None = field(default=None, repr=False)
     midpoints: tuple = field(default=(), repr=False)  # (op, U^{k-1/2}, product), newest first
 
 
@@ -147,7 +144,8 @@ def cn_step(U_nm1: np.ndarray, state_n: IeqState, op: FracOperator, cfg: SchemeC
     history = [(u, p) for o, u, p in state_n.midpoints if o is op]
     if history:
         weights = [(-1) ** i * math.comb(len(history), i + 1) for i in range(len(history))]
-        x0, x0_product = (sum(w * pair[k] for w, pair in zip(weights, history)) for k in (0, 1))
+        x0, x0_product = (np.empty_like(rhs) if all(setup.preconditioned) else  # projected below
+                          sum(w * y[k] for w, y in zip(weights, history)) for k in (0, 1))
         for j in (j for j, on in enumerate(setup.preconditioned) if on):
             row = lambda a: np.atleast_2d(a)[j]  # row j of a stack, or the array
             _projected_start(StepMatrix(op.rows[j], tau, row(diag)), row(rhs),
@@ -177,17 +175,19 @@ def run(problem, cfg: SchemeConfig, observers=(), op: FracOperator | None = None
     """Integrate from t=0 to t=T; deterministic for a fixed config.
 
     Observers are callables ``observer(state, stats)`` invoked at every
-    level, with stats None at level 0 only.  An already constructed operator
-    for the same (alpha, grid) may be passed to share it with observers.  A
-    tuple cfg.alpha steps its orders as one stack: op is an OperatorStack,
-    states hold one row per order, and stats are the largest over the rows.
-    No step reads a level product op.apply(U^n); an observer that needs one
-    computes it (diagnostics.level_product).  The solves' CG set-up, made
-    once before the first step (which refuses an unusable tolerance), is the
-    result's cg."""
+    level, with stats None at level 0 only; a level is frozen.  An already
+    constructed operator of cfg's (alpha, grid) may be passed to share it with
+    observers; one of another raises ValueError.  A tuple cfg.alpha steps its
+    orders as one stack: op is an OperatorStack, states hold one row per
+    order, and stats are the largest over the rows.  No step reads a level
+    product op.apply(U^n).  The solves' CG set-up, made once before the first
+    step (which refuses an unusable tolerance), is the result's cg."""
     if op is None:
         op = (OperatorStack([FracOperator(alpha, cfg.grid) for alpha in cfg.alpha])
               if isinstance(cfg.alpha, tuple) else FracOperator(cfg.alpha, cfg.grid))
+    elif op.alpha != cfg.alpha or op.grid != cfg.grid:
+        raise ValueError(f"op of alpha={op.alpha}, {op.grid} passed for cfg's "
+                         f"alpha={cfg.alpha}, {cfg.grid}")
     setup = cg_setup(op, cfg.tau, cfg.cg_tol)
     state = initial_state(problem, cfg.grid, len(op.rows) if isinstance(op, OperatorStack) else 0)
     for obs in observers:

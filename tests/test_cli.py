@@ -3,6 +3,7 @@ precedence, and byte-stable output."""
 
 import errno
 import json
+import math
 import os
 import re
 import subprocess
@@ -18,7 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fracsg import FracOperator, GridSpec, SchemeConfig, _dense, get_problem, run, solvers
-from fracsg import cli
+from fracsg import cli, diagnostics
 from fracsg.cli import SnapshotWriter, main
 from fracsg.diagnostics import EnergyRecorder, w_projection_drift
 from fracsg.scheme import IeqState
@@ -502,23 +503,22 @@ def test_non_finite_energy_exits_two(tmp_path):
 
 
 def test_energy_failing_at_a_later_alpha_leaves_no_series(tmp_path, monkeypatch, capsys):
-    seen = []
+    seen, energy = [], diagnostics.discrete_energy
 
-    class FailingAtSecondRow(EnergyRecorder):
-        def __call__(self, state, stats):
-            seen.append((self.row, state.n))
-            if self.row == 1 and state.n == 1:
-                raise solvers.NumericalFailure("injected")
-            super().__call__(state, stats)
+    def second_row_overflowing_at_level_1(state, op):
+        seen.append((op.alpha, state.n))
+        energies = energy(state, op)
+        return [energies[0], math.inf] if state.n == 1 else energies
 
-    monkeypatch.setattr(cli, "EnergyRecorder", FailingAtSecondRow)
+    monkeypatch.setattr(diagnostics, "discrete_energy", second_row_overflowing_at_level_1)
     monkeypatch.setattr(cli, "_usable_cores", lambda: 1)  # one group: one stack, in-process
     out = tmp_path / "e"
     assert main(["energy", "--example", "5.2", "--alphas", "1.5,2", "--domain", "-5", "5",
                  "--h", "0.5", "--tau", "0.1", "--T", "0.2", "--out", str(out)]) == 2
-    # the orders step as one stack: the first row has recorded level 1 already
-    assert seen == [(0, 0), (1, 0), (0, 1), (1, 1)]
-    assert "numerical failure: injected" in capsys.readouterr().err
+    # the orders step as one stack, one recorder reading both rows' energies at each level
+    assert seen == [((1.5, 2.0), 0), ((1.5, 2.0), 1)]
+    err = capsys.readouterr().err
+    assert "numerical failure: non-finite discrete energy inf at level 1\n" in err
     assert not list(out.glob("*"))
 
 
@@ -540,8 +540,8 @@ def test_energy_stack_equals_separate_runs_bit_for_bit(tmp_path, monkeypatch):
         return x, stats
 
     class KeptRecorder(EnergyRecorder):
-        def __init__(self, op, row):
-            super().__init__(op, row)
+        def __init__(self, op):
+            super().__init__(op)
             recorders.append(self)
 
     monkeypatch.setattr(fracsg.scheme, "solve", recording_solve)
@@ -551,14 +551,14 @@ def test_energy_stack_equals_separate_runs_bit_for_bit(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_usable_cores", lambda: 1)  # one group: one stack, in-process
     assert main(["energy", "--alphas", "1.3,1.6,2", *MIXED_STACK,
                  "--out", str(tmp_path / "e")]) == 0
-    (stack,), cfg = results, cli._scheme_config(
+    (stack,), (kept,), cfg = results, recorders, cli._scheme_config(
         {"domain": (-10.0, 10.0), "h": 0.25, "tau": 0.6, "T": 6.0}, alphas)
     for i, alpha in enumerate(alphas):
         op = FracOperator(alpha, cfg.grid)
         recorder = EnergyRecorder(op)
         single = run(get_problem("5.2"), replace(cfg, alpha=alpha), observers=(recorder,), op=op)
-        assert recorders[i].op.alpha[recorders[i].row] == alpha
-        assert np.array_equal(np.array(recorders[i].rows), np.array(recorder.rows))
+        assert kept.op.alpha[i] == alpha
+        assert np.array_equal(np.array(kept.series[i]), np.array(recorder.series[0]))
         for name in ("U", "V", "W"):
             assert np.array_equal(getattr(stack.state, name)[i], getattr(single.state, name))
     # the rows left the stack's CG at different iterations, the last one ending it

@@ -16,7 +16,7 @@ from fracsg import (
     initial_state,
     run,
 )
-from fracsg import solvers
+from fracsg import _dense, solvers
 from fracsg.diagnostics import max_norm_error_self, orders_from_errors, w_projection_drift
 from fracsg.scheme import IeqState
 
@@ -74,9 +74,10 @@ def test_energy_recorder_rows():
     op = FracOperator(cfg.alpha, grid)
     rec = EnergyRecorder(op)
     run(get_problem("5.1"), cfg, observers=(rec,), op=op)
-    assert len(rec.rows) == 6
-    assert rec.rows[0][3] == 0.0
-    assert [r[0] for r in rec.rows] == list(range(6))
+    (rows,) = rec.series  # one order: one series
+    assert len(rows) == 6
+    assert rows[0][3] == 0.0
+    assert [r[0] for r in rows] == list(range(6))
     assert rec.max_relative_drift() <= 1e-10
 
 
@@ -158,3 +159,12 @@ class TestLadder:
         cfg = ladder_root(alpha, 20, 2, cg_tol=1e-10, solve=counting)
         convergence_ladder(get_problem("5.1"), cfg, 2)
         assert tolerances == [1e-10] * sum(2 * 2 ** lvl for lvl in range(runs))
+
+
+@pytest.mark.parametrize("call", [
+    lambda cfg: convergence_ladder(get_problem("5.1"), cfg, 2),
+    lambda cfg: run(get_problem("5.1"), replace(cfg, solve=_dense.solve)),
+], ids=["convergence_ladder", "dense_solve"])
+def test_a_stack_where_one_order_is_taken_is_refused_naming_alpha(call):
+    with pytest.raises(ValueError, match=r"one order, got alpha=\(1\.5, 1\.8\)"):
+        call(ladder_root((1.5, 1.8), 20, 2))

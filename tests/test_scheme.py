@@ -1,6 +1,8 @@
 """Time-stepper tests: coefficient function, startup step, conservative
 stepping, and the dense block-system cross-check."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -19,8 +21,8 @@ from fracsg import (
     startup_step,
 )
 from fracsg import _dense, solvers
+from fracsg.operator import OperatorStack
 from fracsg.problems import Problem, exact_breather
-from fracsg.diagnostics import level_product
 from fracsg.scheme import HISTORY, IeqState, b_func
 
 from oracles import assemble_block_system, energy_seminorm_sq
@@ -155,12 +157,9 @@ def test_each_level_applies_the_operator_once(monkeypatch, with_recorder):
     assert len(applies) == sum(iterations) + (cfg.N + 1) + products
     monkeypatch.undo()
     assert len(states) == cfg.N + 1
-    assert sum(state.product is not None for state in states) == products
-    for state in states[:products]:
-        assert state.product[0] is op
-        assert np.array_equal(state.product[1], op.apply(state.U))
+    assert len(recorder.series[0]) == products
     h = grid.h
-    for state, row in zip(states, recorder.rows):
+    for state, row in zip(states, recorder.series[0]):
         assert row[2] == 0.5 * (h * float(np.dot(state.V, state.V))
                                 + energy_seminorm_sq(op, state.U)
                                 + 2.0 * h * float(np.dot(state.W, state.W)))
@@ -179,11 +178,10 @@ def test_no_step_reads_a_level_product(monkeypatch):
     levels, step = [], fracsg.scheme.cn_step
     monkeypatch.setattr(fracsg.scheme, "cn_step",
                         lambda prev, state, *args: levels.append(state) or step(prev, state, *args))
-    result = run(get_problem("5.2"), cfg, op=op)
+    run(get_problem("5.2"), cfg, op=op)
     # CG iterations, the first step's initial residual and one true residual per step
     assert len(applies) == sum(s.iterations for s in stats) + cfg.N + 1
     assert len(levels) == cfg.N
-    assert all(state.product is None for state in levels + [result.state])
     applies.clear()
     stats.clear()
     # the energy series reads one product per level
@@ -191,13 +189,49 @@ def test_no_step_reads_a_level_product(monkeypatch):
     assert len(applies) == sum(s.iterations for s in stats) + cfg.N + 1 + (cfg.N + 1)
 
 
+def test_a_stack_recorder_applies_the_operator_once_per_level(monkeypatch):
+    grid = GridSpec(a=-20.0, b=20.0, M=100)
+    cfg = SchemeConfig(grid=grid, alpha=(1.5, 1.9), T=1.0, N=10)
+    op = OperatorStack([FracOperator(alpha, grid) for alpha in cfg.alpha])
+    stats = recording_solves(monkeypatch)
+    applies, apply = [], FracOperator.apply
+    monkeypatch.setattr(FracOperator, "apply", lambda self, u: applies.append(1) or apply(self, u))
+    recorder = EnergyRecorder(op)
+    run(get_problem("5.2"), cfg, observers=(recorder,), op=op)
+    # the steps' applies, as for one order, and one batched product per level for both rows
+    assert len(applies) == sum(s.iterations for s in stats) + cfg.N + 1 + (cfg.N + 1)
+    assert [[n for n, *_ in rows] for rows in recorder.series] == [list(range(cfg.N + 1))] * 2
+
+
 def test_level_product_is_computed_for_the_operator_asked():
     grid = GridSpec(a=-20.0, b=20.0, M=40)
     state = initial_state(get_problem("5.2"), grid)
     ops = [FracOperator(alpha, grid) for alpha in (1.5, 1.9)]
+    h = grid.h
     for op in ops + ops[:1]:
-        assert np.array_equal(level_product(state, op), op.apply(state.U))
-        assert state.product[0] is op
+        assert discrete_energy(state, op) == 0.5 * (
+            h * float(np.dot(state.V, state.V)) + h * float(np.dot(op.apply(state.U), state.U))
+            + 2.0 * h * float(np.dot(state.W, state.W)))
+    stacked = initial_state(get_problem("5.2"), grid, rows=2)  # of a stack: its rows' energies
+    assert discrete_energy(stacked, OperatorStack(ops)) == [discrete_energy(state, op) for op in ops]
+
+
+@pytest.mark.parametrize("name", [field.name for field in dataclasses.fields(IeqState)])
+def test_a_level_is_frozen(name):
+    state = initial_state(get_problem("5.2"), GridSpec(a=-20.0, b=20.0, M=40))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(state, name, getattr(state, name))
+
+
+@pytest.mark.parametrize("alpha, domain", [(1.9, (-10.0, 10.0)), (1.5, (-5.0, 5.0))],
+                         ids=["alpha", "grid"])
+def test_run_refuses_an_operator_of_another_order_or_grid(alpha, domain):
+    cfg = SchemeConfig(grid=GridSpec(a=-10.0, b=10.0, M=40), alpha=1.5, T=0.2, N=2)
+    op = FracOperator(alpha, GridSpec(*domain, M=40))
+    with pytest.raises(ValueError) as refused:
+        run(get_problem("5.1"), cfg, op=op)
+    for named in (f"alpha={op.alpha}, {op.grid}", f"alpha={cfg.alpha}, {cfg.grid}"):
+        assert named in str(refused.value)
 
 
 def test_startup_is_one_solve_and_run_is_n(monkeypatch):
@@ -339,8 +373,9 @@ def test_time_column_is_computed_from_the_level_index():
     op = FracOperator(cfg.alpha, grid)
     recorder = EnergyRecorder(op)
     run(get_problem("5.1"), cfg, observers=(recorder,), op=op)
-    assert [t for _, t, _, _ in recorder.rows] == [cfg.T * (n / cfg.N) for n in range(cfg.N + 1)]
-    assert recorder.rows[-1][1] == cfg.T
+    (rows,) = recorder.series
+    assert [t for _, t, _, _ in rows] == [cfg.T * (n / cfg.N) for n in range(cfg.N + 1)]
+    assert rows[-1][1] == cfg.T
 
 
 def stiff_config(M=16000, N=10):
@@ -386,7 +421,6 @@ def test_preconditioned_step_reads_no_level_product(monkeypatch):
     # CG iterations, the first step's initial residual and one true residual
     # per step: every later initial residual comes from the stored products
     assert len(applies) == sum(s.iterations for s in stats) + 1 + cfg.N
-    assert all(state.product is None for state in states)
     assert [len(state.midpoints) for state in states] == [0, 1, 2] + [HISTORY] * (cfg.N - 2)
 
 
@@ -402,15 +436,19 @@ def test_run_builds_its_preconditioner_once(monkeypatch):
 
 
 def test_projected_start_saves_iterations(monkeypatch):
+    import fracsg.scheme
+
     cfg = stiff_config(M=4000)
     stats = recording_solves(monkeypatch)
     projected = run(get_problem("5.1"), cfg)
     by_projection = sum(s.iterations for s in stats[1:])
     stats.clear()
-    # every level's stored midpoints dropped, so each step starts from the
-    # extrapolation; the solver still preconditions
-    extrapolated = run(get_problem("5.1"), cfg,
-                       observers=(lambda state, _: setattr(state, "midpoints", ()),))
+    # every step made from its level with the stored midpoints dropped, so it
+    # starts from the extrapolation; the solver still preconditions
+    step = fracsg.scheme.cn_step
+    monkeypatch.setattr(fracsg.scheme, "cn_step", lambda prev, state, *args: step(
+        prev, dataclasses.replace(state, midpoints=()), *args))
+    extrapolated = run(get_problem("5.1"), cfg)
     assert by_projection < sum(s.iterations for s in stats[1:])
     for name in ("U", "V", "W"):
         assert np.max(np.abs(getattr(projected.state, name)
@@ -427,6 +465,6 @@ def test_true_residual_does_not_trust_a_stored_midpoint_product():
     _, honest = cn_step(state1.U, state2, op, cfg, setup)
     assert honest.residual <= 1e-12
     (_, U_mid, product), *older = state2.midpoints
-    state2.midpoints = ((op, U_mid, 1.01 * product), *older)
+    state2 = dataclasses.replace(state2, midpoints=((op, U_mid, 1.01 * product), *older))
     _, stats = cn_step(state1.U, state2, op, cfg, setup)
     assert stats.residual > 1e-6
