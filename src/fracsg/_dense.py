@@ -22,27 +22,29 @@ def check_size(m: int) -> None:
 
 
 def operator_matrix(op: FracOperator) -> np.ndarray:
-    """h^{-alpha} C, the Toeplitz matrix kernel[|i - j|]; kept while op lives."""
+    """h^{-alpha} C of each row, Toeplitz matrices kernel[|i - j|]; kept while op lives."""
     if op not in _MATRICES:
         i = np.arange(op.size)
-        _MATRICES[op] = op.scale * op.kernel[np.abs(i[:, None] - i)]
+        _MATRICES[op] = op.scale[:, :, None] * op.kernel[:, np.abs(i[:, None] - i)]
     return _MATRICES[op]
 
 
 def step_matrix(mat: StepMatrix) -> np.ndarray:
-    """M_sys = I + (tau^2/4) h^{-alpha} C + diag(d)."""
-    m = (0.25 * mat.tau * mat.tau) * operator_matrix(mat.op) + np.eye(len(mat.diag))
-    m[np.diag_indices_from(m)] += mat.diag
+    """M_sys = I + (tau^2/4) h^{-alpha} C + diag(d) of each row, (k, M-1, M-1)."""
+    m = (0.25 * mat.tau * mat.tau) * operator_matrix(mat.op) + np.eye(mat.op.size)
+    i = np.arange(mat.op.size)
+    m[:, i, i] += mat.diag
     return m
 
 
 def solve(mat: StepMatrix, rhs: np.ndarray, *_, **__) -> tuple[np.ndarray, SolveStats]:
-    """LU solve (numpy.linalg.solve), refactorized every step as d changes with the
-    midpoint; takes solvers.solve's arguments, all but the first two unused."""
-    if isinstance(mat.op.alpha, tuple):
-        raise ValueError(f"the dense solve takes one order, got alpha={mat.op.alpha}")
-    check_size(len(mat.diag))
-    # a zero rhs: x and the residual 0
-    bnorm = _finite(float(np.linalg.norm(rhs)), "right-hand side", mat.op.alpha) or 1.0
-    x = np.linalg.solve(step_matrix(mat), rhs)
-    return x, SolveStats(iterations=0, residual=float(np.linalg.norm(rhs - mat.matvec(x))) / bnorm)
+    """LU solve (numpy.linalg.solve) of each row's system, refactorized every step as d changes
+    with the midpoint; takes solvers.solve's arguments, all but the first two unused."""
+    check_size(mat.op.size)
+    b = np.reshape(rhs, (len(mat.op.alpha), mat.op.size))  # one row may come as a vector
+    bnorms = [_finite(v, "right-hand side", a) or 1.0  # a zero rhs: x and the residual 0
+              for v, a in zip(np.sqrt(np.vecdot(b, b)).tolist(), mat.op.alpha)]
+    x = np.linalg.solve(step_matrix(mat), b[..., None])[..., 0]
+    res = b - mat.matvec(x)
+    return x.reshape(np.shape(rhs)), SolveStats(iterations=0, residual=max(
+        v / bnorm for v, bnorm in zip(np.sqrt(np.vecdot(res, res)).tolist(), bnorms)))

@@ -23,18 +23,18 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import IO, Any, Callable, NamedTuple
+from typing import IO, Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import __version__
 from ._format import csv_lines
 from .diagnostics import EnergyRecorder, convergence_ladder, w_projection_drift
-from .operator import FracOperator, GridSpec, OperatorStack, check_alpha
+from .operator import FracOperator, GridSpec, check_alpha
 from .presets import PRESETS
 from .problems import get_problem
 from .scheme import IeqState, SchemeConfig, run
-from .solvers import CG_DEFAULT_TOL_CEILING, NumericalFailure, cg_row
+from .solvers import CG_DEFAULT_TOL_CEILING, NumericalFailure, cg_rows
 
 _BLOCK = 500  # rows per csv_lines call, so that its work arrays stay small
 _PIPE_BYTES = 1 << 20  # room for about 21 soliton snapshots of 48 KB while the writer lags
@@ -235,10 +235,11 @@ class SnapshotWriter(_Children):
 
     def __call__(self, state: IeqState, stats) -> None:
         if state.n % self.stride == 0 or state.n == self.last:
+            level = np.concatenate(([state.n], state.U, state.V, state.W), axis=None)  # one row
             if not self.children:  # in-process
-                return self._write(state.n, state.U, state.V, state.W)
+                return self._write(state.n, *level[1:].reshape(3, -1))
             self.out.opened.append(self.out.dir / f"solution_{state.n}.csv")  # the writer's: a copy
-            view = memoryview(np.concatenate(([state.n], state.U, state.V, state.W))).cast("B")
+            view = memoryview(level).cast("B")
             while view:  # BrokenPipeError if the writer has left; __exit__ raises its error
                 view = view[os.write(self._data, view):]
 
@@ -264,7 +265,7 @@ def _usable_cores() -> int:  # the one place that counts them, so tests can fix 
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _on_cores(func: Callable[[list], list], items: list) -> list:
+def _on_cores(func: Callable[[Sequence], list], items: Sequence) -> list:
     """func(group)'s results, one per item, in the items' order; item i is in group i mod k,
     k = min(len(items), usable cores) or 1 without os.fork, and a child runs each but group 0."""
     k = min(len(items), _usable_cores()) if hasattr(os, "fork") else 1
@@ -287,7 +288,7 @@ def cmd_run(s: dict, out: Outputs) -> int:
     levels = []  # per level: W drift, largest |U| at the two outermost interior nodes
     with SnapshotWriter(out, grid.interior_nodes(), stride, cfg.N) as snapshots:
         result = run(problem, cfg, op=op, observers=(recorder, snapshots, lambda state, stats:
-                     levels.append((w_projection_drift(state), abs(state.U[[0, -1]]).max()))))
+                     levels.append((w_projection_drift(state), abs(state.U[..., [0, -1]]).max()))))
     w_drift_max, boundary_max = np.max(levels, axis=0)
     cg = result.cg
     meta = dict(
@@ -327,17 +328,16 @@ def cmd_energy(s: dict, out: Outputs) -> int:
     if clashes:
         raise ValueError(f"invalid alphas: {'; '.join(clashes)}")
     cfg = _scheme_config(s, tuple(alpha for alpha, in alphas_of.values()))
-    ops, problem = [FracOperator(alpha, cfg.grid) for alpha in cfg.alpha], get_problem(s["example"])
-    for op in ops:  # an unusable tolerance at any order is refused before any step
-        cg_row(op, cfg.tau, cfg.cg_tol)
+    op, problem = FracOperator(cfg.alpha, cfg.grid), get_problem(s["example"])
+    cg_rows(op, cfg.tau, cfg.cg_tol)  # an unusable tolerance at any order: refused before any step
 
-    def series(group: list[FracOperator]) -> list:  # the orders of a group step as one stack
-        op = OperatorStack(group)
-        recorder = EnergyRecorder(op)
-        run(problem, replace(cfg, alpha=op.alpha), observers=(recorder,), op=op)
+    def series(rows: range) -> list:  # the orders of a group step as one stack
+        group = op[rows.start:rows.stop:rows.step]  # views of op's rows
+        recorder = EnergyRecorder(group)
+        run(problem, replace(cfg, alpha=group.alpha), observers=(recorder,), op=group)
         return recorder.series
 
-    for name, rows in zip(alphas_of, _on_cores(series, ops)):
+    for name, rows in zip(alphas_of, _on_cores(series, range(len(cfg.alpha)))):
         _write_csv(out, name, "n,t,E,RE", rows)
     return 0
 

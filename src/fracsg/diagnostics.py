@@ -18,18 +18,17 @@ import numpy as np
 from .operator import FracOperator
 from .problems import Problem
 from .scheme import IeqState, SchemeConfig, run
-from .solvers import NumericalFailure, _dots
+from .solvers import NumericalFailure
 
 
 def discrete_energy(state: IeqState, op: FracOperator) -> float | list[float]:
-    """E^n = 1/2 (||V||^2 + ||Lambda^alpha U||^2 + 2 ||W||^2) with the
-    discrete inner product h * sum over interior nodes; of a stack, a list of
-    its rows' energies.  The seminorm term ||Lambda^alpha U||^2 = h^{1-alpha}
-    U^T C U is h (op.apply(U), U), one operator application for all rows."""
+    """E^n = 1/2 (||V||^2 + ||Lambda^alpha U||^2 + 2 ||W||^2) with the discrete inner
+    product h * sum over interior nodes: the rows' energies, a list, or a float for a
+    level of vectors.  The seminorm term ||Lambda^alpha U||^2 = h^{1-alpha} U^T C U is
+    h (op.apply(U), U), one operator application for all rows."""
     h = op.grid.h
-    energies = [0.5 * (h * vv + h * cu + 2.0 * h * ww) for vv, cu, ww in zip(
-        _dots(state.V, state.V), _dots(op.apply(state.U), state.U), _dots(state.W, state.W))]
-    return energies if state.U.ndim > 1 else energies[0]
+    return (0.5 * (h * np.vecdot(state.V, state.V) + h * np.vecdot(op.apply(state.U), state.U)
+                   + 2.0 * h * np.vecdot(state.W, state.W))).tolist()
 
 
 def w_projection_drift(state: IeqState) -> float:
@@ -40,16 +39,18 @@ def w_projection_drift(state: IeqState) -> float:
 
 class EnergyRecorder:
     """Run observer accumulating, per row of ``op``, (n, t, E, RE) rows, RE =
-    |(E^n - E^0)/E^0|, in ``series``; a non-finite E^n is a NumericalFailure."""
+    |(E^n - E^0)/E^0|, in ``series``; a non-finite E^n is a NumericalFailure
+    naming the row's alpha."""
 
     def __init__(self, op: FracOperator):
-        self.op, self.series = op, [[] for _ in op.rows]
+        self.op, self.series = op, [[] for _ in op.alpha]
 
     def __call__(self, state: IeqState, stats) -> None:
         energies = discrete_energy(state, self.op)
-        energies = energies if isinstance(energies, list) else [energies]
-        if bad := [e for e in energies if not np.isfinite(e)]:
-            raise NumericalFailure(f"non-finite discrete energy {bad[0]} at level {state.n}")
+        for e, alpha in zip(energies, self.op.alpha):  # every row checked before any is kept
+            if not np.isfinite(e):
+                raise NumericalFailure(
+                    f"non-finite discrete energy {e} at level {state.n} for alpha={alpha:g}")
         for rows, e in zip(self.series, energies):
             e0 = rows[0][2] if rows else e
             rows.append((state.n, state.t, e, abs((e - e0) / e0)))

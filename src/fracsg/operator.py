@@ -14,7 +14,9 @@ needs no SciPy.  Importing it pins glibc's malloc thresholds
 
 from __future__ import annotations
 
+import copy
 import ctypes
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -81,6 +83,14 @@ def check_alpha(alpha) -> float:
     return alpha
 
 
+def _orders(alpha) -> tuple[float, ...]:
+    """``alpha``, a number or a nonempty tuple of numbers, as the tuple of its orders."""
+    alphas = alpha if isinstance(alpha, tuple) else (alpha,)
+    if not alphas or not all(isinstance(a, numbers.Real) for a in alphas):
+        raise ValueError(f"alpha must be a number or a nonempty tuple, got {alpha!r}")
+    return tuple(map(check_alpha, alphas))
+
+
 def generate_kernel(alpha: float, length: int) -> np.ndarray:
     """One-sided coefficient sequence c_0 .. c_{length-1} of the fractional
     centered difference of order ``alpha`` (the full stencil is symmetric,
@@ -132,7 +142,8 @@ class GridSpec:
 
 
 class FracOperator:
-    """Discrete fractional Laplacian h^{-alpha} * C on the interior of a grid.
+    """Discrete fractional Laplacians h^{-alpha} * C on the interior of a grid, one row
+    per order of ``alpha``, a number or a tuple of numbers: a single order is one row.
 
     C is the symmetric Toeplitz matrix built from the centered-difference
     kernel; its eigenvalues lie in (0, 2 c_0), so the operator is SPD.  The
@@ -140,63 +151,48 @@ class FracOperator:
     (also run metadata) is the shortest multiple of 4 of the form 2^a q, q in
     FAST_ODD_FACTORS, that holds it: at least 2(M-1) - 1.  The extension's rfft
     ``symbol`` has real part c_0 + 2 sum_{0<k<M-1} c_k cos(k theta) >= 0, as c_k < 0
-    for k > 0.
+    for k > 0.  ``alpha`` is the tuple of the orders, and ``kernel``, ``scale``
+    h^{-alpha} and ``symbol`` have a row each; ``op[rows]`` is some rows, not rebuilt.
     """
 
-    def __init__(self, alpha: float, grid: GridSpec):
-        self.alpha = float(alpha)
+    def __init__(self, alpha: float | tuple[float, ...], grid: GridSpec):
+        self.alpha = _orders(alpha)
         self.grid = grid
-        self.kernel = generate_kernel(alpha, grid.M - 1)
-        self.scale = grid.h ** (-self.alpha)
-        m = grid.M - 1
+        m = self.size = grid.M - 1  # interior nodes
+        self.kernel = np.array([generate_kernel(a, m) for a in self.alpha])
+        self.scale = np.array([[grid.h ** -a] for a in self.alpha])
         need = 2 * m - 1  # q 2^a >= need, a >= 2, with 2^a the power of two >= ceil(need / q)
         self.embed_size = min(q << max(2, (-(-need // q) - 1).bit_length())
                               for q in FAST_ODD_FACTORS)
-        circ = np.zeros(self.embed_size)
-        circ[:m] = self.kernel
-        circ[self.embed_size - m + 1:] = self.kernel[1:][::-1]
-        self.symbol = np.fft.rfft(circ)
+        circ = np.zeros((len(self.alpha), self.embed_size))
+        circ[:, :m] = self.kernel
+        circ[:, self.embed_size - m + 1:] = self.kernel[:, :0:-1]
+        self.symbol = np.fft.rfft(circ)  # row by row, each row's own bits
 
-    @property
-    def size(self) -> int:
-        return self.grid.M - 1
-
-    rows = property(lambda self: (self,), doc="The operators of its rows: itself alone.")
-
-    def _check(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=np.float64)
-        if u.shape != self.symbol.shape[:-1] + (self.size,):
-            raise ValueError(f"expected interior vector of length {self.size}, got shape {u.shape}")
-        return u
+    def __getitem__(self, rows) -> FracOperator:
+        part = copy.copy(self)
+        part.alpha, part.kernel = tuple(np.array(self.alpha)[rows].tolist()), self.kernel[rows]
+        part.scale, part.symbol = self.scale[rows], self.symbol[rows]
+        return part
 
     @staticmethod
     def circulant_product(spectrum: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """First len(u) entries of the circulant of length 2 (len(spectrum) - 1), or 1, with
-        rfft spectrum ``spectrum``, applied to u padded with zeros, row by row for a stack."""
+        """First u.shape[-1] entries of the circulant of length 2 (spectrum.shape[-1] - 1), or 1,
+        with rfft spectrum ``spectrum``, applied to u padded with zeros, row by row."""
         n = 2 * (spectrum.shape[-1] - 1) or 1
         transform = np.fft.rfft(u, n=n)
         transform *= spectrum
         return np.fft.irfft(transform, n=n)[..., :u.shape[-1]]
 
     def apply_fft(self, u: np.ndarray) -> np.ndarray:
-        return self.scale * self.circulant_product(self.symbol, self._check(u))
+        """Each row's operator on its row of u, (k, M-1), or one row's on a vector u."""
+        u = np.asarray(u, dtype=np.float64)
+        rows = u if u.ndim > 1 else u[None]  # a one-row operator also takes a vector
+        if rows.shape != self.kernel.shape:
+            raise ValueError(f"expected shape {self.kernel.shape}, or a vector for one row, "
+                             f"got {u.shape}")
+        out = self.scale * self.circulant_product(self.symbol, rows)
+        return out if rows is u else out[0]
 
     # one action under both names
     apply = apply_fft
-
-
-class OperatorStack(FracOperator):
-    """Operators ``ops`` of one grid, op i acting on row i of (k, M-1) arrays,
-    all rows through one batched FFT pair, which equals the rows' own bit for
-    bit.  The symbols are kept once: an op's own becomes a view of its row,
-    unless it is already a row of another stack."""
-
-    def __init__(self, ops):
-        self.ops, self.grid, self.embed_size = tuple(ops), ops[0].grid, ops[0].embed_size
-        self.alpha, self.scale = tuple(op.alpha for op in ops), np.array([[op.scale] for op in ops])
-        self.symbol = np.stack([op.symbol for op in ops])
-        for op, row in zip(ops, self.symbol):
-            if op.symbol.base is None:
-                op.symbol = row
-
-    rows = property(lambda self: self.ops)

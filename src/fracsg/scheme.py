@@ -9,10 +9,11 @@ and conserves the discrete energy
 
 exactly in exact arithmetic.  Each step reduces to one SPD solve for the
 midpoint displacement; velocity and auxiliary midpoints are recovered
-algebraically.  The first step extrapolates from the virtual level
-U^{-1} = U^0 - tau V^0, so it evaluates b at the explicit predictor
-U^0 + (tau/2) V^0 of the midpoint; the energy is conserved for any frozen b, so
-it is the same linear solve, by the same cn_step.
+algebraically.  A level holds (k, M-1) arrays, one row per order: a single
+order steps as a stack of one row.  The first step extrapolates from the
+virtual level U^{-1} = U^0 - tau V^0, so it evaluates b at the explicit
+predictor U^0 + (tau/2) V^0 of the midpoint; the energy is conserved for any
+frozen b, so it is the same linear solve, by the same cn_step.
 
 CG starts each later step from the solved midpoints of up to HISTORY earlier steps,
 stored on the level with the products each solve leaves in mat.product: a plain row
@@ -27,12 +28,13 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable
 
 import numpy as np
 
-from .operator import FracOperator, GridSpec, OperatorStack, check_alpha
+from .operator import FracOperator, GridSpec, _orders
 from .solvers import CGSetup, SolveStats, StepMatrix, cg_setup, solve
 
 # Midpoints a start is made of: at alpha 1.8, M = 16000, N = 10, 3 to 6 took 28 CG iterations, 2 35
@@ -47,8 +49,9 @@ def b_func(x):
 @dataclass(frozen=True)
 class IeqState:
     """Grid unknowns at one time level: displacement U, velocity V, and the
-    quadratization variable W (initialized to sqrt(2 - cos U)); ``midpoints`` belong to
-    the next step, which starts from them.  Frozen: no field is rebound after
+    quadratization variable W (initialized to sqrt(2 - cos U)), one row per order
+    of a run, or vectors (initial_state, a float alpha's result); ``midpoints`` belong
+    to the next step, which starts from them.  Frozen: no field is rebound after
     construction, so the level an observer receives is the one the next step reads."""
 
     U: np.ndarray
@@ -62,16 +65,14 @@ class IeqState:
 @dataclass
 class SchemeConfig:
     grid: GridSpec
-    alpha: float | tuple[float, ...]  # a tuple: its orders step as one stack
+    alpha: float | tuple[float, ...]  # a tuple: its orders step as one stack, a float as one row
     T: float
     N: int
     cg_tol: float | None = None  # None: the default of solvers.cg_setup
     solve: Callable | None = None  # like solvers.solve; None: the module's solve when called
 
     def __post_init__(self) -> None:
-        alphas = self.alpha if isinstance(self.alpha, tuple) else (self.alpha,)
-        if not alphas or not all(isinstance(a, numbers.Real) and check_alpha(a) for a in alphas):
-            raise ValueError(f"alpha must be a number or a nonempty tuple, got {self.alpha!r}")
+        _orders(self.alpha)
         if self.cg_tol is not None and not 0.0 < self.cg_tol < 1.0:
             raise ValueError(f"cg_tol must lie in (0, 1), got {self.cg_tol}")
         if not 0 < self.T < math.inf:
@@ -94,12 +95,11 @@ class RunResult:
     cg: CGSetup  # the set-up of every solve
 
 
-def initial_state(problem, grid: GridSpec, rows: int = 0) -> IeqState:
+def initial_state(problem, grid: GridSpec) -> IeqState:
+    """Level 0 of ``problem`` on ``grid``, as vectors of the interior values."""
     x = grid.interior_nodes()
     U = np.asarray(problem.phi(x), dtype=np.float64)
     V = np.asarray(problem.psi(x), dtype=np.float64)
-    if rows:  # a stack of that many equal rows
-        U, V = np.tile(U, (rows, 1)), np.tile(V, (rows, 1))
     W = np.sqrt(2.0 - np.cos(U))
     return IeqState(U=U, V=V, W=W, t=0.0, n=0)
 
@@ -121,7 +121,7 @@ def _projected_start(mat: StepMatrix, rhs: np.ndarray, history, x0: np.ndarray,
     g = np.array([np.dot(u, rhs) for u, _ in history])  # c = sum_e (e.g / e^T gram e) e
     c = sum(((e * g).sum() / ee * e for e, ee in basis), np.zeros(len(history)))
     for out, k in ((x0, 0), (x0_product, 1)):
-        out[...] = sum(ci * pair[k] for ci, pair in zip(c, history))
+        out[...] = reduce(np.add, (ci * pair[k] for ci, pair in zip(c, history)))
 
 
 def cn_step(U_nm1: np.ndarray, state_n: IeqState, op: FracOperator, cfg: SchemeConfig,
@@ -145,11 +145,11 @@ def cn_step(U_nm1: np.ndarray, state_n: IeqState, op: FracOperator, cfg: SchemeC
     if history:
         weights = [(-1) ** i * math.comb(len(history), i + 1) for i in range(len(history))]
         x0, x0_product = (np.empty_like(rhs) if all(setup.preconditioned) else  # projected below
-                          sum(w * y[k] for w, y in zip(weights, history)) for k in (0, 1))
+                          reduce(np.add, (w * y[k] for w, y in zip(weights, history)))
+                          for k in (0, 1))
         for j in (j for j, on in enumerate(setup.preconditioned) if on):
-            row = lambda a: np.atleast_2d(a)[j]  # row j of a stack, or the array
-            _projected_start(StepMatrix(op.rows[j], tau, row(diag)), row(rhs),
-                             [(row(u), row(p)) for u, p in history], row(x0), row(x0_product))
+            _projected_start(StepMatrix(op[j:j + 1], tau, diag[j]), rhs[j],
+                             [(u[j], p[j]) for u, p in history], x0[j], x0_product[j])
     U_mid, stats = (cfg.solve or solve)(mat, rhs, setup, x0=x0, x0_product=x0_product)
     midpoints = ((op, U_mid, mat.product),) + state_n.midpoints[:HISTORY - 1]  # solve's own arrays
     del diag, rhs, mat  # freed before the next level is built
@@ -174,22 +174,22 @@ def startup_step(state0: IeqState, op: FracOperator, cfg: SchemeConfig,
 def run(problem, cfg: SchemeConfig, observers=(), op: FracOperator | None = None) -> RunResult:
     """Integrate from t=0 to t=T; deterministic for a fixed config.
 
-    Observers are callables ``observer(state, stats)`` invoked at every
-    level, with stats None at level 0 only; a level is frozen.  An already
-    constructed operator of cfg's (alpha, grid) may be passed to share it with
-    observers; one of another raises ValueError.  A tuple cfg.alpha steps its
-    orders as one stack: op is an OperatorStack, states hold one row per
-    order, and stats are the largest over the rows.  No step reads a level
-    product op.apply(U^n).  The solves' CG set-up, made once before the first
-    step (which refuses an unusable tolerance), is the result's cg."""
+    Observers are callables ``observer(state, stats)`` invoked at every level, with
+    stats None at level 0 only; a level is frozen and holds (k, M-1) arrays, one row
+    per order of cfg.alpha, which step as one stack, stats the largest over the rows.
+    An already constructed operator of cfg's (alpha, grid) may be passed to share it
+    with observers; one of another raises ValueError.  No step reads a level product
+    op.apply(U^n).  The solves' CG set-up, made once before the first step (which
+    refuses an unusable tolerance), is the result's cg, and its state the last level,
+    as vectors for a float cfg.alpha."""
     if op is None:
-        op = (OperatorStack([FracOperator(alpha, cfg.grid) for alpha in cfg.alpha])
-              if isinstance(cfg.alpha, tuple) else FracOperator(cfg.alpha, cfg.grid))
-    elif op.alpha != cfg.alpha or op.grid != cfg.grid:
+        op = FracOperator(cfg.alpha, cfg.grid)
+    elif op.alpha != _orders(cfg.alpha) or op.grid != cfg.grid:
         raise ValueError(f"op of alpha={op.alpha}, {op.grid} passed for cfg's "
                          f"alpha={cfg.alpha}, {cfg.grid}")
     setup = cg_setup(op, cfg.tau, cfg.cg_tol)
-    state = initial_state(problem, cfg.grid, len(op.rows) if isinstance(op, OperatorStack) else 0)
+    state = initial_state(problem, cfg.grid)  # vectors, then a row of them per order
+    state = IeqState(*(np.tile(a, (len(op.alpha), 1)) for a in (state.U, state.V, state.W)), 0.0, 0)
     for obs in observers:
         obs(state, None)
 
@@ -202,6 +202,7 @@ def run(problem, cfg: SchemeConfig, observers=(), op: FracOperator | None = None
         for obs in observers:
             obs(state, stats)
 
-    return RunResult(state=replace(state, midpoints=()),  # stored midpoints: the steps' alone
-                     steps=cfg.N, cg_iterations_max=max(iters),
+    shape = np.shape(cfg.alpha) + (op.size,)  # a float alpha's level: one row as a vector
+    final = IeqState(*(a.reshape(shape) for a in (state.U, state.V, state.W)), state.t, state.n)
+    return RunResult(state=final, steps=cfg.N, cg_iterations_max=max(iters),
                      cg_iterations_mean=float(np.mean(iters)), residual_max=res_max, cg=setup)

@@ -17,8 +17,9 @@ def apply_dense(op, u):
     """O(M^2) direct-summation action of ``op`` on u; FFT-free oracle for
     ``op.apply_fft``."""
     m = op.size
-    sym = np.concatenate((op.kernel[:0:-1], op.kernel))
-    return op.scale * np.convolve(np.asarray(u, dtype=np.float64), sym)[m - 1:2 * m - 1]
+    (kernel,), ((scale,),) = op.kernel, op.scale  # a one-row operator's
+    sym = np.concatenate((kernel[:0:-1], kernel))
+    return scale * np.convolve(np.asarray(u, dtype=np.float64), sym)[m - 1:2 * m - 1]
 
 
 def energy_seminorm_sq(op, u):
@@ -43,7 +44,7 @@ def assemble_block_system(op, tau, bvec, U_n, V_n, W_n, size_guard=128):
     if m > size_guard:
         raise ValueError(f"block assembly limited to {size_guard} interior nodes, got {m}")
     I = np.eye(m)
-    A = _dense.operator_matrix(op)
+    (A,) = _dense.operator_matrix(op)  # a one-row operator's
     B = np.diag(bvec)
     half = 0.5 * tau
     top = np.hstack((I, -half * I, np.zeros((m, m))))

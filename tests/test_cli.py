@@ -498,7 +498,8 @@ def test_non_finite_energy_exits_two(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "fracsg.cli", *argv], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 2
-    assert "numerical failure: non-finite discrete energy inf at level 1\n" in proc.stderr
+    assert "numerical failure: non-finite discrete energy inf at level 1 for alpha=1.5\n" in (
+        proc.stderr)
     assert not list(out.glob("*"))  # nor the snapshot of level 0, written before
 
 
@@ -518,7 +519,7 @@ def test_energy_failing_at_a_later_alpha_leaves_no_series(tmp_path, monkeypatch,
     # the orders step as one stack, one recorder reading both rows' energies at each level
     assert seen == [((1.5, 2.0), 0), ((1.5, 2.0), 1)]
     err = capsys.readouterr().err
-    assert "numerical failure: non-finite discrete energy inf at level 1\n" in err
+    assert "numerical failure: non-finite discrete energy inf at level 1 for alpha=2\n" in err
     assert not list(out.glob("*"))
 
 
@@ -562,7 +563,7 @@ def test_energy_stack_equals_separate_runs_bit_for_bit(tmp_path, monkeypatch):
         for name in ("U", "V", "W"):
             assert np.array_equal(getattr(stack.state, name)[i], getattr(single.state, name))
     # the rows left the stack's CG at different iterations, the last one ending it
-    per_step = list(zip(*(iterations[alpha] for alpha in alphas)))
+    per_step = list(zip(*(iterations[(alpha,)] for alpha in alphas)))  # a float: one row
     assert any(len(set(counts)) == len(alphas) for counts in per_step)
     assert iterations[alphas] == [max(counts) for counts in per_step]
     assert np.array_equal(run(get_problem("5.2"), cfg).state.W, stack.state.W)  # op built by run

@@ -16,7 +16,7 @@ from fracsg import (
     initial_state,
     run,
 )
-from fracsg import _dense, solvers
+from fracsg import solvers
 from fracsg.diagnostics import max_norm_error_self, orders_from_errors, w_projection_drift
 from fracsg.scheme import IeqState
 
@@ -163,8 +163,7 @@ class TestLadder:
 
 @pytest.mark.parametrize("call", [
     lambda cfg: convergence_ladder(get_problem("5.1"), cfg, 2),
-    lambda cfg: run(get_problem("5.1"), replace(cfg, solve=_dense.solve)),
-], ids=["convergence_ladder", "dense_solve"])
+], ids=["convergence_ladder"])
 def test_a_stack_where_one_order_is_taken_is_refused_naming_alpha(call):
     with pytest.raises(ValueError, match=r"one order, got alpha=\(1\.5, 1\.8\)"):
         call(ladder_root((1.5, 1.8), 20, 2))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
 from fracsg import FracOperator, GridSpec, _dense, generate_kernel
-from fracsg.operator import OperatorStack
+from fracsg.presets import PRESETS
 
 from oracles import apply_dense, energy_seminorm_sq
 
@@ -58,12 +58,13 @@ def test_grid_rejects_non_finite_endpoints(a, b):
 
 def test_apply_dense_matches_explicit_summation(rng):
     op = make_op(alpha=1.7, M=32)
+    (kernel,), ((scale,),) = op.kernel, op.scale  # its one row's
     u = rng.standard_normal(op.size)
     expected = np.zeros(op.size)
     for i in range(op.size):
         for j in range(op.size):
-            expected[i] += op.kernel[abs(i - j)] * u[j]
-    expected *= op.scale
+            expected[i] += kernel[abs(i - j)] * u[j]
+    expected *= scale
     np.testing.assert_allclose(apply_dense(op, u), expected, rtol=1e-13, atol=1e-13)
 
 
@@ -102,18 +103,19 @@ def test_unscaled_eigenvalues_inside_spectral_bound(alpha, M):
 def test_classical_operator_is_tridiagonal():
     op = FracOperator(2.0, GridSpec(a=0.0, b=6.0, M=6))
     expected = toeplitz([2.0, -1.0, 0.0, 0.0, 0.0])
-    np.testing.assert_array_equal(_dense.operator_matrix(op), expected)
+    np.testing.assert_array_equal(_dense.operator_matrix(op), [expected])  # its one row's
 
 
 def test_energy_seminorm_matches_quadratic_form(rng):
     op = make_op(alpha=1.6, M=16)
+    (alpha,), (kernel,) = op.alpha, op.kernel  # its one row's
     u = rng.standard_normal(op.size)
-    C = toeplitz(op.kernel)
-    expected = op.grid.h ** (1.0 - op.alpha) * float(u @ C @ u)
+    C = toeplitz(kernel)
+    expected = op.grid.h ** (1.0 - alpha) * float(u @ C @ u)
     assert energy_seminorm_sq(op, u) == pytest.approx(expected, rel=1e-12)
     # SPD quadratic form: equivalently a Cholesky factor norm
     L = np.linalg.cholesky(C)
-    expected_chol = op.grid.h ** (1.0 - op.alpha) * float(np.sum((L.T @ u) ** 2))
+    expected_chol = op.grid.h ** (1.0 - alpha) * float(np.sum((L.T @ u) ** 2))
     assert energy_seminorm_sq(op, u) == pytest.approx(expected_chol, rel=1e-12)
 
 
@@ -156,18 +158,34 @@ def test_stacked_transforms_equal_the_rows_own_bit_for_bit(rng, n):
         assert np.array_equal(back, np.array([np.fft.irfft(row, n=n) for row in spectrum]))
 
 
+# interior sizes M - 1 of the presets, their ladders' levels, and perfbench's stiff mesh
+PRESET_SIZES = sorted({round((p.b - p.a) / p.h) * 2 ** level - 1
+                       for presets in PRESETS.values() for p in presets.values()
+                       for level in range(5)} | {15999})
+
+
+def test_row_dot_equals_np_dot_bit_for_bit(rng):
+    # the solver and the energy take each row's dot product in one np.vecdot call, and
+    # a row must get np.dot's bits; a numpy whose vecdot drifts from np.dot fails here
+    for n in [*range(1, 130), *PRESET_SIZES]:
+        for k in range(1, 5):
+            a, b = rng.standard_normal((2, k, n))
+            assert np.vecdot(a, b).tolist() == [float(np.dot(x, y)) for x, y in zip(a, b)]
+
+
 def test_operator_stack_applies_each_row_as_its_operator(rng):
-    ops = [make_op(alpha, M=40) for alpha in (1.3, 1.6, 2.0)]
-    alone = [op.symbol.copy() for op in ops]
-    stack = OperatorStack(ops)
+    alphas = (1.3, 1.6, 2.0)
+    stack = make_op(alphas, M=40)
     u = rng.standard_normal((3, 39))
-    assert np.array_equal(stack.apply(u), np.array([op.apply(row) for op, row in zip(ops, u)]))
-    # one copy of the symbols: each operator's own is a view of its row, same bits
-    for i, op in enumerate(ops):
-        assert op.symbol.base is stack.symbol and np.array_equal(op.symbol, alone[i])
-    part = OperatorStack([ops[0], ops[2]])  # of rows of a stack, which keep their views
-    assert ops[0].symbol.base is stack.symbol and ops[2].symbol.base is stack.symbol
+    rows = [make_op(alpha, M=40) for alpha in alphas]
+    assert np.array_equal(stack.apply(u), np.array([op.apply(row) for op, row in zip(rows, u)]))
+    # a float order is a stack of one row, which applies to a vector too
+    assert rows[0].alpha == (1.3,) and rows[0].kernel.shape == (1, 39)
+    assert np.array_equal(rows[0].apply(u[:1]), [rows[0].apply(u[0])])
+    part = stack[[0, 2]]  # some rows, from the stack's values
+    assert part.alpha == (1.3, 2.0)
     assert np.array_equal(part.apply(u[[0, 2]]), stack.apply(u)[[0, 2]])
+    assert np.array_equal(stack[1:2].symbol, rows[1].symbol)
     with pytest.raises(ValueError):
         stack.apply(u[0])
 

@@ -21,7 +21,6 @@ from fracsg import (
     startup_step,
 )
 from fracsg import _dense, solvers
-from fracsg.operator import OperatorStack
 from fracsg.problems import Problem, exact_breather
 from fracsg.scheme import HISTORY, IeqState, b_func
 
@@ -160,9 +159,9 @@ def test_each_level_applies_the_operator_once(monkeypatch, with_recorder):
     assert len(recorder.series[0]) == products
     h = grid.h
     for state, row in zip(states, recorder.series[0]):
-        assert row[2] == 0.5 * (h * float(np.dot(state.V, state.V))
-                                + energy_seminorm_sq(op, state.U)
-                                + 2.0 * h * float(np.dot(state.W, state.W)))
+        (U,), (V,), (W,) = state.U, state.V, state.W  # a level's one row
+        assert row[2] == 0.5 * (h * float(np.dot(V, V)) + energy_seminorm_sq(op, U)
+                                + 2.0 * h * float(np.dot(W, W)))
 
 
 def test_no_step_reads_a_level_product(monkeypatch):
@@ -192,7 +191,7 @@ def test_no_step_reads_a_level_product(monkeypatch):
 def test_a_stack_recorder_applies_the_operator_once_per_level(monkeypatch):
     grid = GridSpec(a=-20.0, b=20.0, M=100)
     cfg = SchemeConfig(grid=grid, alpha=(1.5, 1.9), T=1.0, N=10)
-    op = OperatorStack([FracOperator(alpha, grid) for alpha in cfg.alpha])
+    op = FracOperator(cfg.alpha, grid)
     stats = recording_solves(monkeypatch)
     applies, apply = [], FracOperator.apply
     monkeypatch.setattr(FracOperator, "apply", lambda self, u: applies.append(1) or apply(self, u))
@@ -212,8 +211,10 @@ def test_level_product_is_computed_for_the_operator_asked():
         assert discrete_energy(state, op) == 0.5 * (
             h * float(np.dot(state.V, state.V)) + h * float(np.dot(op.apply(state.U), state.U))
             + 2.0 * h * float(np.dot(state.W, state.W)))
-    stacked = initial_state(get_problem("5.2"), grid, rows=2)  # of a stack: its rows' energies
-    assert discrete_energy(stacked, OperatorStack(ops)) == [discrete_energy(state, op) for op in ops]
+    stacked = IeqState(*(np.tile(a, (2, 1)) for a in (state.U, state.V, state.W)), 0.0, 0)
+    # of a stack: its rows' energies
+    assert discrete_energy(stacked, FracOperator((1.5, 1.9), grid)) == [
+        discrete_energy(state, op) for op in ops]
 
 
 @pytest.mark.parametrize("name", [field.name for field in dataclasses.fields(IeqState)])
@@ -277,7 +278,7 @@ def test_run_steps_by_cn_step_alone_from_the_virtual_level(monkeypatch, key):
     levels = []
     run(get_problem(key), cfg, observers=(lambda state, _: levels.append(state),), op=op)
     assert calls == {"cn_step": cfg.N, "startup_step": 0}
-    assert np.array_equal(levels[1].U, first.U)
+    assert np.array_equal(levels[1].U, [first.U])  # run's levels: one row per order
 
 
 @pytest.mark.parametrize("key", ["5.1", "5.2"])
@@ -458,7 +459,8 @@ def test_projected_start_saves_iterations(monkeypatch):
 def test_true_residual_does_not_trust_a_stored_midpoint_product():
     cfg = stiff_config(M=4000, N=4)
     op = FracOperator(cfg.alpha, cfg.grid)
-    state0 = initial_state(get_problem("5.1"), cfg.grid)
+    level = initial_state(get_problem("5.1"), cfg.grid)
+    state0 = IeqState(*(a[None] for a in (level.U, level.V, level.W)), 0.0, 0)  # one row, as run's
     setup = solvers.cg_setup(op, cfg.tau)
     state1, _ = startup_step(state0, op, cfg, setup)
     state2, _ = cn_step(state0.U, state1, op, cfg, setup)
@@ -468,3 +470,27 @@ def test_true_residual_does_not_trust_a_stored_midpoint_product():
     state2 = dataclasses.replace(state2, midpoints=((op, U_mid, 1.01 * product), *older))
     _, stats = cn_step(state1.U, state2, op, cfg, setup)
     assert stats.residual > 1e-6
+
+
+@pytest.mark.parametrize("key, cfg, preconditioned", [
+    ("5.1", SchemeConfig(grid=GridSpec(a=-20.0, b=20.0, M=200), alpha=1.5, T=1.0, N=10), False),
+    ("5.1", stiff_config(M=4000, N=5), True),
+    ("5.2", SchemeConfig(grid=GridSpec(a=-20.0, b=20.0, M=200), alpha=1.6, T=1.0, N=10), False),
+], ids=["plain", "preconditioned", "5.2"])
+def test_a_float_order_steps_as_its_one_row_stack(monkeypatch, key, cfg, preconditioned):
+    assert solvers.cg_setup(FracOperator(cfg.alpha, cfg.grid), cfg.tau).preconditioned == (
+        preconditioned,)
+    outcomes = []
+    for alpha in (cfg.alpha, (cfg.alpha,)):
+        op = FracOperator(alpha, cfg.grid)
+        recorder, stats = EnergyRecorder(op), recording_solves(monkeypatch)
+        result = run(get_problem(key), dataclasses.replace(cfg, alpha=alpha), (recorder,), op=op)
+        outcomes.append((result.state, recorder.series, [s.iterations for s in stats]))
+        monkeypatch.undo()
+    (single, single_series, single_iterations), (stack, stack_series, stack_iterations) = outcomes
+    m = cfg.grid.M - 1
+    for name in ("U", "V", "W"):
+        assert getattr(single, name).shape == (m,) and getattr(stack, name).shape == (1, m)
+        assert np.array_equal(getattr(stack, name), [getattr(single, name)])
+    assert stack_series == single_series
+    assert stack_iterations == single_iterations and len(stack_iterations) == cfg.N

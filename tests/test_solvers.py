@@ -19,7 +19,6 @@ from fracsg import (
     run,
 )
 from fracsg import _dense, scheme, solvers
-from fracsg.operator import OperatorStack
 from fracsg.scheme import b_func
 from fracsg.solvers import (StepMatrix, build_circulant_preconditioner, cg_setup,
                             condition_bound, solve)
@@ -37,7 +36,7 @@ def length_m_preconditioner(op, tau):
     """Reference preconditioner of one operator, so of all its rows: the inverse
     of I plus the Strang circulant wrap of the Toeplitz part (tau^2/4) h^{-alpha} C,
     applied by length-m real DFTs."""
-    col = (0.25 * tau * tau * op.scale) * op.kernel
+    (col,) = (0.25 * tau * tau * op.scale) * op.kernel
     m = len(col)
     wrap = col.copy()
     ks = np.arange(m // 2 + 1, m)
@@ -64,7 +63,8 @@ def record_transform_lengths(monkeypatch):
 def test_step_matrix_action_matches_dense(rng):
     mat = make_step_matrix(M=24)
     v = rng.standard_normal(len(mat.diag))
-    np.testing.assert_allclose(mat.matvec(v), _dense.step_matrix(mat) @ v, rtol=1e-12, atol=1e-12)
+    (dense,) = _dense.step_matrix(mat)  # its one row's
+    np.testing.assert_allclose(mat.matvec(v), dense @ v, rtol=1e-12, atol=1e-12)
 
 
 def test_cg_agrees_with_direct(rng):
@@ -76,6 +76,17 @@ def test_cg_agrees_with_direct(rng):
     assert stats_cg.iterations > 0
     assert stats_cg.residual <= 5e-12
     assert stats_dir.iterations == 0
+
+
+def test_dense_solve_of_a_stack_solves_each_row_as_its_order(rng):
+    grid = GridSpec(a=-10.0, b=10.0, M=24)
+    alphas = (1.5, 1.8)
+    diag, rhs = 0.1 * rng.random((2, grid.M - 1)), rng.standard_normal((2, grid.M - 1))
+    x, stats = _dense.solve(StepMatrix(FracOperator(alphas, grid), 0.05, diag), rhs)
+    rows = [_dense.solve(StepMatrix(FracOperator(alpha, grid), 0.05, d), b)
+            for alpha, d, b in zip(alphas, diag, rhs)]
+    assert np.array_equal(x, [row for row, _ in rows])
+    assert stats.residual == max(row_stats.residual for _, row_stats in rows)
 
 
 def test_dense_matrix_is_formed_once_per_operator():
@@ -146,7 +157,7 @@ def test_true_residual_does_not_trust_the_start_product(rng):
 
 def test_unconvergeable_solve_fails_within_derived_cap(rng, monkeypatch):
     mat = make_step_matrix(M=64)
-    bound = condition_bound(mat.op, mat.tau)
+    (bound,) = condition_bound(mat.op, mat.tau)
     cap = solvers.CG_CAP_FACTOR * math.ceil(0.5 * math.sqrt(bound) * math.log(2.0 / 1e-12))
     rhs = rng.standard_normal(len(mat.diag))
     # a skew part, which CG cannot handle, makes the solve diverge
@@ -174,7 +185,7 @@ def test_default_tolerance_above_its_ceiling_is_refused(tau):
     # alpha 2, h = 2e-7, M = 10,000: condition bounds 2.3e12 to 2.5e15, where
     # 10 eps kappa would be 5e-3 to 5.5
     op = FracOperator(2.0, GridSpec(a=-0.001, b=0.001, M=10000))
-    bound = condition_bound(op, tau)
+    (bound,) = condition_bound(op, tau)
     named = f"condition bound {bound:.4g} at h=2e-07, tau={tau:g}) exceeds its ceiling 1e-08"
     with pytest.raises(SolveFailure, match=re.escape(named)):
         cg_setup(op, tau)
@@ -210,8 +221,8 @@ def test_circulant_preconditioner_exists_for_step_matrix():
     mat = make_step_matrix(M=8)
     pre = build_circulant_preconditioner(mat.op, mat.tau)
     assert pre is not None
-    r = np.ones(7)
-    assert pre(r).shape == (7,)
+    r = np.ones((1, 7))  # one row per row of the operator
+    assert pre(r).shape == (1, 7)
 
 
 @given(alpha=st.floats(1.0, 2.0, exclude_min=True), M=st.integers(2, 64),
@@ -221,17 +232,18 @@ def test_preconditioner_is_leading_block_of_embedding_inverse(alpha, M, h, tau, 
     rng = np.random.default_rng(seed)
     mat = StepMatrix(op=op, tau=tau, diag=rng.uniform(0.0, tau * tau / 8.0, op.size))
     m, n = op.size, op.embed_size
+    (kernel,), ((scale,),) = op.kernel, op.scale  # its one row's
     # the circulant embedding of C, built from the kernel: c_0..c_{m-1},
     # zeros, then c_{m-1}..c_1, folded modulo half its length
     col = np.zeros(n)
-    col[:m] = op.kernel
-    col[n - m + 1:] = op.kernel[1:][::-1]
+    col[:m] = kernel
+    col[n - m + 1:] = kernel[1:][::-1]
     fold = col[:n // 2] + col[n // 2:]
-    inverse = np.linalg.inv(np.eye(n // 2) + (0.25 * tau * tau * op.scale) * circulant(fold))
-    r = rng.standard_normal(m)
+    inverse = np.linalg.inv(np.eye(n // 2) + (0.25 * tau * tau * scale) * circulant(fold))
+    r = rng.standard_normal((1, m))
     z = build_circulant_preconditioner(op, tau)(r)
-    assert z.shape == (m,)
-    assert np.max(np.abs(z - inverse[:m, :m] @ r)) <= 1e-12 * np.linalg.norm(r)
+    assert z.shape == (1, m)
+    assert np.max(np.abs(z[0] - inverse[:m, :m] @ r[0])) <= 1e-12 * np.linalg.norm(r)
 
 
 def test_preconditioned_solve_transforms_at_embedding_length(rng, monkeypatch):
@@ -319,11 +331,11 @@ def test_condition_bound_and_preconditioner_spectrum(alpha, M, h, tau, seed):
     op = FracOperator(alpha, GridSpec(a=0.0, b=M * h, M=M))
     rng = np.random.default_rng(seed)
     mat = StepMatrix(op=op, tau=tau, diag=rng.uniform(0.0, tau * tau / 8.0, op.size))
-    eigs = np.linalg.eigvalsh(_dense.step_matrix(mat))
-    assert eigs[-1] / eigs[0] <= condition_bound(op, tau)
-    r = rng.standard_normal(op.size)
+    (eigs,) = np.linalg.eigvalsh(_dense.step_matrix(mat))  # of its one row
+    assert eigs[-1] / eigs[0] <= condition_bound(op, tau)[0]
+    r = rng.standard_normal((1, op.size))
     z = build_circulant_preconditioner(op, tau)(r)
-    assert float(np.dot(r, z)) > 0.0
+    assert float(np.dot(r[0], z[0])) > 0.0
     assert np.linalg.norm(z) <= np.linalg.norm(r) * (1.0 + 1e-12)
 
 
@@ -343,7 +355,7 @@ def test_non_finite_data_raises(where, bad, named):
 @pytest.mark.parametrize("where, named", [("rhs", "right-hand side"), ("x0", "residual")])
 def test_non_finite_data_in_a_stack_names_its_order(where, named):
     grid = GridSpec(a=-10.0, b=10.0, M=16)
-    stack = OperatorStack([FracOperator(alpha, grid) for alpha in (1.3, 1.6, 2.0)])
+    stack = FracOperator((1.3, 1.6, 2.0), grid)
     mat = StepMatrix(stack, 0.05, np.zeros((3, stack.size)))
     data = {"rhs": np.ones((3, stack.size)), "x0": np.zeros((3, stack.size))}
     data[where][1, 3] = np.nan
